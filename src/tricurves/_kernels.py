@@ -1,63 +1,12 @@
-"""Hot loops, compiled with numba when available.
+"""The two hot loops: Sturm counts and the renormalized transfer product.
 
-Pure numpy fallbacks keep the package importable without a working numba;
-the fallbacks implement identical arithmetic (checked by tests), only the
-speed differs.
+Both are sequential in the matrix index k.  The Sturm recurrence is
+vectorized over the lambda axis; the transfer product is a scalar loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly
-    import numba
-
-    def _njit(func):
-        return numba.njit(cache=True, nogil=True)(func)
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    def _njit(func):
-        return func
-
-    HAVE_NUMBA = False
-
-
-def _sturm_counts_impl(diag, off2, lams, pivmin):
-    n = diag.shape[0]
-    m = lams.shape[0]
-    out = np.empty(m, dtype=np.int64)
-    for j in range(m):
-        lam = lams[j]
-        count = 0
-        d = diag[0] - lam
-        if abs(d) < pivmin:
-            d = -pivmin
-        if d < 0.0:
-            count += 1
-        for k in range(1, n):
-            d = (diag[k] - lam) - off2[k - 1] / d
-            if abs(d) < pivmin:
-                d = -pivmin
-            if d < 0.0:
-                count += 1
-        out[j] = count
-    return out
-
-
-_sturm_counts_numba = _njit(_sturm_counts_impl)
-
-
-def _sturm_counts_numpy(diag, off2, lams, pivmin):
-    # Vectorized over the lambda axis; the k recurrence stays sequential.
-    d = diag[0] - lams
-    np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
-    count = (d < 0.0).astype(np.int64)
-    for k in range(1, diag.shape[0]):
-        d = (diag[k] - lams) - off2[k - 1] / d
-        np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
-        count += d < 0.0
-    return count
 
 
 def sturm_counts(diag: np.ndarray, off: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -68,20 +17,33 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray, lams: np.ndarray) -> np.ndar
     lams = np.ascontiguousarray(lams, dtype=np.float64)
     scale = max(1.0, float(off2.max()) if off2.size else 1.0)
     pivmin = np.finfo(np.float64).tiny * scale
-    if HAVE_NUMBA:
-        return _sturm_counts_numba(diag, off2, lams, pivmin)
-    return _sturm_counts_numpy(diag, off2, lams, pivmin)
+    d = diag[0] - lams
+    np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
+    count = (d < 0.0).astype(np.int64)
+    for k in range(1, diag.shape[0]):
+        d = (diag[k] - lams) - off2[k - 1] / d
+        np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
+        count += d < 0.0
+    return count
 
 
-def _transfer_log_norm_impl(c, q, zr, zi, n):
-    # Product A_n ... A_1 with per-step renormalization to unit column-sum
-    # norm; returns (log-scale, final 2x2 entries).  A_k has rows
-    # [(q_k - z)/c_k, -c_{k-1}/c_k] and [1, 0].
+def transfer_product_scaled(c: np.ndarray, q: np.ndarray, z: complex):
+    """(log_scale, M) with M the renormalized transfer product of n steps;
+    the true product is exp(log_scale) * M and ||M|| = 1 (column-sum norm).
+
+    c has length n+1 (couplings c_0..c_n), q has length n+1 with q[1..n]
+    the diagonal values (q[0] unused).  A_k has rows
+    [(q_k - z)/c_k, -c_{k-1}/c_k] and [1, 0]; the product A_n ... A_1 is
+    renormalized to unit column-sum norm after every step.
+    """
+    c = np.ascontiguousarray(c, dtype=np.float64)
+    q = np.ascontiguousarray(q, dtype=np.float64)
+    n = c.shape[0] - 1
+    z = complex(z)
     m00 = 1.0 + 0.0j
     m01 = 0.0 + 0.0j
     m10 = 0.0 + 0.0j
     m11 = 1.0 + 0.0j
-    z = complex(zr, zi)
     logscale = 0.0
     for k in range(1, n + 1):
         ck = c[k]
@@ -99,22 +61,4 @@ def _transfer_log_norm_impl(c, q, zr, zi, n):
         m10 /= norm
         m11 /= norm
         logscale += np.log(norm)
-    return logscale, m00, m01, m10, m11
-
-
-_transfer_log_norm_numba = _njit(_transfer_log_norm_impl)
-
-
-def transfer_product_scaled(c: np.ndarray, q: np.ndarray, z: complex):
-    """(log_scale, M) with M the renormalized transfer product of n steps;
-    the true product is exp(log_scale) * M and ||M|| = 1 (column-sum norm).
-
-    c has length n+1 (couplings c_0..c_n), q has length n+1 with q[1..n]
-    the diagonal values (q[0] unused).
-    """
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    q = np.ascontiguousarray(q, dtype=np.float64)
-    n = c.shape[0] - 1
-    impl = _transfer_log_norm_numba if HAVE_NUMBA else _transfer_log_norm_impl
-    logscale, m00, m01, m10, m11 = impl(c, q, float(np.real(z)), float(np.imag(z)), n)
     return float(logscale), np.array([[m00, m01], [m10, m11]], dtype=np.complex128)

@@ -4,8 +4,9 @@ Configs are plain INI text (key-value with nested sections).  Only the
 [ensemble] block is mandatory -- every numeric knob has a default -- and
 the seed inside it is required.  The config hash is the sha256 of the
 canonical re-serialization, so semantically identical files hash alike;
-every artifact file embeds this hash, and a manifest lists the artifacts
-of a run together with wall times and the tool version.
+every artifact file embeds this hash in its header line (see
+``artifacts``), and a manifest lists the artifacts of a run together with
+wall times and the tool version.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from .artifacts import atomic_write, is_current
 from .ensembles import EnsembleSpec, ensemble_from_config, ensemble_to_config
 from .errors import ValidationError
 
@@ -43,7 +45,6 @@ class ExperimentConfig:
     thouless_tol: float = 0.02
     thouless_points: tuple = (1 + 1j, -0.5 + 0.75j, 2 - 0.5j, 0.25 + 1.5j, -1 - 1j, 3 + 2j)
     panel_sizes: tuple = (500, 1000, 2000)
-    panel_bumps: int = 10
     panel_reps: int = 8
     hausdorff_budget: float = 0.15
 
@@ -58,7 +59,7 @@ class ExperimentConfig:
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
         for name in ("reps", "ids_n", "ids_reps", "ids_grid_points", "curve_x_points",
-                     "exclusion_n", "exclusion_reps", "thouless_n", "thouless_reps", "panel_bumps"):
+                     "exclusion_n", "exclusion_reps", "thouless_n", "thouless_reps"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
 
@@ -106,7 +107,6 @@ def load_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
         ("thouless_n", "thouless_n", int),
         ("thouless_reps", "thouless_reps", int),
         ("thouless_tol", "thouless_tol", float),
-        ("panel_bumps", "panel_bumps", int),
         ("panel_reps", "panel_reps", int),
     ):
         if src in verify:
@@ -149,7 +149,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
         "thouless_tol": repr(cfg.thouless_tol),
         "thouless_points": " ".join(str(z) for z in cfg.thouless_points),
         "panel_sizes": " ".join(str(n) for n in cfg.panel_sizes),
-        "panel_bumps": str(cfg.panel_bumps),
         "panel_reps": str(cfg.panel_reps),
     }
     cp["compare"] = {"hausdorff_budget": repr(cfg.hausdorff_budget)}
@@ -175,7 +174,7 @@ class RunManifest:
             self.walltimes[name] = seconds
 
     def write(self, path: str) -> None:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write("# run-manifest v1\n")
             fh.write(f"config_hash = {self.config_hash}\n")
             fh.write(f"tool_version = {self.tool_version}\n")
@@ -209,12 +208,10 @@ class RunManifest:
         return manifest
 
     def validate(self, base_dir: str) -> None:
-        """Every artifact exists and embeds this manifest's config hash."""
+        """Every artifact exists and its header carries this manifest's config hash."""
         for name, rel in self.artifacts.items():
             path = os.path.join(base_dir, rel)
             if not os.path.exists(path):
                 raise ValidationError(f"manifest artifact missing: {name} -> {rel}")
-            with open(path) as fh:
-                head = "".join(fh.readline() for _ in range(5))
-            if self.config_hash not in head:
+            if not is_current(path, self.config_hash):
                 raise ValidationError(f"artifact {rel} does not embed config hash {self.config_hash}")

@@ -20,7 +20,8 @@ import numpy as np
 
 from .ensembles import EnsembleSpec, analytic_means
 from .errors import ValidationError
-from .spectral import IdsEstimate, phi_many, stieltjes_many
+from . import artifacts
+from .spectral import IdsEstimate, lyapunov_thouless, phi_many, stieltjes_many
 
 __all__ = [
     "Arc",
@@ -83,10 +84,6 @@ class CurveModel:
     ids: IdsEstimate
     curve_tol: float
 
-    def gamma(self, z) -> np.ndarray:
-        """Lyapunov exponent via the Thouless route (valid on the axis)."""
-        return phi_many(self.ids, np.atleast_1d(np.asarray(z, complex))) - self.mean_log_c
-
     def sigma_mass(self) -> float:
         """dN-mass of the real component."""
         total = 0.0
@@ -117,15 +114,6 @@ def equipotential_threshold(spec: EnsembleSpec) -> float:
     E log c_0 + |g|."""
     e_xi, e_eta = analytic_means(spec)
     return max(e_xi, e_eta)
-
-
-def _gamma_real(ids: IdsEstimate, mean_log_c: float, xs: np.ndarray) -> np.ndarray:
-    return phi_many(ids, xs.astype(complex)) - mean_log_c
-
-
-def _gamma_at(ids: IdsEstimate, mean_log_c: float, x, y) -> np.ndarray:
-    zs = np.asarray(x, float) + 1j * np.asarray(y, float)
-    return phi_many(ids, zs) - mean_log_c
 
 
 def _upper_height(mean_log_c: float, abs_g: float) -> float:
@@ -164,7 +152,7 @@ def trace_curve(
         x_grid = np.linspace(lo - pad, hi + pad, x_points)
     else:
         x_grid = np.asarray(x_grid, dtype=float)
-    gam = _gamma_real(ids, mean_log_c, x_grid)
+    gam = lyapunov_thouless(ids, mean_log_c, x_grid)
     qualify = gam <= abs_g
     # never let the scan window clip the curve
     if qualify[0] or qualify[-1]:
@@ -202,15 +190,15 @@ def trace_curve(
 
 def _refine_endpoint(ids, mean_log_c, abs_g, x_out, x_in) -> float:
     """Bisect gamma(x) - |g| between a non-qualifying and a qualifying x."""
-    g_out = float(_gamma_real(ids, mean_log_c, np.array([x_out]))[0]) - abs_g
-    g_in = float(_gamma_real(ids, mean_log_c, np.array([x_in]))[0]) - abs_g
+    g_out = lyapunov_thouless(ids, mean_log_c, x_out) - abs_g
+    g_in = lyapunov_thouless(ids, mean_log_c, x_in) - abs_g
     if g_out <= 0.0:  # grid boundary already inside; nothing to refine
         return float(x_out)
     if g_in > 0.0:
         return float(x_in)
     for _ in range(60):
         mid = 0.5 * (x_out + x_in)
-        val = float(_gamma_real(ids, mean_log_c, np.array([mid]))[0]) - abs_g
+        val = lyapunov_thouless(ids, mean_log_c, mid) - abs_g
         if val > 0.0:
             x_out = mid
         else:
@@ -228,7 +216,7 @@ def _solve_heights(ids, mean_log_c, abs_g, xs, y_hi, curve_tol) -> np.ndarray:
     hi = np.full_like(xs, y_hi)
     for _ in range(110):
         mid = 0.5 * (lo + hi)
-        val = _gamma_at(ids, mean_log_c, xs, mid) - abs_g
+        val = lyapunov_thouless(ids, mean_log_c, xs + 1j * mid) - abs_g
         if np.max(np.abs(val)) < curve_tol:
             return mid  # residual certified at exactly these heights
         above = val > 0.0
@@ -237,7 +225,7 @@ def _solve_heights(ids, mean_log_c, abs_g, xs, y_hi, curve_tol) -> np.ndarray:
     # brackets are at float resolution; accept only if the residual target
     # is met there (it cannot improve further)
     y = 0.5 * (lo + hi)
-    resid = np.abs(_gamma_at(ids, mean_log_c, xs, y) - abs_g)
+    resid = np.abs(lyapunov_thouless(ids, mean_log_c, xs + 1j * y) - abs_g)
     if np.max(resid) >= curve_tol:
         raise ValidationError(
             f"curve bisection stalled: worst residual {np.max(resid):.3g} (tol {curve_tol:g})"
@@ -342,47 +330,40 @@ def default_bump_panel(model: CurveModel, count: int = 10) -> list:
 
 # -- model serialization --------------------------------------------------------
 
-def save_curve_model(model: CurveModel, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("# curve-model v1\n")
-        fh.write(f"# g={float(model.g)!r} threshold={float(model.threshold)!r} mean_log_c={float(model.mean_log_c)!r}\n")
-        fh.write(f"# curve_tol={float(model.curve_tol)!r} ids_hash={model.ids.source_hash}\n")
-        fh.write(f"# sigma_count={len(model.sigma)} arc_count={len(model.arcs)} "
-                 f"real_points={len(model.real_points)}\n")
-        for lo, hi in model.sigma:
-            fh.write(f"sigma {float(lo)!r} {float(hi)!r}\n")
-        for xp in model.real_points:
-            fh.write(f"realpoint {float(xp)!r}\n")
-        for i, arc in enumerate(model.arcs):
-            for x, y, r in zip(arc.x, arc.y, arc.rho):
-                fh.write(f"arc {i} {float(x)!r} {float(y)!r} {float(r)!r}\n")
+def save_curve_model(model: CurveModel, path, **header) -> None:
+    """The model as diff-able text: the artifact header (``header`` first,
+    then the model's scalars) and one row per sigma interval, isolated
+    real point and arc vertex."""
+    rows = [f"sigma {float(lo)!r} {float(hi)!r}\n" for lo, hi in model.sigma]
+    rows += [f"realpoint {float(xp)!r}\n" for xp in model.real_points]
+    for i, arc in enumerate(model.arcs):
+        rows += [f"arc {i} {float(x)!r} {float(y)!r} {float(r)!r}\n" for x, y, r in zip(arc.x, arc.y, arc.rho)]
+    artifacts.write(
+        path,
+        dict(header, g=repr(float(model.g)), threshold=repr(float(model.threshold)),
+             mean_log_c=repr(float(model.mean_log_c)), curve_tol=repr(float(model.curve_tol)),
+             ids_hash=model.ids.source_hash),
+        rows,
+    )
 
 
 def load_curve_model(model_path, ids: IdsEstimate) -> CurveModel:
-    header = {}
+    header, body = artifacts.read(model_path)
+    if "g" not in header:
+        raise ValidationError(f"{model_path} is not a curve model file")
+    if header["ids_hash"] != ids.source_hash:
+        raise ValidationError("curve model and ids estimate come from different ensembles")
     sigma = []
     real_points = []
     arc_rows: dict = {}
-    with open(model_path) as fh:
-        first = fh.readline()
-        if not first.startswith("# curve-model v1"):
-            raise ValidationError(f"{model_path} is not a curve model file")
-        for line in fh:
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" in tok:
-                        k, v = tok.split("=", 1)
-                        header[k] = v
-                continue
-            parts = line.split()
-            if parts[0] == "sigma":
-                sigma.append((float(parts[1]), float(parts[2])))
-            elif parts[0] == "realpoint":
-                real_points.append(float(parts[1]))
-            elif parts[0] == "arc":
-                arc_rows.setdefault(int(parts[1]), []).append(tuple(float(p) for p in parts[2:]))
-    if header.get("ids_hash", "") != ids.source_hash:
-        raise ValidationError("curve model and ids estimate come from different ensembles")
+    for line in body:
+        parts = line.split()
+        if parts[0] == "sigma":
+            sigma.append((float(parts[1]), float(parts[2])))
+        elif parts[0] == "realpoint":
+            real_points.append(float(parts[1]))
+        elif parts[0] == "arc":
+            arc_rows.setdefault(int(parts[1]), []).append(tuple(float(p) for p in parts[2:]))
     arcs = []
     for i in sorted(arc_rows):
         rows = np.asarray(arc_rows[i])
@@ -395,5 +376,5 @@ def load_curve_model(model_path, ids: IdsEstimate) -> CurveModel:
         real_points=tuple(real_points),
         sigma=tuple(sigma),
         ids=ids,
-        curve_tol=float(header.get("curve_tol", 1e-6)),
+        curve_tol=float(header["curve_tol"]),
     )

@@ -1,17 +1,17 @@
 """Eigenvalue engines.
 
-Symmetric tridiagonal counting and spectra are hand-rolled (safeguarded
-Sturm sequences plus vectorized bisection) because the counting path is the
-backbone of the density-of-states estimator.  The dense nonsymmetric
-spectrum delegates to LAPACK's balancing + Hessenberg + implicitly shifted
-QR through numpy; non-convergence is surfaced, never swallowed.  Resolvent
+Symmetric tridiagonal counting is hand-rolled (safeguarded Sturm
+sequences, vectorized over the shifts) because it is the backbone of the
+density-of-states estimator; full symmetric spectra come from LAPACK
+through scipy.  The dense nonsymmetric spectrum delegates to LAPACK's
+balancing + Hessenberg + implicitly shifted QR through numpy;
+non-convergence is surfaced, never swallowed.  Resolvent
 corners and the rank-2 corner-perturbation determinant are computed from
 three-term minor recurrences entirely in log scale.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -60,41 +60,20 @@ def symmetric_eigencounts(bundle: OperatorBundle, lams: np.ndarray) -> np.ndarra
     return tridiagonal_counts(bundle.h_diag, bundle.h_off, lams)
 
 
-def tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix by bisection
-    refinement of the Sturm counts, sorted ascending.
+def tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric tridiagonal matrix, sorted ascending
+    (LAPACK through scipy)."""
+    # imported here: scipy.linalg would add to the start-up of every CLI call
+    from scipy.linalg import eigvalsh_tridiagonal
 
-    Default absolute tolerance is 1e-12 * max(1, norm bound).
-    """
     diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    n = diag.shape[0]
-    if n == 0:
+    if diag.shape[0] == 0:
         raise ValidationError("empty matrix")
-    if n == 1:
-        return diag.copy()
-    r = np.zeros(n)
-    r[:-1] += np.abs(off)
-    r[1:] += np.abs(off)
-    lo_bound = float(np.min(diag - r))
-    hi_bound = float(np.max(diag + r))
-    norm = max(abs(lo_bound), abs(hi_bound))
-    if tol is None:
-        tol = 1e-12 * max(1.0, norm)
-    lo = np.full(n, lo_bound)
-    hi = np.full(n, hi_bound)
-    want = np.arange(1, n + 1)  # eigenvalue i is bracketed once count >= i
-    while np.max(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        cnt = tridiagonal_counts(diag, off, mid)
-        take_hi = cnt >= want
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
-    return np.sort(0.5 * (lo + hi))
+    return eigvalsh_tridiagonal(diag, np.asarray(off, dtype=float))
 
 
-def symmetric_spectrum(bundle: OperatorBundle, tol: Optional[float] = None) -> np.ndarray:
-    return tridiagonal_spectrum(bundle.h_diag, bundle.h_off, tol=tol)
+def symmetric_spectrum(bundle: OperatorBundle) -> np.ndarray:
+    return tridiagonal_spectrum(bundle.h_diag, bundle.h_off)
 
 
 # -- dense nonsymmetric spectrum ---------------------------------------------
@@ -341,8 +320,3 @@ def characteristic_residual(bundle: OperatorBundle, z: complex) -> float:
     d = rank2_det(bundle, z)
     rhs = d.log_mod + log_det_reference(bundle, z).log_mod
     return abs(lhs - rhs)
-
-
-def realization_tag(bundle: OperatorBundle) -> str:
-    raw = f"{spec_hash(bundle.seq.spec)}:{bundle.n}"
-    return hashlib.sha256(raw.encode()).hexdigest()[:12]

@@ -1,8 +1,9 @@
 """Stage runners behind the CLI: config-driven, cached, reproducible.
 
-Every artifact is diff-able text carrying the config hash and seed in its
-header; a manifest per command lists artifacts and wall times.  Stages
-reuse cached artifacts when the embedded hash matches, so pipelines are
+Every artifact is diff-able text written through ``artifacts``: its
+first line carries the config hash and seed, and a manifest per command
+lists the artifacts with measured wall times.  Stages reuse a cached
+artifact when its header carries the run's config hash, so pipelines are
 restartable at file boundaries.  Per-(n, rep) jobs run in a bounded
 thread pool (LAPACK releases the GIL) and results are merged in (n, rep)
 order, so the merge is deterministic regardless of scheduling.
@@ -16,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 import numpy as np
 
-from . import __version__
+from . import __version__, artifacts
 from .config import ExperimentConfig, RunManifest, config_hash
 from .curves import (
     CurveModel,
@@ -25,7 +26,7 @@ from .curves import (
     save_curve_model,
     trace_curve,
 )
-from .eigensolvers import SpectrumResult, spectrum
+from .eigensolvers import spectrum
 from .ensembles import mean_log_coupling, sample
 from .errors import ValidationError
 from .operators import build
@@ -58,15 +59,13 @@ __all__ = [
 _FMT = "%.17g"
 
 
-def _header(cfg: ExperimentConfig, **extra) -> str:
-    items = " ".join(f"{k}={v}" for k, v in extra.items())
-    head = f"# config_hash={config_hash(cfg)} seed={cfg.ensemble.seed}"
-    return head + (f" {items}\n" if items else "\n")
+def _header(cfg: ExperimentConfig, **extra) -> dict:
+    return {"config_hash": config_hash(cfg), "seed": cfg.ensemble.seed, **extra}
 
 
-def _write_manifest(out_dir: str, cfg: ExperimentConfig, artifacts: dict, walltimes: dict, name: str):
+def _write_manifest(out_dir: str, cfg: ExperimentConfig, listed: dict, walltimes: dict, name: str):
     manifest = RunManifest(config_hash=config_hash(cfg), tool_version=__version__)
-    for key, path in artifacts.items():
+    for key, path in listed.items():
         manifest.add(key, path, walltimes.get(key))
     manifest.write(os.path.join(out_dir, f"manifest_{name}.txt"))
     return manifest
@@ -76,118 +75,95 @@ def _spectrum_csv_path(n: int, rep: int) -> str:
     return os.path.join("spectra", f"spectrum_n{n}_rep{rep}.csv")
 
 
-def _check_artifact(path: str, cfg: ExperimentConfig) -> bool:
-    if not os.path.exists(path):
-        return False
-    with open(path) as fh:
-        return config_hash(cfg) in fh.readline()
-
-
 def stage_sample(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> RunManifest:
     """Write the coefficient realizations for every (n, rep)."""
     os.makedirs(os.path.join(out_dir, "samples"), exist_ok=True)
-    artifacts, times = {}, {}
+    chash = config_hash(cfg)
+    listed, times = {}, {}
     for n in cfg.sizes:
         for rep in range(cfg.reps):
             t0 = time.perf_counter()
             rel = os.path.join("samples", f"coeffs_n{n}_rep{rep}.csv")
             path = os.path.join(out_dir, rel)
             key = f"sample_n{n}_rep{rep}"
-            if not _check_artifact(path, cfg):
+            if not artifacts.is_current(path, chash):
                 seq = sample(replace(cfg.ensemble, seed=cfg.ensemble.seed + rep), n)
                 cols = ("sub", "sup", "diag") if seq.raw else ("xi", "eta", "q")
                 arrays = [getattr(seq, c) for c in cols]
-                with open(path, "w") as fh:
-                    fh.write(_header(cfg, n=n, rep=rep))
-                    fh.write("k," + ",".join(cols) + "\n")
-                    for k in range(n + 1):
-                        fh.write(f"{k}," + ",".join(_FMT % a[k] for a in arrays) + "\n")
-            artifacts[key] = rel
+                rows = (f"{k}," + ",".join(_FMT % a[k] for a in arrays) + "\n" for k in range(n + 1))
+                artifacts.write(path, _header(cfg, n=n, rep=rep), ["k," + ",".join(cols) + "\n", *rows])
+            listed[key] = rel
             times[key] = time.perf_counter() - t0
-    return _write_manifest(out_dir, cfg, artifacts, times, "sample")
+    return _write_manifest(out_dir, cfg, listed, times, "sample")
 
 
-def _one_spectrum(cfg: ExperimentConfig, n: int, rep: int) -> SpectrumResult:
+def _one_spectrum(cfg: ExperimentConfig, n: int, rep: int) -> tuple:
+    """(spectrum, measured wall seconds) of one (n, rep) job."""
+    t0 = time.perf_counter()
     seq = sample(replace(cfg.ensemble, seed=cfg.ensemble.seed + rep), n)
-    return spectrum(build(seq))
+    res = spectrum(build(seq))
+    return res, time.perf_counter() - t0
 
 
 def stage_spectrum(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> RunManifest:
     """Eigenvalue CSVs per (n, rep) plus a non-real count summary."""
     os.makedirs(os.path.join(out_dir, "spectra"), exist_ok=True)
+    chash = config_hash(cfg)
     pairs = [(n, rep) for n in cfg.sizes for rep in range(cfg.reps)]
-    artifacts, times = {}, {}
+    listed, times = {}, {}
     todo = [(n, rep) for (n, rep) in pairs
-            if not _check_artifact(os.path.join(out_dir, _spectrum_csv_path(n, rep)), cfg)]
+            if not artifacts.is_current(os.path.join(out_dir, _spectrum_csv_path(n, rep)), chash)]
     results = {}
-    t0 = time.perf_counter()
     if todo:
         with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            for (n, rep), res in zip(todo, pool.map(lambda p: _one_spectrum(cfg, *p), todo)):
-                results[(n, rep)] = res
-    elapsed = time.perf_counter() - t0
+            for (n, rep), done in zip(todo, pool.map(lambda p: _one_spectrum(cfg, *p), todo)):
+                results[(n, rep)] = done
     summary_rows = []
     for n, rep in pairs:  # ordered merge
         rel = _spectrum_csv_path(n, rep)
         path = os.path.join(out_dir, rel)
         key = f"spectrum_n{n}_rep{rep}"
         if (n, rep) in results:
-            res = results[(n, rep)]
-            with open(path, "w") as fh:
-                fh.write(_header(cfg, n=n, rep=rep, method=res.method,
-                                 residual=f"{res.residual:.3e}"))
-                fh.write("re,im\n")
-                for z in res.eigenvalues:
-                    fh.write(f"{_FMT % z.real},{_FMT % z.imag}\n")
+            res, times[key] = results[(n, rep)]
+            rows = (f"{_FMT % z.real},{_FMT % z.imag}\n" for z in res.eigenvalues)
+            artifacts.write(path, _header(cfg, n=n, rep=rep, method=res.method,
+                                          residual=f"{res.residual:.3e}"), ["re,im\n", *rows])
             nonreal = int(np.sum(np.abs(res.eigenvalues.imag) > cfg.nonreal_tol))
         else:
             data = np.loadtxt(path, delimiter=",", skiprows=2)
             nonreal = int(np.sum(np.abs(data[:, 1]) > cfg.nonreal_tol))
+            times[key] = 0.0
         summary_rows.append((n, rep, nonreal, nonreal / n, rel))
-        artifacts[key] = rel
-        times[key] = elapsed / max(len(todo), 1) if (n, rep) in results else 0.0
+        listed[key] = rel
     rel = os.path.join("spectra", "summary.csv")
-    with open(os.path.join(out_dir, rel), "w") as fh:
-        fh.write(_header(cfg, nonreal_tol=cfg.nonreal_tol))
-        fh.write("n,rep,nonreal_count,nonreal_fraction,path\n")
-        for n, rep, cnt, frac, p in summary_rows:
-            fh.write(f"{n},{rep},{cnt},{_FMT % frac},{p}\n")
-    artifacts["summary"] = rel
+    artifacts.write(
+        os.path.join(out_dir, rel),
+        _header(cfg, nonreal_tol=cfg.nonreal_tol),
+        ["n,rep,nonreal_count,nonreal_fraction,path\n"]
+        + [f"{n},{rep},{cnt},{_FMT % frac},{p}\n" for n, rep, cnt, frac, p in summary_rows],
+    )
+    listed["summary"] = rel
     _write_plot_template(out_dir)  # template is config-independent, not a manifest artifact
-    return _write_manifest(out_dir, cfg, artifacts, times, "spectrum")
+    return _write_manifest(out_dir, cfg, listed, times, "spectrum")
 
 
-def _ids_path() -> str:
-    return os.path.join("ids", "ids_cache.txt")
+_IDS = os.path.join("ids", "ids_cache.txt")
 
 
 def stage_ids(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> RunManifest:
     """Estimate (or reuse) the integrated density of states cache."""
-    os.makedirs(os.path.join(out_dir, "ids"), exist_ok=True)
-    rel = _ids_path()
-    path = os.path.join(out_dir, rel)
     t0 = time.perf_counter()
-    ids = _load_or_build_ids(cfg, out_dir)
-    if not os.path.exists(path):
-        save_ids(ids, path)
-    artifacts = {"ids": rel}
-    times = {"ids": time.perf_counter() - t0}
-    return _write_manifest(out_dir, cfg, artifacts, times, "ids")
+    _load_or_build_ids(cfg, out_dir)
+    return _write_manifest(out_dir, cfg, {"ids": _IDS}, {"ids": time.perf_counter() - t0}, "ids")
 
 
 def _load_or_build_ids(cfg: ExperimentConfig, out_dir: str):
-    from .ensembles import spec_hash
-
     os.makedirs(os.path.join(out_dir, "ids"), exist_ok=True)
-    path = os.path.join(out_dir, _ids_path())
-    want = spec_hash(cfg.ensemble)
-    if os.path.exists(path):
-        try:
-            return load_ids(path, expect_hash=want)
-        except ValidationError:
-            pass  # stale cache: rebuild below
+    path = os.path.join(out_dir, _IDS)
+    if artifacts.is_current(path, config_hash(cfg)):
+        return load_ids(path)
     ids = estimate_ids(cfg.ensemble, cfg.ids_n, cfg.ids_reps, grid_points=cfg.ids_grid_points)
-    save_ids(ids, path)
+    save_ids(ids, path, **_header(cfg))
     return ids
 
 
@@ -199,27 +175,25 @@ def stage_lyapunov(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> RunMan
     mlc = mean_log_coupling(cfg.ensemble)
     rel = os.path.join("lyapunov", "lyapunov_scan.csv")
     t0 = time.perf_counter()
-    with open(os.path.join(out_dir, rel), "w") as fh:
-        fh.write(_header(cfg, n=cfg.thouless_n, reps=cfg.thouless_reps))
-        fh.write("re,im,gamma_transfer,stderr,gamma_thouless,real_axis_caveat\n")
-        for z in cfg.thouless_points:
-            est = lyapunov_transfer(cfg.ensemble, cfg.thouless_n, cfg.thouless_reps, z)
-            th = lyapunov_thouless(ids, mlc, complex(z))
-            fh.write(
-                f"{_FMT % est.z.real},{_FMT % est.z.imag},{_FMT % est.gamma_hat},"
-                f"{_FMT % est.stderr},{_FMT % th},{int(est.real_axis_caveat)}\n"
-            )
-        lo, hi = ids.support
-        for x in np.linspace(lo - 0.5, hi + 0.5, 41):
-            th = lyapunov_thouless(ids, mlc, complex(x))
-            fh.write(f"{_FMT % x},0,nan,nan,{_FMT % th},1\n")
-    artifacts = {"lyapunov_scan": rel, "ids": _ids_path()}
+    rows = ["re,im,gamma_transfer,stderr,gamma_thouless,real_axis_caveat\n"]
+    for z in cfg.thouless_points:
+        est = lyapunov_transfer(cfg.ensemble, cfg.thouless_n, cfg.thouless_reps, z)
+        th = lyapunov_thouless(ids, mlc, complex(z))
+        rows.append(
+            f"{_FMT % est.z.real},{_FMT % est.z.imag},{_FMT % est.gamma_hat},"
+            f"{_FMT % est.stderr},{_FMT % th},{int(est.real_axis_caveat)}\n"
+        )
+    lo, hi = ids.support
+    for x in np.linspace(lo - 0.5, hi + 0.5, 41):
+        th = lyapunov_thouless(ids, mlc, complex(x))
+        rows.append(f"{_FMT % x},0,nan,nan,{_FMT % th},1\n")
+    artifacts.write(os.path.join(out_dir, rel), _header(cfg, n=cfg.thouless_n, reps=cfg.thouless_reps), rows)
+    listed = {"lyapunov_scan": rel, "ids": _IDS}
     times = {"lyapunov_scan": time.perf_counter() - t0}
-    return _write_manifest(out_dir, cfg, artifacts, times, "lyapunov")
+    return _write_manifest(out_dir, cfg, listed, times, "lyapunov")
 
 
-def _model_path() -> str:
-    return os.path.join("curve", "curve_model.txt")
+_MODEL = os.path.join("curve", "curve_model.txt")
 
 
 def stage_curve(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> RunManifest:
@@ -238,51 +212,29 @@ def stage_curve(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> RunManife
         x_points=cfg.curve_x_points,
         curve_tol=cfg.curve_tol,
     )
-    rel_model = _model_path()
-    path = os.path.join(out_dir, rel_model)
-    save_curve_model(model, path)
-    _prepend_header(path, _header(cfg))
+    save_curve_model(model, os.path.join(out_dir, _MODEL), **_header(cfg))
     rel_csv = os.path.join("curve", "curve_points.csv")
-    with open(os.path.join(out_dir, rel_csv), "w") as fh:
-        fh.write(_header(cfg, g=_FMT % g, threshold=_FMT % model.threshold,
-                         mass=_FMT % model.total_mass()))
-        fh.write("arc,x,y,rho\n")
-        for i, arc in enumerate(model.arcs):
-            for x, y, r in zip(arc.x, arc.y, arc.rho):
-                fh.write(f"{i},{_FMT % x},{_FMT % y},{_FMT % r}\n")
-    artifacts = {"curve_model": rel_model, "curve_points": rel_csv, "ids": _ids_path()}
+    rows = ["arc,x,y,rho\n"]
+    for i, arc in enumerate(model.arcs):
+        rows += [f"{i},{_FMT % x},{_FMT % y},{_FMT % r}\n" for x, y, r in zip(arc.x, arc.y, arc.rho)]
+    artifacts.write(
+        os.path.join(out_dir, rel_csv),
+        _header(cfg, g=_FMT % g, threshold=_FMT % model.threshold, mass=_FMT % model.total_mass()),
+        rows,
+    )
+    listed = {"curve_model": _MODEL, "curve_points": rel_csv, "ids": _IDS}
     times = {"curve_model": time.perf_counter() - t0}
     _write_plot_template(out_dir)
-    return _write_manifest(out_dir, cfg, artifacts, times, "curve")
-
-
-def _prepend_header(path: str, header: str) -> None:
-    with open(path) as fh:
-        body = fh.read()
-    with open(path, "w") as fh:
-        fh.write(header + body)
+    return _write_manifest(out_dir, cfg, listed, times, "curve")
 
 
 def load_model(cfg: ExperimentConfig, out_dir: str) -> CurveModel:
-    ids = _load_or_build_ids(cfg, out_dir)
-    path = os.path.join(out_dir, _model_path())
-    if not os.path.exists(path):
-        raise ValidationError(f"no curve model at {path}; run the curve stage first")
-    with open(path) as fh:
-        head = fh.readline()
-    if config_hash(cfg) not in head:
-        raise ValidationError("curve model was produced under a different config hash")
-    # strip our header line for the parser
-    with open(path) as fh:
-        fh.readline()
-        text = fh.read()
-    tmp = os.path.join(out_dir, "curve", ".model_body.txt")
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    try:
-        return load_curve_model(tmp, ids)
-    finally:
-        os.remove(tmp)
+    path = os.path.join(out_dir, _MODEL)
+    if not artifacts.is_current(path, config_hash(cfg)):
+        raise ValidationError(
+            f"curve model {path} missing or from a different config; run the curve stage first"
+        )
+    return load_curve_model(path, _load_or_build_ids(cfg, out_dir))
 
 
 def stage_verify(cfg: ExperimentConfig, out_dir: str, jobs: int = 1):
@@ -305,15 +257,14 @@ def stage_verify(cfg: ExperimentConfig, out_dir: str, jobs: int = 1):
     results.append(panel_check)
     results.append(check_mass(model, cfg.mass_tol))
     rel = "verify_report.txt"
-    with open(os.path.join(out_dir, rel), "w") as fh:
-        fh.write(_header(cfg))
-        for res in results:
-            fh.write(res.line() + "\n")
-        fh.write("\n# weak-convergence panel (per test function)\n")
-        fh.write("n," + ",".join(f"f{i}" for i in range(len(table[0][2]))) + "\n")
-        fh.write("predicted," + ",".join(_FMT % v for v in table[0][3]) + "\n")
-        for n, err, empirical, _ in table:
-            fh.write(f"{n}," + ",".join(_FMT % v for v in empirical) + "\n")
+    lines = [res.line() + "\n" for res in results]
+    lines += [
+        "\n# weak-convergence panel (per test function)\n",
+        "n," + ",".join(f"f{i}" for i in range(len(table[0][2]))) + "\n",
+        "predicted," + ",".join(_FMT % v for v in table[0][3]) + "\n",
+    ]
+    lines += [f"{n}," + ",".join(_FMT % v for v in empirical) + "\n" for n, err, empirical, _ in table]
+    artifacts.write(os.path.join(out_dir, rel), _header(cfg), lines)
     manifest = _write_manifest(out_dir, cfg, {"verify_report": rel}, {}, "verify")
     return manifest, results, all(r.passed for r in results)
 
@@ -346,11 +297,12 @@ def stage_compare(cfg: ExperimentConfig, out_dir: str, jobs: int = 1):
     """Empirical spectra against the predicted limit: distances and
     histograms.  Needs the spectrum and curve stages' artifacts."""
     model = load_model(cfg, out_dir)
+    chash = config_hash(cfg)
     rows = []
     for n in cfg.sizes:
         for rep in range(cfg.reps):
             path = os.path.join(out_dir, _spectrum_csv_path(n, rep))
-            if not _check_artifact(path, cfg):
+            if not artifacts.is_current(path, chash):
                 raise ValidationError(
                     f"spectrum artifact {path} missing or from a different config"
                 )
@@ -368,12 +320,13 @@ def stage_compare(cfg: ExperimentConfig, out_dir: str, jobs: int = 1):
             rows.append((n, rep, nonreal.size / n, haus_curve, haus_curve_or_axis,
                          real_mass_err, arc_hist_err))
     rel = "compare_report.csv"
-    with open(os.path.join(out_dir, rel), "w") as fh:
-        fh.write(_header(cfg, hausdorff_budget=cfg.hausdorff_budget))
-        fh.write("n,rep,nonreal_fraction,hausdorff_to_curve,hausdorff_to_curve_or_axis,"
-                 "real_hist_max_err,arc_hist_max_err\n")
-        for row in rows:
-            fh.write(f"{row[0]},{row[1]}," + ",".join(_FMT % v for v in row[2:]) + "\n")
+    artifacts.write(
+        os.path.join(out_dir, rel),
+        _header(cfg, hausdorff_budget=cfg.hausdorff_budget),
+        ["n,rep,nonreal_fraction,hausdorff_to_curve,hausdorff_to_curve_or_axis,"
+         "real_hist_max_err,arc_hist_max_err\n"]
+        + [f"{row[0]},{row[1]}," + ",".join(_FMT % v for v in row[2:]) + "\n" for row in rows],
+    )
     manifest = _write_manifest(out_dir, cfg, {"compare_report": rel}, {}, "compare")
     return manifest, rows
 
@@ -461,5 +414,5 @@ print("wrote", out / "spectrum_plot.png")
 def _write_plot_template(out_dir: str) -> None:
     path = os.path.join(out_dir, "plot_template.py")
     if not os.path.exists(path):
-        with open(path, "w") as fh:
+        with artifacts.atomic_write(path) as fh:
             fh.write(_PLOT_TEMPLATE)

@@ -26,8 +26,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import artifacts
 from ._kernels import transfer_product_scaled
-from .ensembles import EnsembleSpec, mean_log_coupling, sample, spec_hash
+from .ensembles import EnsembleSpec, sample, spec_hash
 from .errors import ValidationError
 from .operators import build
 from .eigensolvers import symmetric_eigencounts
@@ -252,62 +253,41 @@ def lyapunov_transfer(spec: EnsembleSpec, n: int, reps: int, z: complex) -> Lyap
 
 def lyapunov_thouless(ids: IdsEstimate, mean_log_c: float, z) -> float:
     """Thouless route gamma(z) = Phi(z) - E log c_0; valid on all of the
-    complex plane including the real axis."""
+    complex plane including the real axis.  A float for scalar z, an
+    array for an array of points."""
     vals = phi_many(ids, np.atleast_1d(np.asarray(z, dtype=complex))) - mean_log_c
     return float(vals[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else vals
 
 
-def lyapunov_thouless_estimate(ids: IdsEstimate, spec: EnsembleSpec, z: complex) -> LyapunovEstimate:
-    g = lyapunov_thouless(ids, mean_log_coupling(spec), complex(z))
-    return LyapunovEstimate(
-        z=complex(z), gamma_hat=float(g), n_used=ids.n_used, stderr=0.0, method="thouless"
+# -- cache file ----------------------------------------------------------------
+
+def save_ids(ids: IdsEstimate, path, **header) -> None:
+    """Cache as diff-able text: the artifact header (``header`` first,
+    then the estimate's metadata) and "lambda N" rows."""
+    lo, hi = ids.support
+    artifacts.write(
+        path,
+        dict(header, n_used=ids.n_used, realizations_used=ids.realizations_used,
+             support=f"{float(lo)!r},{float(hi)!r}", source_hash=ids.source_hash),
+        (f"{float(lam)!r} {float(val)!r}\n" for lam, val in zip(ids.grid, ids.values)),
     )
 
 
-# -- cache file ----------------------------------------------------------------
-
-def save_ids(ids: IdsEstimate, path) -> None:
-    """Cache as diff-able text: header plus "lambda N" rows."""
-    with open(path, "w") as fh:
-        fh.write("# ids-cache v1\n")
-        fh.write(f"# source_hash={ids.source_hash}\n")
-        fh.write(f"# n_used={ids.n_used} realizations_used={ids.realizations_used}\n")
-        fh.write(f"# support={float(ids.support[0])!r} {float(ids.support[1])!r}\n")
-        for lam, val in zip(ids.grid, ids.values):
-            fh.write(f"{float(lam)!r} {float(val)!r}\n")
-
-
 def load_ids(path, expect_hash: Optional[str] = None) -> IdsEstimate:
-    header = {}
-    grid = []
-    values = []
-    with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith("# ids-cache v1"):
-            raise ValidationError(f"{path} is not an ids cache file")
-        for line in fh:
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" in tok:
-                        k, v = tok.split("=", 1)
-                        header[k] = v
-                if line.startswith("# support="):
-                    parts = line.split("=", 1)[1].split()
-                    header["support"] = (float(parts[0]), float(parts[1]))
-            else:
-                a, b = line.split()
-                grid.append(float(a))
-                values.append(float(b))
-    source = header.get("source_hash", "")
+    header, body = artifacts.read(path)
+    if "n_used" not in header:
+        raise ValidationError(f"{path} is not an ids cache file")
+    source = header["source_hash"]
     if expect_hash is not None and source != expect_hash:
         raise ValidationError(
             f"ids cache {path} was built for ensemble {source}, expected {expect_hash}"
         )
+    pairs = [line.split() for line in body]
     return IdsEstimate(
-        grid=np.asarray(grid),
-        values=np.asarray(values),
-        n_used=int(header.get("n_used", 0)),
-        realizations_used=int(header.get("realizations_used", 0)),
-        support=header.get("support", (float(grid[0]), float(grid[-1]))),
+        grid=np.array([float(lam) for lam, _ in pairs]),
+        values=np.array([float(val) for _, val in pairs]),
+        n_used=int(header["n_used"]),
+        realizations_used=int(header["realizations_used"]),
+        support=tuple(float(v) for v in header["support"].split(",")),
         source_hash=source,
     )

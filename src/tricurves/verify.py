@@ -177,7 +177,7 @@ def exclusion_rectangles(model: CurveModel, margin: float) -> tuple:
         scale = 1.0
         for _ in range(24):
             rect = make(scale)
-            gam = np.real(model.gamma(rect.grid()))
+            gam = lyapunov_thouless(model.ids, model.mean_log_c, rect.grid())
             if predicate(gam):
                 return rect
             scale *= 0.75

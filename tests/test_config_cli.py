@@ -1,12 +1,15 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
+from tricurves import pipeline
 from tricurves.cli import main
 from tricurves.config import ExperimentConfig, RunManifest, config_hash, config_to_text, load_config
 from tricurves.ensembles import EnsembleSpec
 from tricurves.errors import ValidationError
+from tricurves.spectral import load_ids
 
 BASE = """
 [ensemble]
@@ -224,3 +227,68 @@ def test_verify_command_green_and_red(tmp_path):
     broken = write_cfg(tmp_path, VERIFY_CFG.replace("thouless_tol = 0.01", "thouless_tol = 1e-9"), name="broken.ini")
     out2 = str(tmp_path / "run2")
     assert main(["verify", "--config", broken, "--out", out2]) == 4
+
+
+# -- artifacts: reuse rule, manifests, atomic writes ----------------------------------
+
+def test_ids_cache_is_rebuilt_when_the_config_changes(tmp_path):
+    small = BASE.replace("n = 400", "n = 200").replace("grid_points = 512", "grid_points = 256")
+    out = str(tmp_path / "run")
+    path = os.path.join(out, "ids", "ids_cache.txt")
+    assert main(["ids", "--config", write_cfg(tmp_path, small, name="small.ini"), "--out", out]) == 0
+    cfg_path = write_cfg(tmp_path, BASE)
+    assert main(["ids", "--config", cfg_path, "--out", out]) == 0
+    ids = load_ids(path)
+    assert ids.n_used == 400
+    assert ids.grid.size == 512
+    RunManifest.read(os.path.join(out, "manifest_ids.txt")).validate(out)
+    before = os.stat(path).st_mtime_ns
+    assert main(["ids", "--config", cfg_path, "--out", out]) == 0
+    assert os.stat(path).st_mtime_ns == before  # same config: reused, not rebuilt
+
+
+def test_every_manifest_validates(tmp_path):
+    cfg_path = write_cfg(
+        tmp_path,
+        BASE.replace("sizes = 64 96", "sizes = 201")
+        + "\n[verify]\nthouless_n = 5000\nthouless_reps = 2\nthouless_points = 1+1i 2-0.5i\n"
+        "exclusion_n = 101\nexclusion_reps = 1\npanel_sizes = 50 200\npanel_reps = 2\n",
+    )
+    out = str(tmp_path / "run")
+    chain = ("sample", "spectrum", "ids", "lyapunov", "curve", "compare")
+    for stage in chain:
+        assert main([stage, "--config", cfg_path, "--out", out]) == 0
+    assert main(["verify", "--config", cfg_path, "--out", out]) == 0
+    names = sorted(name for name in os.listdir(out) if name.startswith("manifest_"))
+    assert names == sorted(f"manifest_{stage}.txt" for stage in chain + ("verify",))
+    for name in names:
+        RunManifest.read(os.path.join(out, name)).validate(out)
+
+
+class _FailingValue:
+    """Stands in for an eigenvalue; formatting it fails like a full disk."""
+
+    @property
+    def real(self):
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_write_leaves_no_artifact_and_the_rerun_rebuilds_it(tmp_path, monkeypatch):
+    cfg_path = write_cfg(tmp_path, BASE)
+    out = str(tmp_path / "run")
+    solve = pipeline.spectrum
+
+    def spectrum_that_fails_mid_write(bundle):
+        res = solve(bundle)
+        values = np.array([*res.eigenvalues[:5], _FailingValue()], dtype=object)
+        return dataclasses.replace(res, eigenvalues=values)
+
+    monkeypatch.setattr(pipeline, "spectrum", spectrum_that_fails_mid_write)
+    with pytest.raises(OSError):
+        main(["spectrum", "--config", cfg_path, "--out", out])
+    assert os.listdir(os.path.join(out, "spectra")) == []  # neither the artifact nor a temp file
+    monkeypatch.undo()
+    assert main(["spectrum", "--config", cfg_path, "--out", out]) == 0
+    lines = open(os.path.join(out, "spectra", "spectrum_n64_rep0.csv")).read().splitlines()
+    assert lines[1] == "re,im"
+    assert len(lines) == 2 + 64

@@ -25,7 +25,7 @@ from tricurves.curves import (
     poly_cutoff,
     save_curve_model,
 )
-from tricurves.spectral import phi_many
+from tricurves.spectral import lyapunov_thouless, phi_many
 
 from conftest import fig1b_spec, free_spec
 
@@ -109,7 +109,7 @@ def test_traced_points_satisfy_level_equation(fig1b_ids):
     for arc in model.arcs:
         interior = slice(1, -1)
         zs = arc.x[interior] + 1j * arc.y[interior]
-        gam = np.real(model.gamma(zs))
+        gam = lyapunov_thouless(model.ids, model.mean_log_c, zs)
         assert np.max(np.abs(gam - abs(model.g))) < 1e-6
         # arcs are graphs over x, meet the axis at both ends
         assert np.all(np.diff(arc.x) > 0)
@@ -160,7 +160,7 @@ def test_sigma_full_support_when_symmetric(binary_ids):
     # every sigma point exceeds the threshold by construction
     for lo, hi in model.sigma:
         mid = 0.5 * (lo + hi)
-        assert float(np.real(model.gamma(mid))[0]) > 0.0
+        assert lyapunov_thouless(model.ids, model.mean_log_c, mid) > 0.0
 
 
 def test_sigma_empty_beyond_max_gamma(binary_ids):

@@ -26,7 +26,7 @@ from .ensembles import (
     analytic_means,
     mean_log_coupling,
 )
-from .operators import OperatorBundle, TransferState, build, transfer_step, transfer_product, boundary_matrix
+from .operators import OperatorBundle, TransferState, build, transfer_product, boundary_matrix
 from .eigensolvers import (
     SpectrumResult,
     ResolventCorners,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import load_config
@@ -38,49 +39,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_STAGES = {
-    "sample": pipeline.stage_sample,
-    "spectrum": pipeline.stage_spectrum,
-    "ids": pipeline.stage_ids,
-    "lyapunov": pipeline.stage_lyapunov,
-    "curve": pipeline.stage_curve,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed_override is not None:
             cfg = cfg.with_seed(args.seed_override)
-        import os
-
         os.makedirs(args.out, exist_ok=True)
-        if args.command in _STAGES:
-            manifest = _STAGES[args.command](cfg, args.out, jobs=args.jobs)
-            print(f"{args.command}: {len(manifest.artifacts)} artifact(s) under {args.out}")
-            return 0
-        if args.command == "verify":
-            _, results, ok = pipeline.stage_verify(cfg, args.out, jobs=args.jobs)
-            for res in results:
-                print(res.line())
-            if not ok:
-                raise VerificationFailure("one or more checks failed")
-            return 0
-        if args.command == "compare":
-            _, rows = pipeline.stage_compare(cfg, args.out, jobs=args.jobs)
-            worst = max((r[3] for r in rows), default=0.0)
-            for n, rep, frac, d_curve, d_both, r_err, a_err in rows:
-                print(
-                    f"n={n} rep={rep}: nonreal {frac:.3f}, dist-to-curve {d_curve:.4g}, "
-                    f"dist-to-curve-or-axis {d_both:.4g}, real-hist {r_err:.4g}, arc-hist {a_err:.4g}"
-                )
-            if worst > cfg.hausdorff_budget:
-                raise VerificationFailure(
-                    f"hausdorff distance {worst:.4g} exceeds budget {cfg.hausdorff_budget}"
-                )
-            return 0
-        raise ValidationError(f"unknown command {args.command}")
+        _, lines, ok = getattr(pipeline, f"stage_{args.command}")(cfg, args.out, jobs=args.jobs)
+        for line in lines:
+            print(line)
+        if not ok:
+            raise VerificationFailure(f"{args.command}: one or more checks failed")
+        return 0
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

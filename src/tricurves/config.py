@@ -16,9 +16,8 @@ import hashlib
 import io
 import os
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
-from .artifacts import atomic_write, is_current
+from . import artifacts
 from .ensembles import EnsembleSpec, ensemble_from_config, ensemble_to_config
 from .errors import ValidationError
 
@@ -72,13 +71,26 @@ def _parse_complex_list(text: str) -> tuple:
 
 
 def load_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
+    """Parse a config; a malformed file, a bad value or a section or key
+    that nothing reads raises ValidationError."""
+    if not is_text and not os.path.exists(path_or_text):
+        raise ValidationError(f"config file not found: {path_or_text}")
     cp = configparser.ConfigParser()
-    if is_text:
-        cp.read_string(path_or_text)
-    else:
-        if not os.path.exists(path_or_text):
-            raise ValidationError(f"config file not found: {path_or_text}")
-        cp.read(path_or_text)
+    try:
+        if is_text:
+            cp.read_string(path_or_text)
+        else:
+            cp.read(path_or_text)
+        cfg = _parse(cp)
+    except ValidationError:
+        raise
+    except (configparser.Error, ValueError) as exc:
+        raise ValidationError(f"invalid config: {exc}") from exc
+    _reject_unread(cp, cfg)
+    return cfg
+
+
+def _parse(cp: configparser.ConfigParser) -> ExperimentConfig:
     ensemble = ensemble_from_config(cp)
     kwargs = {}
     run = cp["run"] if "run" in cp else {}
@@ -119,6 +131,20 @@ def load_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
     if "hausdorff_budget" in compare:
         kwargs["hausdorff_budget"] = float(compare["hausdorff_budget"])
     return ExperimentConfig(ensemble=ensemble, **kwargs)
+
+
+def _reject_unread(cp: configparser.ConfigParser, cfg: ExperimentConfig) -> None:
+    """Every section and key of the file must be one the parser reads: the
+    canonical text lists them all, plus ``raw`` (omitted there when false)."""
+    known = configparser.ConfigParser()
+    known.read_string(config_to_text(cfg))
+    known["ensemble"].setdefault("raw", "false")
+    for section in cp.sections():
+        if section not in known:
+            raise ValidationError(f"unknown config section [{section}]")
+        extra = sorted(set(cp[section]) - set(known[section]))
+        if extra:
+            raise ValidationError(f"unknown key(s) in [{section}]: {', '.join(extra)}")
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
@@ -163,48 +189,37 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 @dataclass
 class RunManifest:
+    """The artifacts one command listed, with the measured wall time of
+    each (0 for a reused product).  On disk it is an artifact like the
+    others: the header ``# config_hash=<h> tool_version=<v>``, then
+    ``name,path,seconds`` rows."""
+
     config_hash: str
     tool_version: str
     artifacts: dict = field(default_factory=dict)
     walltimes: dict = field(default_factory=dict)
 
-    def add(self, name: str, path: str, seconds: Optional[float] = None):
+    def add(self, name: str, path: str, seconds: float):
         self.artifacts[name] = path
-        if seconds is not None:
-            self.walltimes[name] = seconds
+        self.walltimes[name] = seconds
 
     def write(self, path: str) -> None:
-        with atomic_write(path) as fh:
-            fh.write("# run-manifest v1\n")
-            fh.write(f"config_hash = {self.config_hash}\n")
-            fh.write(f"tool_version = {self.tool_version}\n")
-            fh.write("[artifacts]\n")
-            for name in sorted(self.artifacts):
-                fh.write(f"{name} = {self.artifacts[name]}\n")
-            fh.write("[walltimes]\n")
-            for name in sorted(self.walltimes):
-                fh.write(f"{name} = {self.walltimes[name]:.3f}\n")
+        header = {"config_hash": self.config_hash, "tool_version": self.tool_version}
+        rows = [f"{name},{self.artifacts[name]},{self.walltimes[name]:.3f}\n" for name in sorted(self.artifacts)]
+        artifacts.write(path, header, ["name,path,seconds\n", *rows])
 
     @staticmethod
     def read(path: str) -> "RunManifest":
-        manifest = RunManifest(config_hash="", tool_version="")
-        section = None
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if line.startswith("["):
-                    section = line.strip("[]")
-                    continue
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if section == "artifacts":
-                    manifest.artifacts[key] = value
-                elif section == "walltimes":
-                    manifest.walltimes[key] = float(value)
-                elif key in ("config_hash", "tool_version"):
-                    setattr(manifest, key, value)
+        header, body = artifacts.read(path)
+        if set(header) != {"config_hash", "tool_version"} or body[:1] != ["name,path,seconds\n"]:
+            raise ValidationError(f"{path} is not a run manifest")
+        manifest = RunManifest(header["config_hash"], header["tool_version"])
+        for line in body[1:]:
+            try:
+                name, rel, seconds = line.rstrip("\n").split(",")
+                manifest.add(name, rel, float(seconds))
+            except ValueError as exc:
+                raise ValidationError(f"{path}: malformed manifest row {line!r}") from exc
         return manifest
 
     def validate(self, base_dir: str) -> None:
@@ -213,5 +228,5 @@ class RunManifest:
             path = os.path.join(base_dir, rel)
             if not os.path.exists(path):
                 raise ValidationError(f"manifest artifact missing: {name} -> {rel}")
-            if not is_current(path, self.config_hash):
+            if not artifacts.is_current(path, self.config_hash):
                 raise ValidationError(f"artifact {rel} does not embed config hash {self.config_hash}")

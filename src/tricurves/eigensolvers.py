@@ -299,20 +299,6 @@ def rank2_det(bundle: OperatorBundle, z: complex) -> LogComplex:
     return (one + a_gn1) * (one + b_g1n) - cross
 
 
-def sector_distance_to_one(alpha: float) -> float:
-    """Distance from 1 to the half-plane sector {alpha <= arg z <= alpha+pi},
-    0 <= alpha <= pi: equal to sin(alpha).
-
-    Used to lower-bound the fourth rank-2 term |1 - a b G11 Gnn|: the
-    product a b is positive and each corner diagonal entry maps a half
-    plane into itself, so the term's argument is confined to such a sector
-    with alpha = arg G11 and the bound gives sin(alpha) = |Im G11|/|G11|.
-    """
-    if not 0.0 <= alpha <= math.pi:
-        raise ValidationError(f"sector angle must be in [0, pi], got {alpha}")
-    return math.sin(alpha)
-
-
 def characteristic_residual(bundle: OperatorBundle, z: complex) -> float:
     """|det(J - z)| ratio defect against the rank-2 factorization, in log
     modulus: |log|det(J-z)| - log|d| - log|det(H-z)||."""

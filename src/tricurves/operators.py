@@ -40,7 +40,6 @@ __all__ = [
     "OperatorBundle",
     "TransferState",
     "build",
-    "transfer_step",
     "transfer_product",
     "boundary_matrix",
     "boundary_residual",
@@ -225,24 +224,6 @@ class TransferState:
     @staticmethod
     def identity(dtype=np.complex128) -> "TransferState":
         return TransferState(np.eye(2, dtype=dtype), 0.0, 0)
-
-
-def one_step_matrix(bundle: OperatorBundle, k: int, z: complex) -> np.ndarray:
-    """A_k = (1/c_k) [[q_k - z, -c_{k-1}], [c_k, 0]], 1 <= k <= n."""
-    bundle._need_log_coords("transfer matrices")
-    if not 1 <= k <= bundle.n:
-        raise ValidationError(f"transfer step k must be in 1..n, got {k}")
-    ck = bundle.c[k]
-    q = bundle.seq.q
-    return np.array(
-        [[(q[k] - z) / ck, -bundle.c[k - 1] / ck], [1.0, 0.0]], dtype=np.complex128
-    )
-
-
-def transfer_step(state: TransferState, k: int, z: complex, bundle: OperatorBundle) -> TransferState:
-    m = one_step_matrix(bundle, k, z) @ state.matrix
-    norm = column_sum_norm(m)
-    return TransferState(m / norm, state.log_scale + math.log(norm), state.steps + 1)
 
 
 def transfer_product(bundle: OperatorBundle, z: complex) -> TransferState:

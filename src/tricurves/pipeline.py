@@ -1,20 +1,28 @@
 """Stage runners behind the CLI: config-driven, cached, reproducible.
 
-Every artifact is diff-able text written through ``artifacts``: its
-first line carries the config hash and seed, and a manifest per command
-lists the artifacts with measured wall times.  Stages reuse a cached
-artifact when its header carries the run's config hash, so pipelines are
-restartable at file boundaries.  Per-(n, rep) jobs run in a bounded
-thread pool (LAPACK releases the GIL) and results are merged in (n, rep)
-order, so the merge is deterministic regardless of scheduling.
+Each stage works through one ``_Run``: artifact paths and headers (see
+``artifacts``), the reuse rule, measured times and the stage's manifest.
+Products -- samples, spectra, their summary, the density-of-states cache
+and the curve model and points -- are pure functions of the config: one
+whose header carries the run's config hash is kept and listed with 0 s,
+any other is built and listed with its measured time.  Reports -- the
+Lyapunov scan and the verify and compare reports -- cross-check the
+prediction and are recomputed on every run.  The IDS cache and the curve
+model are built only when not current and always read back from disk, so
+a cold run and a rerun use the same values.  Spectrum jobs run in a
+bounded thread pool (LAPACK releases the GIL), one file per (n, rep).
+Every stage returns ``(manifest, lines to print, ok)``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
+
 import numpy as np
 
 from . import __version__, artifacts
@@ -38,6 +46,7 @@ from .spectral import (
     save_ids,
 )
 from .verify import (
+    CheckResult,
     check_exclusion,
     check_transfer_eigenvector_bounds,
     check_mass,
@@ -57,216 +66,222 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
+_IDS = os.path.join("ids", "ids_cache.txt")
+_MODEL = os.path.join("curve", "curve_model.txt")
 
 
-def _header(cfg: ExperimentConfig, **extra) -> dict:
-    return {"config_hash": config_hash(cfg), "seed": cfg.ensemble.seed, **extra}
+class _Run:
+    """One stage's run in ``out_dir``: artifact paths and headers, the
+    reuse rule, measured times and the manifest."""
+
+    def __init__(self, cfg: ExperimentConfig, out_dir: str, stage: str):
+        self.cfg = cfg
+        self.out_dir = out_dir
+        self.stage = stage
+        self.manifest = RunManifest(config_hash=config_hash(cfg), tool_version=__version__)
+
+    def path(self, rel: str) -> str:
+        return os.path.join(self.out_dir, rel)
+
+    def header(self, **extra) -> dict:
+        return {"config_hash": self.manifest.config_hash, "seed": self.cfg.ensemble.seed, **extra}
+
+    def is_current(self, rel: str) -> bool:
+        return artifacts.is_current(self.path(rel), self.manifest.config_hash)
+
+    @contextlib.contextmanager
+    def timed(self, name: str, rel: str):
+        """Yields the path to write ``rel`` to; lists it with the block's measured time."""
+        os.makedirs(os.path.dirname(self.path(rel)), exist_ok=True)
+        t0 = time.perf_counter()
+        yield self.path(rel)
+        self.manifest.add(name, rel, time.perf_counter() - t0)
+
+    def product(self, name: str, rel: str, write) -> None:
+        """The reuse rule: keep ``rel`` when current (listed with 0 s),
+        otherwise ``write(path)`` builds it."""
+        if self.is_current(rel):
+            self.manifest.add(name, rel, 0.0)
+            return
+        with self.timed(name, rel) as path:
+            write(path)
+
+    def done(self, lines=None, ok: bool = True) -> tuple:
+        self.manifest.write(self.path(f"manifest_{self.stage}.txt"))
+        if lines is None:
+            lines = [f"{self.stage}: {len(self.manifest.artifacts)} artifact(s) under {self.out_dir}"]
+        return self.manifest, lines, ok
 
 
-def _write_manifest(out_dir: str, cfg: ExperimentConfig, listed: dict, walltimes: dict, name: str):
-    manifest = RunManifest(config_hash=config_hash(cfg), tool_version=__version__)
-    for key, path in listed.items():
-        manifest.add(key, path, walltimes.get(key))
-    manifest.write(os.path.join(out_dir, f"manifest_{name}.txt"))
-    return manifest
+def _pairs(cfg: ExperimentConfig) -> list:
+    return [(n, rep) for n in cfg.sizes for rep in range(cfg.reps)]
 
 
 def _spectrum_csv_path(n: int, rep: int) -> str:
     return os.path.join("spectra", f"spectrum_n{n}_rep{rep}.csv")
 
 
-def stage_sample(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> RunManifest:
+def _read_spectrum(path: str) -> np.ndarray:
+    data = np.loadtxt(path, delimiter=",", skiprows=2)
+    return data[:, 0] + 1j * data[:, 1]
+
+
+def _write_sample(run: _Run, n: int, rep: int, path: str) -> None:
+    seq = sample(replace(run.cfg.ensemble, seed=run.cfg.ensemble.seed + rep), n)
+    cols = ("sub", "sup", "diag") if seq.raw else ("xi", "eta", "q")
+    arrays = [getattr(seq, c) for c in cols]
+    rows = (f"{k}," + ",".join(_FMT % a[k] for a in arrays) + "\n" for k in range(n + 1))
+    artifacts.write(path, run.header(n=n, rep=rep), ["k," + ",".join(cols) + "\n", *rows])
+
+
+def stage_sample(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
     """Write the coefficient realizations for every (n, rep)."""
-    os.makedirs(os.path.join(out_dir, "samples"), exist_ok=True)
-    chash = config_hash(cfg)
-    listed, times = {}, {}
-    for n in cfg.sizes:
-        for rep in range(cfg.reps):
-            t0 = time.perf_counter()
-            rel = os.path.join("samples", f"coeffs_n{n}_rep{rep}.csv")
-            path = os.path.join(out_dir, rel)
-            key = f"sample_n{n}_rep{rep}"
-            if not artifacts.is_current(path, chash):
-                seq = sample(replace(cfg.ensemble, seed=cfg.ensemble.seed + rep), n)
-                cols = ("sub", "sup", "diag") if seq.raw else ("xi", "eta", "q")
-                arrays = [getattr(seq, c) for c in cols]
-                rows = (f"{k}," + ",".join(_FMT % a[k] for a in arrays) + "\n" for k in range(n + 1))
-                artifacts.write(path, _header(cfg, n=n, rep=rep), ["k," + ",".join(cols) + "\n", *rows])
-            listed[key] = rel
-            times[key] = time.perf_counter() - t0
-    return _write_manifest(out_dir, cfg, listed, times, "sample")
+    run = _Run(cfg, out_dir, "sample")
+    for n, rep in _pairs(cfg):
+        run.product(f"sample_n{n}_rep{rep}", os.path.join("samples", f"coeffs_n{n}_rep{rep}.csv"),
+                    partial(_write_sample, run, n, rep))
+    return run.done()
 
 
-def _one_spectrum(cfg: ExperimentConfig, n: int, rep: int) -> tuple:
-    """(spectrum, measured wall seconds) of one (n, rep) job."""
-    t0 = time.perf_counter()
-    seq = sample(replace(cfg.ensemble, seed=cfg.ensemble.seed + rep), n)
+def _write_spectrum(run: _Run, n: int, rep: int, path: str) -> None:
+    seq = sample(replace(run.cfg.ensemble, seed=run.cfg.ensemble.seed + rep), n)
     res = spectrum(build(seq))
-    return res, time.perf_counter() - t0
+    rows = (f"{_FMT % z.real},{_FMT % z.imag}\n" for z in res.eigenvalues)
+    artifacts.write(path, run.header(n=n, rep=rep, method=res.method, residual=f"{res.residual:.3e}"),
+                    ["re,im\n", *rows])
 
 
-def stage_spectrum(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> RunManifest:
-    """Eigenvalue CSVs per (n, rep) plus a non-real count summary."""
-    os.makedirs(os.path.join(out_dir, "spectra"), exist_ok=True)
-    chash = config_hash(cfg)
-    pairs = [(n, rep) for n in cfg.sizes for rep in range(cfg.reps)]
-    listed, times = {}, {}
-    todo = [(n, rep) for (n, rep) in pairs
-            if not artifacts.is_current(os.path.join(out_dir, _spectrum_csv_path(n, rep)), chash)]
-    results = {}
-    if todo:
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            for (n, rep), done in zip(todo, pool.map(lambda p: _one_spectrum(cfg, *p), todo)):
-                results[(n, rep)] = done
-    summary_rows = []
-    for n, rep in pairs:  # ordered merge
+def _write_summary(run: _Run, path: str) -> None:
+    """Non-real counts per (n, rep), read back from the spectrum artifacts."""
+    rows = ["n,rep,nonreal_count,nonreal_fraction,path\n"]
+    for n, rep in _pairs(run.cfg):
         rel = _spectrum_csv_path(n, rep)
-        path = os.path.join(out_dir, rel)
-        key = f"spectrum_n{n}_rep{rep}"
-        if (n, rep) in results:
-            res, times[key] = results[(n, rep)]
-            rows = (f"{_FMT % z.real},{_FMT % z.imag}\n" for z in res.eigenvalues)
-            artifacts.write(path, _header(cfg, n=n, rep=rep, method=res.method,
-                                          residual=f"{res.residual:.3e}"), ["re,im\n", *rows])
-            nonreal = int(np.sum(np.abs(res.eigenvalues.imag) > cfg.nonreal_tol))
-        else:
-            data = np.loadtxt(path, delimiter=",", skiprows=2)
-            nonreal = int(np.sum(np.abs(data[:, 1]) > cfg.nonreal_tol))
-            times[key] = 0.0
-        summary_rows.append((n, rep, nonreal, nonreal / n, rel))
-        listed[key] = rel
-    rel = os.path.join("spectra", "summary.csv")
-    artifacts.write(
-        os.path.join(out_dir, rel),
-        _header(cfg, nonreal_tol=cfg.nonreal_tol),
-        ["n,rep,nonreal_count,nonreal_fraction,path\n"]
-        + [f"{n},{rep},{cnt},{_FMT % frac},{p}\n" for n, rep, cnt, frac, p in summary_rows],
-    )
-    listed["summary"] = rel
+        nonreal = int(np.sum(np.abs(_read_spectrum(run.path(rel)).imag) > run.cfg.nonreal_tol))
+        rows.append(f"{n},{rep},{nonreal},{_FMT % (nonreal / n)},{rel}\n")
+    artifacts.write(path, run.header(nonreal_tol=run.cfg.nonreal_tol), rows)
+
+
+def stage_spectrum(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
+    """Eigenvalue CSVs per (n, rep) plus a non-real count summary."""
+    run = _Run(cfg, out_dir, "spectrum")
+
+    def job(pair):
+        n, rep = pair
+        run.product(f"spectrum_n{n}_rep{rep}", _spectrum_csv_path(n, rep), partial(_write_spectrum, run, n, rep))
+
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        list(pool.map(job, _pairs(cfg)))  # a job whose spectrum is current solves nothing
+    run.product("summary", os.path.join("spectra", "summary.csv"), partial(_write_summary, run))
     _write_plot_template(out_dir)  # template is config-independent, not a manifest artifact
-    return _write_manifest(out_dir, cfg, listed, times, "spectrum")
+    return run.done()
 
 
-_IDS = os.path.join("ids", "ids_cache.txt")
+def _ids(run: _Run):
+    """The density-of-states cache, built only when it is not current;
+    always read back from disk."""
+    cfg = run.cfg
+
+    def write(path):
+        ids = estimate_ids(cfg.ensemble, cfg.ids_n, cfg.ids_reps, grid_points=cfg.ids_grid_points)
+        save_ids(ids, path, **run.header())
+
+    run.product("ids", _IDS, write)
+    return load_ids(run.path(_IDS))
 
 
-def stage_ids(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> RunManifest:
+def _model(run: _Run) -> CurveModel:
+    """The curve model and its points CSV, each built only when it is not
+    current; the model is always loaded from disk.  The one caller of
+    ``trace_curve``."""
+    cfg = run.cfg
+    ids = _ids(run)
+
+    def write_model(path):
+        model = trace_curve(ids, coupling_g(cfg.ensemble), mean_log_c=mean_log_coupling(cfg.ensemble),
+                            x_points=cfg.curve_x_points, curve_tol=cfg.curve_tol)
+        save_curve_model(model, path, **run.header())
+
+    run.product("curve_model", _MODEL, write_model)
+    model = load_curve_model(run.path(_MODEL), ids)
+
+    def write_points(path):
+        rows = ["arc,x,y,rho\n"]
+        for i, arc in enumerate(model.arcs):
+            rows += [f"{i},{_FMT % x},{_FMT % y},{_FMT % r}\n" for x, y, r in zip(arc.x, arc.y, arc.rho)]
+        artifacts.write(path, run.header(g=_FMT % model.g, threshold=_FMT % model.threshold,
+                                         mass=_FMT % model.total_mass()), rows)
+
+    run.product("curve_points", os.path.join("curve", "curve_points.csv"), write_points)
+    return model
+
+
+def stage_ids(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
     """Estimate (or reuse) the integrated density of states cache."""
-    t0 = time.perf_counter()
-    _load_or_build_ids(cfg, out_dir)
-    return _write_manifest(out_dir, cfg, {"ids": _IDS}, {"ids": time.perf_counter() - t0}, "ids")
+    run = _Run(cfg, out_dir, "ids")
+    _ids(run)
+    return run.done()
 
 
-def _load_or_build_ids(cfg: ExperimentConfig, out_dir: str):
-    os.makedirs(os.path.join(out_dir, "ids"), exist_ok=True)
-    path = os.path.join(out_dir, _IDS)
-    if artifacts.is_current(path, config_hash(cfg)):
-        return load_ids(path)
-    ids = estimate_ids(cfg.ensemble, cfg.ids_n, cfg.ids_reps, grid_points=cfg.ids_grid_points)
-    save_ids(ids, path, **_header(cfg))
-    return ids
-
-
-def stage_lyapunov(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> RunManifest:
+def stage_lyapunov(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
     """Scan of the Lyapunov exponent: transfer and Thouless routes at the
     configured probe points plus a Thouless profile along the real axis."""
-    os.makedirs(os.path.join(out_dir, "lyapunov"), exist_ok=True)
-    ids = _load_or_build_ids(cfg, out_dir)
+    run = _Run(cfg, out_dir, "lyapunov")
+    ids = _ids(run)
     mlc = mean_log_coupling(cfg.ensemble)
-    rel = os.path.join("lyapunov", "lyapunov_scan.csv")
-    t0 = time.perf_counter()
-    rows = ["re,im,gamma_transfer,stderr,gamma_thouless,real_axis_caveat\n"]
-    for z in cfg.thouless_points:
-        est = lyapunov_transfer(cfg.ensemble, cfg.thouless_n, cfg.thouless_reps, z)
-        th = lyapunov_thouless(ids, mlc, complex(z))
-        rows.append(
-            f"{_FMT % est.z.real},{_FMT % est.z.imag},{_FMT % est.gamma_hat},"
-            f"{_FMT % est.stderr},{_FMT % th},{int(est.real_axis_caveat)}\n"
-        )
-    lo, hi = ids.support
-    for x in np.linspace(lo - 0.5, hi + 0.5, 41):
-        th = lyapunov_thouless(ids, mlc, complex(x))
-        rows.append(f"{_FMT % x},0,nan,nan,{_FMT % th},1\n")
-    artifacts.write(os.path.join(out_dir, rel), _header(cfg, n=cfg.thouless_n, reps=cfg.thouless_reps), rows)
-    listed = {"lyapunov_scan": rel, "ids": _IDS}
-    times = {"lyapunov_scan": time.perf_counter() - t0}
-    return _write_manifest(out_dir, cfg, listed, times, "lyapunov")
+    with run.timed("lyapunov_scan", os.path.join("lyapunov", "lyapunov_scan.csv")) as path:
+        rows = ["re,im,gamma_transfer,stderr,gamma_thouless,real_axis_caveat\n"]
+        for z in cfg.thouless_points:
+            est = lyapunov_transfer(cfg.ensemble, cfg.thouless_n, cfg.thouless_reps, z)
+            th = lyapunov_thouless(ids, mlc, complex(z))
+            rows.append(
+                f"{_FMT % est.z.real},{_FMT % est.z.imag},{_FMT % est.gamma_hat},"
+                f"{_FMT % est.stderr},{_FMT % th},{int(est.real_axis_caveat)}\n"
+            )
+        lo, hi = ids.support
+        for x in np.linspace(lo - 0.5, hi + 0.5, 41):
+            th = lyapunov_thouless(ids, mlc, complex(x))
+            rows.append(f"{_FMT % x},0,nan,nan,{_FMT % th},1\n")
+        artifacts.write(path, run.header(n=cfg.thouless_n, reps=cfg.thouless_reps), rows)
+    return run.done()
 
 
-_MODEL = os.path.join("curve", "curve_model.txt")
-
-
-def stage_curve(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> RunManifest:
+def stage_curve(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
     """Predicted limit object: coupling, curve, real support, density.
 
     An empty curve (g = 0 or |g| below onset) is a success with no arcs.
     """
-    os.makedirs(os.path.join(out_dir, "curve"), exist_ok=True)
-    ids = _load_or_build_ids(cfg, out_dir)
-    t0 = time.perf_counter()
-    g = coupling_g(cfg.ensemble)
-    model = trace_curve(
-        ids,
-        g,
-        mean_log_c=mean_log_coupling(cfg.ensemble),
-        x_points=cfg.curve_x_points,
-        curve_tol=cfg.curve_tol,
-    )
-    save_curve_model(model, os.path.join(out_dir, _MODEL), **_header(cfg))
-    rel_csv = os.path.join("curve", "curve_points.csv")
-    rows = ["arc,x,y,rho\n"]
-    for i, arc in enumerate(model.arcs):
-        rows += [f"{i},{_FMT % x},{_FMT % y},{_FMT % r}\n" for x, y, r in zip(arc.x, arc.y, arc.rho)]
-    artifacts.write(
-        os.path.join(out_dir, rel_csv),
-        _header(cfg, g=_FMT % g, threshold=_FMT % model.threshold, mass=_FMT % model.total_mass()),
-        rows,
-    )
-    listed = {"curve_model": _MODEL, "curve_points": rel_csv, "ids": _IDS}
-    times = {"curve_model": time.perf_counter() - t0}
+    run = _Run(cfg, out_dir, "curve")
+    _model(run)
     _write_plot_template(out_dir)
-    return _write_manifest(out_dir, cfg, listed, times, "curve")
+    return run.done()
 
 
-def load_model(cfg: ExperimentConfig, out_dir: str) -> CurveModel:
-    path = os.path.join(out_dir, _MODEL)
-    if not artifacts.is_current(path, config_hash(cfg)):
-        raise ValidationError(
-            f"curve model {path} missing or from a different config; run the curve stage first"
-        )
-    return load_curve_model(path, _load_or_build_ids(cfg, out_dir))
-
-
-def stage_verify(cfg: ExperimentConfig, out_dir: str, jobs: int = 1):
-    """Full invariant battery; returns (manifest, results, all_passed)."""
-    os.makedirs(out_dir, exist_ok=True)
-    ids = _load_or_build_ids(cfg, out_dir)
-    g = coupling_g(cfg.ensemble)
-    model = trace_curve(ids, g, mean_log_c=mean_log_coupling(cfg.ensemble),
-                        x_points=cfg.curve_x_points, curve_tol=cfg.curve_tol)
-    results = [
-        check_rank2_identity(cfg.ensemble),
-        check_thouless_residual(
-            cfg.ensemble, ids, cfg.thouless_points, cfg.thouless_n, cfg.thouless_reps, cfg.thouless_tol
-        ),
-        check_transfer_eigenvector_bounds(cfg.ensemble),
-    ]
-    if model.arcs:
-        results.append(check_exclusion(cfg.ensemble, model, cfg.rect_margin, cfg.exclusion_n, cfg.exclusion_reps))
-    panel_check, table = check_weak_convergence(cfg.ensemble, model, cfg.panel_sizes, reps=cfg.panel_reps)
-    results.append(panel_check)
-    results.append(check_mass(model, cfg.mass_tol))
-    rel = "verify_report.txt"
-    lines = [res.line() + "\n" for res in results]
-    lines += [
-        "\n# weak-convergence panel (per test function)\n",
-        "n," + ",".join(f"f{i}" for i in range(len(table[0][2]))) + "\n",
-        "predicted," + ",".join(_FMT % v for v in table[0][3]) + "\n",
-    ]
-    lines += [f"{n}," + ",".join(_FMT % v for v in empirical) + "\n" for n, err, empirical, _ in table]
-    artifacts.write(os.path.join(out_dir, rel), _header(cfg), lines)
-    manifest = _write_manifest(out_dir, cfg, {"verify_report": rel}, {}, "verify")
-    return manifest, results, all(r.passed for r in results)
+def stage_verify(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
+    """Full invariant battery against its budgets; ok iff every check passed."""
+    run = _Run(cfg, out_dir, "verify")
+    model = _model(run)
+    with run.timed("verify_report", "verify_report.txt") as path:
+        results = [
+            check_rank2_identity(cfg.ensemble),
+            check_thouless_residual(
+                cfg.ensemble, model.ids, cfg.thouless_points, cfg.thouless_n, cfg.thouless_reps, cfg.thouless_tol
+            ),
+            check_transfer_eigenvector_bounds(cfg.ensemble),
+        ]
+        if model.arcs:
+            results.append(check_exclusion(cfg.ensemble, model, cfg.rect_margin, cfg.exclusion_n, cfg.exclusion_reps))
+        panel_check, table = check_weak_convergence(cfg.ensemble, model, cfg.panel_sizes, reps=cfg.panel_reps)
+        results.append(panel_check)
+        results.append(check_mass(model, cfg.mass_tol))
+        lines = [res.line() + "\n" for res in results]
+        lines += [
+            "\n# weak-convergence panel (per test function)\n",
+            "n," + ",".join(f"f{i}" for i in range(len(table[0][2]))) + "\n",
+            "predicted," + ",".join(_FMT % v for v in table[0][3]) + "\n",
+        ]
+        lines += [f"{n}," + ",".join(_FMT % v for v in empirical) + "\n" for n, err, empirical, _ in table]
+        artifacts.write(path, run.header(), lines)
+    return run.done([res.line() for res in results], all(res.passed for res in results))
 
 
 # -- compare -------------------------------------------------------------------
@@ -293,21 +308,20 @@ def distance_to_arcs(points: np.ndarray, model: CurveModel) -> np.ndarray:
     return best
 
 
-def stage_compare(cfg: ExperimentConfig, out_dir: str, jobs: int = 1):
+def stage_compare(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
     """Empirical spectra against the predicted limit: distances and
-    histograms.  Needs the spectrum and curve stages' artifacts."""
-    model = load_model(cfg, out_dir)
-    chash = config_hash(cfg)
-    rows = []
-    for n in cfg.sizes:
-        for rep in range(cfg.reps):
-            path = os.path.join(out_dir, _spectrum_csv_path(n, rep))
-            if not artifacts.is_current(path, chash):
-                raise ValidationError(
-                    f"spectrum artifact {path} missing or from a different config"
-                )
-            data = np.loadtxt(path, delimiter=",", skiprows=2)
-            eigs = data[:, 0] + 1j * data[:, 1]
+    histograms; ok iff every distance to the curve is within the Hausdorff
+    budget.  Needs the spectrum stage's artifacts."""
+    run = _Run(cfg, out_dir, "compare")
+    for n, rep in _pairs(cfg):
+        if not run.is_current(_spectrum_csv_path(n, rep)):
+            raise ValidationError(f"spectrum artifact {run.path(_spectrum_csv_path(n, rep))} "
+                                  "missing or from a different config")
+    model = _model(run)
+    with run.timed("compare_report", "compare_report.csv") as path:
+        rows = []
+        for n, rep in _pairs(cfg):
+            eigs = _read_spectrum(run.path(_spectrum_csv_path(n, rep)))
             nonreal = eigs[np.abs(eigs.imag) > cfg.nonreal_tol]
             if nonreal.size:
                 d_curve = distance_to_arcs(nonreal, model)
@@ -319,16 +333,21 @@ def stage_compare(cfg: ExperimentConfig, out_dir: str, jobs: int = 1):
             arc_hist_err = _arc_histogram_error(nonreal, model, n)
             rows.append((n, rep, nonreal.size / n, haus_curve, haus_curve_or_axis,
                          real_mass_err, arc_hist_err))
-    rel = "compare_report.csv"
-    artifacts.write(
-        os.path.join(out_dir, rel),
-        _header(cfg, hausdorff_budget=cfg.hausdorff_budget),
-        ["n,rep,nonreal_fraction,hausdorff_to_curve,hausdorff_to_curve_or_axis,"
-         "real_hist_max_err,arc_hist_max_err\n"]
-        + [f"{row[0]},{row[1]}," + ",".join(_FMT % v for v in row[2:]) + "\n" for row in rows],
-    )
-    manifest = _write_manifest(out_dir, cfg, {"compare_report": rel}, {}, "compare")
-    return manifest, rows
+        artifacts.write(
+            path,
+            run.header(hausdorff_budget=cfg.hausdorff_budget),
+            ["n,rep,nonreal_fraction,hausdorff_to_curve,hausdorff_to_curve_or_axis,"
+             "real_hist_max_err,arc_hist_max_err\n"]
+            + [f"{row[0]},{row[1]}," + ",".join(_FMT % v for v in row[2:]) + "\n" for row in rows],
+        )
+    lines = [
+        f"n={n} rep={rep}: nonreal {frac:.3f}, dist-to-curve {d_curve:.4g}, "
+        f"dist-to-curve-or-axis {d_both:.4g}, real-hist {r_err:.4g}, arc-hist {a_err:.4g}"
+        for n, rep, frac, d_curve, d_both, r_err, a_err in rows
+    ]
+    worst = max((row[3] for row in rows), default=0.0)
+    budget = CheckResult("hausdorff-to-curve", worst <= cfg.hausdorff_budget, worst, cfg.hausdorff_budget)
+    return run.done(lines + [budget.line()], budget.passed)
 
 
 def _real_histogram_error(eigs: np.ndarray, model: CurveModel, tol: float) -> float:

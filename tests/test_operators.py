@@ -11,12 +11,29 @@ from tricurves.operators import (
     column_sum_norm,
     eigenvector_slopes,
     export_bundle,
-    one_step_matrix,
     transfer_product,
-    transfer_step,
 )
 
 from conftest import fig1b_spec, free_spec, generic_spec
+
+
+def one_step_matrix(bundle, k, z):
+    """A_k = (1/c_k) [[q_k - z, -c_{k-1}], [c_k, 0]], 1 <= k <= n (test oracle)."""
+    bundle._need_log_coords("transfer matrices")
+    if not 1 <= k <= bundle.n:
+        raise ValidationError(f"transfer step k must be in 1..n, got {k}")
+    ck = bundle.c[k]
+    q = bundle.seq.q
+    return np.array(
+        [[(q[k] - z) / ck, -bundle.c[k - 1] / ck], [1.0, 0.0]], dtype=np.complex128
+    )
+
+
+def transfer_step(state, k, z, bundle):
+    """One renormalized step A_k S of the transfer product (test oracle)."""
+    m = one_step_matrix(bundle, k, z) @ state.matrix
+    norm = column_sum_norm(m)
+    return TransferState(m / norm, state.log_scale + math.log(norm), state.steps + 1)
 
 
 def longdouble_product(bundle, z, upto=None):

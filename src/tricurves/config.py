@@ -52,13 +52,15 @@ class ExperimentConfig:
             raise ValidationError("sizes must be a nonempty list of integers >= 2")
         if list(self.sizes) != sorted(self.sizes):
             raise ValidationError("sizes must be ascending")
+        if not self.panel_sizes or any(n < 2 for n in self.panel_sizes):
+            raise ValidationError("panel_sizes must be a nonempty list of integers >= 2")
         for name in (
             "nonreal_tol", "curve_tol", "mass_tol", "rect_margin", "thouless_tol", "hausdorff_budget",
         ):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
         for name in ("reps", "ids_n", "ids_reps", "ids_grid_points", "curve_x_points",
-                     "exclusion_n", "exclusion_reps", "thouless_n", "thouless_reps"):
+                     "exclusion_n", "exclusion_reps", "thouless_n", "thouless_reps", "panel_reps"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
 

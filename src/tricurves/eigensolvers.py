@@ -5,13 +5,15 @@ sequences, vectorized over the shifts) because it is the backbone of the
 density-of-states estimator; full symmetric spectra come from LAPACK
 through scipy.  The dense nonsymmetric spectrum delegates to LAPACK's
 balancing + Hessenberg + implicitly shifted QR through numpy;
-non-convergence is surfaced, never swallowed.  Resolvent
-corners and the rank-2 corner-perturbation determinant are computed from
-three-term minor recurrences entirely in log scale.
+non-convergence is surfaced, never swallowed.  Resolvent corners,
+det(H - z) and the rank-2 corner-perturbation determinant are read off
+one renormalized transfer product, with the values that leave the double
+range held as complex logarithms.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -19,10 +21,8 @@ from typing import Optional
 import numpy as np
 
 from ._kernels import sturm_counts
-from .ensembles import spec_hash
 from .errors import EigenSolveError, SingularResolventError, ValidationError
-from .logscale import LogComplex
-from .operators import OperatorBundle, boundary_residual
+from .operators import OperatorBundle, boundary_residual, transfer_product
 
 __all__ = [
     "SpectrumResult",
@@ -92,7 +92,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     n: int
-    realization: str
     method: str
     residual: float
     trace: float
@@ -108,10 +107,6 @@ class SpectrumResult:
         """Mean of f over the eigenvalues: the integral of f against the
         empirical measure that puts mass 1/n on each eigenvalue."""
         return float(np.mean([f(complex(z)) for z in self.eigenvalues]).real)
-
-    def count_in(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> int:
-        e = self.eigenvalues
-        return int(np.sum((e.real >= x_lo) & (e.real <= x_hi) & (e.imag >= y_lo) & (e.imag <= y_hi)))
 
     def trace_defect(self) -> float:
         """|sum z_i - trace| / (n * max(1, |trace|)); invariant <= 1e-8."""
@@ -178,7 +173,6 @@ def spectrum(bundle: OperatorBundle, want_vectors: Optional[bool] = None) -> Spe
     return SpectrumResult(
         eigenvalues=ev,
         n=n,
-        realization=f"{spec_hash(bundle.seq.spec)}:n{n}:s{seed}",
         method=method,
         residual=residual,
         trace=float(np.sum(bundle.diag)),
@@ -194,115 +188,99 @@ def log_abs_det_dense(m: np.ndarray) -> float:
 
 
 # -- resolvent corners and rank-2 determinant ---------------------------------
+#
+# With (s, M) the renormalized transfer product, S_n(z) = e^s M, the
+# leading minors D_k of (H - z) satisfy psi_{k+1} = D_k / (c_1 ... c_k) for
+# the solution started at (psi_1, psi_0) = (1, 0), and the trailing minors
+# enter the solution started at (0, 1).  Hence
+#
+#     det(H - z) = e^s M00 c_1 ... c_n,    G_11 = -M01 / (c_0 M00),
+#     G_nn = M10 / (c_n M00),              G_1n = G_n1 = e^-s / (c_n M00).
+#
+# det(H - z), G_1n and the rank-2 determinant scale like exp(+-n gamma) and
+# are held as complex logarithms (real part = log modulus); G_11 and G_nn
+# stay plain complex, since |G_jj| <= 1 / |Im z|.
 
 @dataclass(frozen=True)
 class ResolventCorners:
-    """Corner entries of (H - z)^-1 in log-scaled form.
-
-    g11/g1n/gn1/gnn materialize to plain complex (may over/underflow for
-    large n; the log forms are exact).  log_det is log-scaled det(H - z).
-    """
+    """Corner entries of (H - z)^-1 and det(H - z), read off one transfer
+    product.  log_g1n and log_det are complex logarithms; g1n materializes
+    G_1n (= G_n1, the reference is symmetric) and may under- or overflow
+    for large n."""
 
     z: complex
     n: int
-    g11_log: LogComplex
-    g1n_log: LogComplex
-    gnn_log: LogComplex
-    log_det: LogComplex
-    log_prod_c: float
-
-    @property
-    def g11(self) -> complex:
-        return self.g11_log.to_complex()
+    g11: complex
+    gnn: complex
+    log_g1n: complex
+    log_det: complex
 
     @property
     def g1n(self) -> complex:
-        return self.g1n_log.to_complex()
-
-    gn1_log = property(lambda self: self.g1n_log)  # symmetric reference
-
-    @property
-    def gn1(self) -> complex:
-        return self.g1n
-
-    @property
-    def gnn(self) -> complex:
-        return self.gnn_log.to_complex()
-
-
-def _minor_sequence(diag: np.ndarray, off: np.ndarray, z: complex, reverse: bool) -> list:
-    """Log-scaled leading (or trailing) principal minors of (H - z).
-
-    Returns [M_0, M_1, ..., M_n] with M_0 = 1; M_k is the determinant of
-    the first (last, when reverse) k rows and columns.
-    """
-    n = diag.shape[0]
-    d = diag[::-1] if reverse else diag
-    o = off[::-1] if reverse else off
-    minors = [LogComplex.from_complex(1.0), LogComplex.from_complex(d[0] - z)]
-    prev2 = minors[0]
-    prev1 = minors[1]
-    for k in range(1, n):
-        cur = LogComplex.from_complex(d[k] - z) * prev1 - LogComplex.from_complex(o[k - 1] ** 2) * prev2
-        minors.append(cur)
-        prev2, prev1 = prev1, cur
-    return minors
+        return cmath.exp(self.log_g1n)
 
 
 def resolvent_corners(bundle: OperatorBundle, z: complex) -> ResolventCorners:
-    """Corner resolvent entries of the symmetric reference from forward and
-    backward minor recurrences, all in log scale.
+    """Corner resolvent entries of the symmetric reference and det(H - z),
+    from one transfer product.
 
     Requires z off the reference spectrum (use Im z != 0, or a real z in a
     spectral gap); a vanishing determinant raises SingularResolventError.
     """
     z = complex(z)
-    diag = np.asarray(bundle.h_diag, float)
-    off = np.asarray(bundle.h_off, float)
-    n = diag.shape[0]
-    fwd = _minor_sequence(diag, off, z, reverse=False)
-    bwd = _minor_sequence(diag, off, z, reverse=True)
-    det = fwd[n]
-    if det.is_zero or not math.isfinite(det.log_mod):
+    state = transfer_product(bundle, z)
+    (m00, m01), (m10, _) = state.matrix
+    if m00 == 0:
         raise SingularResolventError(f"z={z} is (numerically) an eigenvalue of the reference matrix")
-    log_prod_c = float(np.sum(np.log(np.abs(off)))) if n > 1 else 0.0
-    # off entries are -c_k < 0; the corner formula uses the product of c_k.
-    g1n = LogComplex.from_log(log_prod_c) / det
-    g11 = bwd[n - 1] / det
-    gnn = fwd[n - 1] / det
+    c = bundle.c
+    log_m00 = cmath.log(m00)
     return ResolventCorners(
-        z=z, n=n, g11_log=g11, g1n_log=g1n, gnn_log=gnn, log_det=det, log_prod_c=log_prod_c
+        z=z,
+        n=bundle.n,
+        g11=complex(-m01 / (c[0] * m00)),
+        gnn=complex(m10 / (c[-1] * m00)),
+        log_g1n=-state.log_scale - math.log(c[-1]) - log_m00,
+        log_det=state.log_scale + log_m00 + float(np.sum(np.log(c[1:]))),
     )
 
 
-def log_det_reference(bundle: OperatorBundle, z: complex) -> LogComplex:
-    """Log-scaled det(H - z) by the forward minor recurrence."""
-    diag = np.asarray(bundle.h_diag, float)
-    off = np.asarray(bundle.h_off, float)
-    return _minor_sequence(diag, off, complex(z), reverse=False)[-1]
+def log_det_reference(bundle: OperatorBundle, z: complex) -> complex:
+    """det(H - z) as a complex logarithm; raises SingularResolventError
+    where it vanishes."""
+    return resolvent_corners(bundle, z).log_det
 
 
-def rank2_det(bundle: OperatorBundle, z: complex) -> LogComplex:
+def _log_add(x: complex, y: complex) -> complex:
+    """log(e^x + e^y) for complex logarithms: the larger modulus is
+    factored out first, so no exponential leaves the double range."""
+    if y.real > x.real:
+        x, y = y, x
+    if x.real == -math.inf:
+        return x
+    rest = 1.0 + cmath.exp(y - x)
+    return x + cmath.log(rest) if rest != 0 else complex(-math.inf, 0.0)
+
+
+def rank2_det(bundle: OperatorBundle, z: complex) -> complex:
     """Determinant ratio det(J - z) / det(H - z) of the rank-2 corner
-    perturbation: (1 + a G_n1)(1 + b G_1n) - a b G_11 G_nn.
+    perturbation, (1 + a G_n1)(1 + b G_1n) - a b G_11 G_nn, as a complex
+    logarithm.
 
-    The products a*G and b*G are formed directly in log space: their logs
-    are sums of moderate terms even when a_n alone would overflow.
+    a G_1n and b G_1n are formed from their logarithms, sums of moderate
+    terms even when a_n alone would overflow; a_n, b_n < 0 and a b > 0.
     """
-    corners = resolvent_corners(bundle, z)
-    log_a = LogComplex.from_log(bundle.log_abs_a, -1.0)
-    log_b = LogComplex.from_log(bundle.log_abs_b, -1.0)
-    a_gn1 = log_a * corners.g1n_log
-    b_g1n = log_b * corners.g1n_log
-    cross = log_a * log_b * corners.g11_log * corners.gnn_log
-    one = LogComplex.from_complex(1.0)
-    return (one + a_gn1) * (one + b_g1n) - cross
+    rc = resolvent_corners(bundle, z)
+    log_d = sum(_log_add(0j, complex(log_abs, math.pi) + rc.log_g1n)  # log(1 + a G_1n) + log(1 + b G_1n)
+                for log_abs in (bundle.log_abs_a, bundle.log_abs_b))
+    cross = rc.g11 * rc.gnn
+    if cross == 0:
+        return log_d
+    return _log_add(log_d, bundle.log_abs_a + bundle.log_abs_b + cmath.log(-cross))
 
 
 def characteristic_residual(bundle: OperatorBundle, z: complex) -> float:
     """|det(J - z)| ratio defect against the rank-2 factorization, in log
     modulus: |log|det(J-z)| - log|d| - log|det(H-z)||."""
     lhs = log_abs_det_dense(bundle.dense() - complex(z) * np.eye(bundle.n))
-    d = rank2_det(bundle, z)
-    rhs = d.log_mod + log_det_reference(bundle, z).log_mod
+    rhs = rank2_det(bundle, z).real + log_det_reference(bundle, z).real
     return abs(lhs - rhs)

@@ -16,7 +16,8 @@ in raw mode).  The value at index k is inverse-CDF(u_k) where u_k is built
 from the k-th 64-bit word of the stream (u = (word >> 11) * 2**-53).
 Values are therefore pure functions of (seed, field, k): disjoint index
 ranges can be generated independently and concurrently and always agree
-with a single bulk pass.
+with a single bulk pass.  Realization r of an ensemble is its sample at
+seed + r (``realization``); every stage and check draws through that rule.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "CoefficientSequence",
     "sample",
     "sample_range",
+    "realization",
     "empirical_means",
     "analytic_means",
     "mean_log_coupling",
@@ -45,8 +47,6 @@ __all__ = [
     "ensemble_from_config",
     "spec_hash",
 ]
-
-_FIELD_INDEX = {"xi": 0, "eta": 1, "q": 2}
 
 _KINDS = ("constant", "uniform", "two_point", "gaussian", "cauchy", "log_uniform")
 
@@ -350,6 +350,11 @@ def sample(spec: EnsembleSpec, n: int) -> CoefficientSequence:
         raise ValidationError(f"n must be >= 1, got {n}")
     fields = sample_range(spec, 0, n + 1)
     return CoefficientSequence(n=n, spec=spec, **fields)
+
+
+def realization(spec: EnsembleSpec, n: int, r: int) -> CoefficientSequence:
+    """Realization r of size n: the sample at seed spec.seed + r."""
+    return sample(replace(spec, seed=spec.seed + r), n)
 
 
 def empirical_means(seq: CoefficientSequence):

@@ -227,7 +227,8 @@ class TransferState:
 
 
 def transfer_product(bundle: OperatorBundle, z: complex) -> TransferState:
-    """Full product A_n ... A_1 (renormalized), via the compiled kernel."""
+    """Full product A_n ... A_1 (renormalized), by the kernel's scalar loop
+    over k (``_kernels.transfer_product_scaled``)."""
     bundle._need_log_coords("transfer matrices")
     log_scale, m = transfer_product_scaled(bundle.c, bundle.seq.q, complex(z))
     return TransferState(m, log_scale, bundle.n)

@@ -20,7 +20,6 @@ import contextlib
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -35,7 +34,7 @@ from .curves import (
     trace_curve,
 )
 from .eigensolvers import spectrum
-from .ensembles import mean_log_coupling, sample
+from .ensembles import mean_log_coupling, realization
 from .errors import ValidationError
 from .operators import build
 from .spectral import (
@@ -127,7 +126,7 @@ def _read_spectrum(path: str) -> np.ndarray:
 
 
 def _write_sample(run: _Run, n: int, rep: int, path: str) -> None:
-    seq = sample(replace(run.cfg.ensemble, seed=run.cfg.ensemble.seed + rep), n)
+    seq = realization(run.cfg.ensemble, n, rep)
     cols = ("sub", "sup", "diag") if seq.raw else ("xi", "eta", "q")
     arrays = [getattr(seq, c) for c in cols]
     rows = (f"{k}," + ",".join(_FMT % a[k] for a in arrays) + "\n" for k in range(n + 1))
@@ -144,8 +143,7 @@ def stage_sample(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
 
 
 def _write_spectrum(run: _Run, n: int, rep: int, path: str) -> None:
-    seq = sample(replace(run.cfg.ensemble, seed=run.cfg.ensemble.seed + rep), n)
-    res = spectrum(build(seq))
+    res = spectrum(build(realization(run.cfg.ensemble, n, rep)))
     rows = (f"{_FMT % z.real},{_FMT % z.imag}\n" for z in res.eigenvalues)
     artifacts.write(path, run.header(n=n, rep=rep, method=res.method, residual=f"{res.residual:.3e}"),
                     ["re,im\n", *rows])

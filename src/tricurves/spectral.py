@@ -21,14 +21,14 @@ at real z carry a warning flag).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import artifacts
 from ._kernels import transfer_product_scaled
-from .ensembles import EnsembleSpec, sample, spec_hash
+from .ensembles import EnsembleSpec, realization, spec_hash
 from .errors import ValidationError
 from .operators import build
 from .eigensolvers import symmetric_eigencounts
@@ -97,19 +97,19 @@ def estimate_ids(
     grid_points: int = 2048,
     pad: float = 0.05,
 ) -> IdsEstimate:
-    """Average of rescaled eigenvalue counts over reps realizations.
+    """Average of rescaled eigenvalue counts over realizations 0..reps-1.
 
-    Realization r uses seed spec.seed + r.  When no grid is given, one of
-    grid_points nodes spanning the joint Gershgorin interval padded by 5%
-    is built; an explicit grid must be strictly increasing and cover the
-    Gershgorin bounds of every sampled realization.
+    When no grid is given, one of grid_points nodes spanning the joint
+    Gershgorin interval padded by 5% is built; an explicit grid must be
+    strictly increasing and cover the Gershgorin bounds of every sampled
+    realization.
     """
     if n < 100:
         raise ValidationError(f"density-of-states estimation needs n >= 100, got {n}")
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     spec.require_light_tails("estimate_ids")
-    bundles = [build(sample(replace(spec, seed=spec.seed + r), n)) for r in range(reps)]
+    bundles = [build(realization(spec, n, r)) for r in range(reps)]
     glo = min(b.gershgorin()[0] for b in bundles)
     ghi = max(b.gershgorin()[1] for b in bundles)
     if grid is None:
@@ -215,7 +215,7 @@ class LyapunovEstimate:
 
 def lyapunov_transfer(spec: EnsembleSpec, n: int, reps: int, z: complex) -> LyapunovEstimate:
     """Mean over realizations of (1/n) log ||transfer product|| with the
-    column-sum norm; realization r uses seed spec.seed + r.
+    column-sum norm, over realizations 0..reps-1.
 
     At real z the pathwise limit need not match the averaged exponent;
     such estimates carry real_axis_caveat=True and the curve machinery
@@ -227,7 +227,7 @@ def lyapunov_transfer(spec: EnsembleSpec, n: int, reps: int, z: complex) -> Lyap
     z = complex(z)
     gammas = np.empty(reps)
     for r in range(reps):
-        seq = sample(replace(spec, seed=spec.seed + r), n)
+        seq = realization(spec, n, r)
         c = np.exp(0.5 * (seq.xi + seq.eta))
         log_scale, m = transfer_product_scaled(c, seq.q, z)
         norm = float(np.max(np.sum(np.abs(m), axis=0)))

@@ -125,8 +125,12 @@ def test_missing_config_exits_2(tmp_path, capsys):
         lambda text: text + "\n[rnu]\nreps = 3\n",  # stray section
         lambda text: text.replace("reps = 2", "reps = two", 1),  # value of the wrong type
         lambda text: text + "\n[ensemble.xi]\nkind = constant\nvalue = 0.0\n",  # duplicated section
+        lambda text: text + "\n[verify]\npanel_sizes = 500\npanel_reps = 0\n",  # no panel realization
+        lambda text: text + "\n[verify]\npanel_sizes = 16 500\npanel_reps = 0\n",
+        lambda text: text + "\n[verify]\npanel_sizes =\n",  # no panel size
     ],
-    ids=["unknown-key", "deleted-field", "unknown-section", "bad-value", "duplicate-section"],
+    ids=["unknown-key", "deleted-field", "unknown-section", "bad-value", "duplicate-section",
+         "panel-reps-0-one-size", "panel-reps-0-two-sizes", "empty-panel-sizes"],
 )
 def test_bad_config_exits_2(tmp_path, capsys, edit):
     cfg_path = write_cfg(tmp_path, edit(BASE))

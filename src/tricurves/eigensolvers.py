@@ -1,9 +1,9 @@
 """Eigenvalue engines.
 
 Symmetric tridiagonal counting is hand-rolled (safeguarded Sturm
-sequences, vectorized over the shifts) because it is the backbone of the
-density-of-states estimator; full symmetric spectra come from LAPACK
-through scipy.  The dense nonsymmetric spectrum delegates to LAPACK's
+sequences, vectorized over (realization x shift) lanes) because it is the
+backbone of the density-of-states estimator; full symmetric spectra come
+from LAPACK through scipy.  The dense nonsymmetric spectrum delegates to LAPACK's
 balancing + Hessenberg + implicitly shifted QR through numpy;
 non-convergence is surfaced, never swallowed.  Resolvent corners,
 det(H - z) and the rank-2 corner-perturbation determinant are read off
@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,8 +56,17 @@ def symmetric_eigencount(bundle: OperatorBundle, lam: float) -> int:
     return int(tridiagonal_counts(bundle.h_diag, bundle.h_off, [lam])[0])
 
 
-def symmetric_eigencounts(bundle: OperatorBundle, lams: np.ndarray) -> np.ndarray:
-    return tridiagonal_counts(bundle.h_diag, bundle.h_off, lams)
+def symmetric_eigencounts(bundles: Sequence[OperatorBundle], lams: np.ndarray) -> np.ndarray:
+    """Reference eigenvalue counts below each lam, one row per bundle, from
+    one Sturm pass over all (bundle, lam) lanes; the bundles must share n.
+    Each row equals symmetric_eigencount of its bundle at every lam."""
+    lams = np.asarray(lams, dtype=float)
+    counts = sturm_counts(
+        np.stack([b.h_diag for b in bundles], axis=1),
+        np.stack([b.h_off for b in bundles], axis=1),
+        np.tile(lams, len(bundles)),
+    )
+    return counts.reshape(len(bundles), lams.shape[0])
 
 
 def tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -261,15 +270,18 @@ def _log_add(x: complex, y: complex) -> complex:
     return x + cmath.log(rest) if rest != 0 else complex(-math.inf, 0.0)
 
 
-def rank2_det(bundle: OperatorBundle, z: complex) -> complex:
+def rank2_det(
+    bundle: OperatorBundle, z: complex, corners: Optional[ResolventCorners] = None
+) -> complex:
     """Determinant ratio det(J - z) / det(H - z) of the rank-2 corner
     perturbation, (1 + a G_n1)(1 + b G_1n) - a b G_11 G_nn, as a complex
-    logarithm.
+    logarithm.  corners are resolvent_corners(bundle, z) when the caller
+    already holds them; otherwise they are computed here.
 
     a G_1n and b G_1n are formed from their logarithms, sums of moderate
     terms even when a_n alone would overflow; a_n, b_n < 0 and a b > 0.
     """
-    rc = resolvent_corners(bundle, z)
+    rc = resolvent_corners(bundle, z) if corners is None else corners
     log_d = sum(_log_add(0j, complex(log_abs, math.pi) + rc.log_g1n)  # log(1 + a G_1n) + log(1 + b G_1n)
                 for log_abs in (bundle.log_abs_a, bundle.log_abs_b))
     cross = rc.g11 * rc.gnn
@@ -282,5 +294,6 @@ def characteristic_residual(bundle: OperatorBundle, z: complex) -> float:
     """|det(J - z)| ratio defect against the rank-2 factorization, in log
     modulus: |log|det(J-z)| - log|d| - log|det(H-z)||."""
     lhs = log_abs_det_dense(bundle.dense() - complex(z) * np.eye(bundle.n))
-    rhs = rank2_det(bundle, z).real + log_det_reference(bundle, z).real
+    rc = resolvent_corners(bundle, z)  # one transfer product serves both factors
+    rhs = rank2_det(bundle, z, rc).real + rc.log_det.real
     return abs(lhs - rhs)

@@ -41,6 +41,8 @@ __all__ = [
     "TransferState",
     "build",
     "transfer_product",
+    "transfer_products",
+    "closed_product",
     "boundary_matrix",
     "boundary_residual",
     "eigenvector_slopes",
@@ -213,8 +215,10 @@ def column_sum_norm(m: np.ndarray) -> float:
 class TransferState:
     """Renormalized partial product of one-step transfer matrices.
 
-    The true product is exp(log_scale) * matrix; after every step the
-    stored matrix is rescaled to unit column-sum norm.
+    The true product is exp(log_scale) * matrix, and the stored matrix has
+    unit column-sum norm.  The kernel renormalizes after every step within
+    a block and after every fold of a block product; the stepwise form
+    renormalizes after every step.
     """
 
     matrix: np.ndarray
@@ -227,20 +231,39 @@ class TransferState:
 
 
 def transfer_product(bundle: OperatorBundle, z: complex) -> TransferState:
-    """Full product A_n ... A_1 (renormalized), by the kernel's scalar loop
-    over k (``_kernels.transfer_product_scaled``)."""
-    bundle._need_log_coords("transfer matrices")
-    log_scale, m = transfer_product_scaled(bundle.c, bundle.seq.q, complex(z))
-    return TransferState(m, log_scale, bundle.n)
+    """Full product A_n ... A_1, renormalized per step within each block of
+    about sqrt(n) steps and per fold of the block products: one lane of
+    ``_kernels.transfer_product_scaled``."""
+    return transfer_products([bundle], [z])[0]
 
 
-def boundary_matrix(bundle: OperatorBundle, z: complex) -> tuple:
-    """(matrix, log_scale) with exp(log_scale) * matrix = B S_n(z), where
-    B = diag(beta, 1) encodes the periodic closure."""
-    state = transfer_product(bundle, z)
+def transfer_products(bundles, zs) -> list:
+    """transfer_product(bundle, z) for each pair of bundles and zs, in one
+    kernel call with one lane per pair; the bundles must share n.  A
+    lane's result does not depend on the other lanes, so each state equals
+    the one-pair call bit for bit."""
+    for bundle in bundles:
+        bundle._need_log_coords("transfer matrices")
+    log_scales, mats = transfer_product_scaled(
+        np.stack([b.c for b in bundles], axis=1),
+        np.stack([b.seq.q for b in bundles], axis=1),
+        np.asarray(zs, dtype=np.complex128),
+    )
+    return [TransferState(m, float(s), b.n) for b, s, m in zip(bundles, log_scales, mats)]
+
+
+def closed_product(bundle: OperatorBundle, state: TransferState) -> tuple:
+    """(matrix, log_scale) with exp(log_scale) * matrix = B S_n, for the
+    transfer product S_n held in state; B = diag(beta, 1) encodes the
+    periodic closure."""
     m = np.array([[bundle.beta, 0.0], [0.0, 1.0]]) @ state.matrix
     norm = column_sum_norm(m)
     return m / norm, state.log_scale + math.log(norm)
+
+
+def boundary_matrix(bundle: OperatorBundle, z: complex) -> tuple:
+    """(matrix, log_scale) with exp(log_scale) * matrix = B S_n(z)."""
+    return closed_product(bundle, transfer_product(bundle, z))
 
 
 def boundary_residual(bundle: OperatorBundle, z: complex) -> float:

@@ -228,9 +228,9 @@ def stage_lyapunov(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
     mlc = mean_log_coupling(cfg.ensemble)
     with run.timed("lyapunov_scan", os.path.join("lyapunov", "lyapunov_scan.csv")) as path:
         rows = ["re,im,gamma_transfer,stderr,gamma_thouless,real_axis_caveat\n"]
-        for z in cfg.thouless_points:
-            est = lyapunov_transfer(cfg.ensemble, cfg.thouless_n, cfg.thouless_reps, z)
-            th = lyapunov_thouless(ids, mlc, complex(z))
+        estimates = lyapunov_transfer(cfg.ensemble, cfg.thouless_n, cfg.thouless_reps, cfg.thouless_points)
+        for est in estimates:
+            th = lyapunov_thouless(ids, mlc, est.z)
             rows.append(
                 f"{_FMT % est.z.real},{_FMT % est.z.imag},{_FMT % est.gamma_hat},"
                 f"{_FMT % est.stderr},{_FMT % th},{int(est.real_axis_caveat)}\n"

@@ -20,7 +20,7 @@ from .eigensolvers import (
 )
 from .ensembles import EnsembleSpec, mean_log_coupling, realization
 from .errors import VerificationFailure
-from .operators import boundary_matrix, build, transfer_product, eigenvector_slopes
+from .operators import build, closed_product, eigenvector_slopes, transfer_products
 from .spectral import IdsEstimate, lyapunov_thouless, lyapunov_transfer
 
 __all__ = [
@@ -91,8 +91,7 @@ def check_thouless_residual(
     mlc = mean_log_coupling(spec)
     worst = 0.0
     details = []
-    for z in points:
-        transfer = lyapunov_transfer(spec, n, reps, z)
+    for z, transfer in zip(points, lyapunov_transfer(spec, n, reps, points)):
         thouless = lyapunov_thouless(ids, mlc, complex(z))
         gap = abs(transfer.gamma_hat - thouless)
         details.append(f"z={z}: {gap:.4g}")
@@ -116,18 +115,20 @@ def check_transfer_eigenvector_bounds(
     stays above -slack.
     """
     rng = _rng(spec.seed, 2)
-    worst = math.inf
+    bundles, zs = [], []
     for trial in range(count):
         bundle = build(realization(spec, n, trial))
         lo, hi = bundle.gershgorin()
-        z = complex(rng.uniform(lo, hi), rng.uniform(0.1, 2.0))
+        bundles.append(bundle)
+        zs.append(complex(rng.uniform(lo, hi), rng.uniform(0.1, 2.0)))
+    worst = math.inf
+    for bundle, z, state in zip(bundles, zs, transfer_products(bundles, zs)):
         c0, cn = bundle.c[0], bundle.c[n]
-        state = transfer_product(bundle, z)
         u, v = eigenvector_slopes(state.matrix)
         worst = min(worst, (-z.imag / cn) - u.imag)          # Im u <= -Im z / c_n
         worst = min(worst, (c0 / z.imag) - abs(v))           # |v| <= c_0 / Im z
         worst = min(worst, v.imag)                           # Im v >= 0
-        bmat, _ = boundary_matrix(bundle, z)
+        bmat, _ = closed_product(bundle, state)
         ub, vb = eigenvector_slopes(bmat)
         worst = min(worst, (-bundle.beta * z.imag / cn) - ub.imag)
         worst = min(worst, (c0 / z.imag) - abs(vb))

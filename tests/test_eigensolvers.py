@@ -22,6 +22,7 @@ from tricurves.eigensolvers import (
     characteristic_residual,
     log_det_reference,
     multiset_distance,
+    symmetric_eigencounts,
     tridiagonal_counts,
     tridiagonal_spectrum,
 )
@@ -119,6 +120,26 @@ def test_bipartite_half_count_even_n():
         assert np.sum(dense_evs < 0) == n // 2
 
 
+def test_batched_counts_equal_per_bundle_counts():
+    # couplings from 1 to about e^349 give each realization its own pivot
+    # floor (tiny * max c_k^2, up to about 2e-5); the free chain (odd n)
+    # has an eigenvalue at 0, which a floor shared across realizations
+    # would count below lam = -1e-9
+    n = 301
+    huge = EnsembleSpec(
+        DistributionSpec.uniform(340.0, 350.0),
+        DistributionSpec.uniform(340.0, 350.0),
+        DistributionSpec.uniform(-1, 1),
+        seed=4,
+    )
+    bundles = [build(sample(spec, n)) for spec in (free_spec(), generic_spec(seed=3), huge, fig1b_spec(seed=9))]
+    lams = np.concatenate([np.linspace(-3.0, 3.0, 257), [-1e-5, -1e-7, -1e-9, 0.0, 1e-9, -1e150, 1e150]])
+    batched = symmetric_eigencounts(bundles, lams)
+    assert batched.shape == (len(bundles), lams.shape[0])
+    for b, row in zip(bundles, batched):
+        assert np.array_equal(row, tridiagonal_counts(b.h_diag, b.h_off, lams))
+
+
 def test_free_spectrum_closed_form():
     n = 200
     evs = tridiagonal_spectrum(np.zeros(n), -np.ones(n - 1))
@@ -203,11 +224,21 @@ def test_similarity_preserves_spectrum():
         assert multiset_distance(direct, transformed) < 1e-8
 
 
-def test_transfer_eigenvector_bounds_quick():
+def test_transfer_eigenvector_bounds_quick(monkeypatch):
+    from tricurves import operators
     from tricurves.verify import check_transfer_eigenvector_bounds
 
+    lanes = []
+    kernel = operators.transfer_product_scaled
+
+    def counting_kernel(c, q, z):
+        lanes.append(np.size(z))
+        return kernel(c, q, z)
+
+    monkeypatch.setattr(operators, "transfer_product_scaled", counting_kernel)
     res = check_transfer_eigenvector_bounds(fig1b_spec(), count=15, n=40)
     assert res.passed
+    assert lanes == [15]  # one product per trial, all in one kernel call
 
 
 def test_spectrum_probe_residual_large_n():
@@ -288,12 +319,28 @@ def test_rank2_trivial_when_corners_vanish():
     assert cmath.exp(d) == pytest.approx(1.0)
 
 
-def test_rank2_identity_random():
+def test_rank2_identity_random(monkeypatch):
+    from tricurves import eigensolvers
+
+    calls = {"transfer_product": 0, "rank2_det": 0}
+
+    def counted(name):
+        func = getattr(eigensolvers, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolvers, name, wrapper)
+
+    counted("transfer_product")
+    counted("rank2_det")
     b = build(sample(fig1b_spec(seed=31), 30))
     rng = np.random.Generator(np.random.Philox(key=32))
     for _ in range(10):
         z = complex(rng.uniform(-2, 3), rng.uniform(0.2, 2.0) * (1 if rng.uniform() < 0.5 else -1))
         assert characteristic_residual(b, z) < 1e-6
+    assert calls == {"transfer_product": 10, "rank2_det": 10}  # one product per z
 
 
 def test_rank2_cross_term_decays():

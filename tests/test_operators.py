@@ -12,7 +12,9 @@ from tricurves.operators import (
     eigenvector_slopes,
     export_bundle,
     transfer_product,
+    transfer_products,
 )
+from tricurves._kernels import transfer_product_scaled
 
 from conftest import fig1b_spec, free_spec, generic_spec
 
@@ -161,6 +163,48 @@ def test_kernel_equals_stepwise_product():
     fast = transfer_product(b, z)
     assert fast.log_scale == pytest.approx(state.log_scale, rel=1e-13)
     assert np.allclose(fast.matrix, state.matrix, atol=1e-13)
+
+
+def stepwise_product(bundle, z):
+    state = TransferState.identity()
+    for k in range(1, bundle.n + 1):
+        state = transfer_step(state, k, z, bundle)
+    return state
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 64, 1000])
+def test_kernel_lanes_equal_stepwise_product(n):
+    # one call whose lanes mix ensembles, realizations and z (both half
+    # planes and the real axis); n covers perfect squares, a short last
+    # block and products shorter than one block
+    specs = (generic_spec(seed=n), fig1b_spec(seed=n + 1), free_spec(), generic_spec(seed=n + 2))
+    bundles = [build(sample(spec, n)) for spec in specs]
+    zs = [-0.4 + 0.8j, 1.3 - 0.2j, 2.5 + 0.0j, 0.5 - 1.5j]
+    for b, z, fast in zip(bundles, zs, transfer_products(bundles, zs)):
+        slow = stepwise_product(b, z)
+        assert fast.steps == slow.steps == n
+        assert abs(fast.log_scale - slow.log_scale) <= 1e-13 * max(1.0, abs(slow.log_scale))
+        assert np.max(np.abs(fast.matrix - slow.matrix)) <= 1e-13  # unit column-sum norm
+
+
+def test_kernel_lane_ignores_other_lanes():
+    n = 50
+    mine = build(sample(fig1b_spec(seed=5), n))
+    z = 0.7 + 0.9j
+    alone = transfer_product_scaled(mine.c, mine.seq.q, z)
+    others = [build(sample(generic_spec(seed=s), n)) for s in range(5)]
+    for company, their_zs in (
+        (others[:1], [1j]),
+        (others[:1], [-3.0 + 1e8j]),
+        (others, [0.1, 2j, -1 - 1j, 5.0 + 0.1j, 1e-9j]),
+        (others[2:4], [z, np.conj(z)]),
+    ):
+        for at in (0, len(company)):
+            bundles = company[:at] + [mine] + company[at:]
+            zs = their_zs[:at] + [z] + their_zs[at:]
+            state = transfer_products(bundles, zs)[at]
+            assert state.log_scale == alone[0]
+            assert np.array_equal(state.matrix, alone[1])
 
 
 def test_renormalized_equals_naive_product():

@@ -201,6 +201,19 @@ def test_transfer_conjugate_points_agree():
     assert a.gamma_hat == b.gamma_hat
 
 
+def test_transfer_sequence_equals_pointwise_calls():
+    spec = fig1b_spec(seed=73)
+    zs = [1.2 + 0.8j, -0.5 - 0.3j, 2.0 + 0.0j, 1.2 - 0.8j]
+    batch = lyapunov_transfer(spec, 3000, 3, zs)
+    assert batch == [lyapunov_transfer(spec, 3000, 3, z) for z in zs]
+    assert lyapunov_transfer(spec, 3000, 1, np.array(zs[:1])) == [lyapunov_transfer(spec, 3000, 1, zs[0])]
+
+
+def test_transfer_rejects_zero_reps():
+    with pytest.raises(ValidationError, match="reps must be >= 1"):
+        lyapunov_transfer(fig1b_spec(), 100, 0, 1.0 + 1.0j)
+
+
 def test_thouless_formula_free(free_ids):
     # transfer and Thouless routes agree in the deterministic free case
     mlc = mean_log_coupling(free_spec())

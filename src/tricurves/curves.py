@@ -3,8 +3,10 @@
 Given the reference density of states and the coupling g (half the mean
 super/sub log-asymmetry), the non-real part of the limit spectrum is the
 level set gamma(z) = |g| of the Lyapunov exponent, traced here by
-bisection in the imaginary direction (gamma is strictly increasing in
-Im z >= 0).  The real part Sigma is the part of the support of dN where
+safeguarded Newton in the imaginary direction: gamma is strictly
+increasing in Im z >= 0 with d gamma / dy = Im m(z), m the Stieltjes
+transform of dN, so one potential sweep yields the residual and its
+slope.  The real part Sigma is the part of the support of dN where
 the log-potential exceeds max(E xi, E eta), and the linear density along
 the curve is |Stieltjes transform| / 2 pi.  Arcs are stored as polylines
 of the upper half plane; the lower halves are implied by conjugation.
@@ -19,27 +21,26 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ensembles import EnsembleSpec, analytic_means
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from . import artifacts
-from .spectral import IdsEstimate, lyapunov_thouless, phi_many, stieltjes_many
+from .spectral import IdsEstimate, lyapunov_thouless, phi_dy_many, phi_many, stieltjes_many
 
 __all__ = [
     "Arc",
     "CurveModel",
     "coupling_g",
-    "equipotential_threshold",
     "trace_curve",
     "real_support_sigma",
     "curve_density",
     "limit_measure_integral",
     "gaussian_bump",
-    "poly_cutoff",
     "default_bump_panel",
     "save_curve_model",
     "load_curve_model",
 ]
 
 _TIE_BAND = 1e-9  # grid values this close to the threshold belong to neither side
+_MAX_SWEEPS = 110  # potential sweeps per height solve
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,6 @@ def coupling_g(spec: EnsembleSpec) -> float:
     return 0.5 * (e_eta - e_xi)
 
 
-def equipotential_threshold(spec: EnsembleSpec) -> float:
-    """max(E xi, E eta) -- the potential level of the curve, equal to
-    E log c_0 + |g|."""
-    e_xi, e_eta = analytic_means(spec)
-    return max(e_xi, e_eta)
-
-
 def _upper_height(mean_log_c: float, abs_g: float) -> float:
     """A height above the curve for every x: a unit real measure has
     potential >= log y at height y, so gamma > |g| once
@@ -132,8 +126,10 @@ def trace_curve(
     curve_tol: float = 1e-6,
 ) -> CurveModel:
     """Trace the level set gamma = |g| over the given (or an automatic)
-    x grid; group qualifying abscissae into arcs, refine the real
-    endpoints by bisection, and attach the curve density.
+    x grid; group qualifying abscissae into arcs, solve each one's height
+    by safeguarded Newton in y (d gamma / dy = Im m) to a residual below
+    curve_tol, refine the real endpoints by bisection in x, and attach
+    the curve density.  A height solve that stalls raises NumericalError.
 
     g = 0 returns a model with no arcs.  Isolated real solutions of
     gamma(x) = |g| are reported in real_points and carry no arc.
@@ -209,28 +205,40 @@ def _refine_endpoint(ids, mean_log_c, abs_g, x_out, x_in) -> float:
 
 
 def _solve_heights(ids, mean_log_c, abs_g, xs, y_hi, curve_tol) -> np.ndarray:
-    """For each qualifying x, the unique y >= 0 with gamma(x + iy) = |g|
-    (gamma is strictly increasing in y), by vectorized bisection down to
-    residual < curve_tol."""
+    """For each qualifying x, the unique y >= 0 with gamma(x + iy) = |g|,
+    by safeguarded Newton in y.  gamma is strictly increasing in y with
+    d gamma / dy = Im m(x + iy), m the Stieltjes transform of dN, and one
+    potential sweep gives both.  Each sweep shrinks the bracket [0, y_hi]
+    by the sign of the residual and takes the Newton step when it lands
+    strictly inside the bracket, the midpoint otherwise.  An abscissa
+    leaves the iteration at the first height whose residual is below
+    curve_tol, and that certified height is returned."""
+    heights = np.empty_like(xs)
+    live = np.arange(xs.shape[0])
     lo = np.zeros_like(xs)
     hi = np.full_like(xs, y_hi)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        val = lyapunov_thouless(ids, mean_log_c, xs + 1j * mid) - abs_g
-        if np.max(np.abs(val)) < curve_tol:
-            return mid  # residual certified at exactly these heights
-        above = val > 0.0
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    # brackets are at float resolution; accept only if the residual target
-    # is met there (it cannot improve further)
-    y = 0.5 * (lo + hi)
-    resid = np.abs(lyapunov_thouless(ids, mean_log_c, xs + 1j * y) - abs_g)
-    if np.max(resid) >= curve_tol:
-        raise ValidationError(
-            f"curve bisection stalled: worst residual {np.max(resid):.3g} (tol {curve_tol:g})"
-        )
-    return y
+    y = 0.5 * hi
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        phi, slope = phi_dy_many(ids, xs[live] + 1j * y)
+        resid = (phi - mean_log_c) - abs_g
+        done = np.abs(resid) < curve_tol
+        heights[live[done]] = y[done]
+        if np.all(done):
+            return heights
+        if sweep == _MAX_SWEEPS:
+            break
+        go = ~done
+        live, y, lo, hi, resid, slope = live[go], y[go], lo[go], hi[go], resid[go], slope[go]
+        above = resid > 0.0
+        hi = np.where(above, y, hi)
+        lo = np.where(above, lo, y)
+        step = y - resid / slope  # slope = Im m > 0 for y > 0
+        y = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+    k = int(np.argmax(np.abs(resid)))
+    raise NumericalError(
+        f"curve height solve stalled: worst residual {abs(resid[k]):.3g} at x = {xs[live[k]]!r} "
+        f"(tol {curve_tol:g}) after {sweep} sweeps"
+    )
 
 
 def real_support_sigma(ids: IdsEstimate, threshold: float, tie_band: float = _TIE_BAND) -> tuple:
@@ -296,18 +304,6 @@ def gaussian_bump(center: complex, width: float) -> Callable[[complex], float]:
         return math.exp(-abs(complex(z) - center) ** 2 / s2)
 
     f.label = f"bump({center.real:g}{center.imag:+g}i, w={width:g})"  # type: ignore[attr-defined]
-    return f
-
-
-def poly_cutoff(px: int, py: int, radius: float) -> Callable[[complex], float]:
-    """(Re z)^px (Im z)^py times a Gaussian cutoff of the given radius."""
-    r2 = 2.0 * float(radius) ** 2
-
-    def f(z: complex) -> float:
-        z = complex(z)
-        return (z.real ** px) * (z.imag ** py) * math.exp(-abs(z) ** 2 / r2)
-
-    f.label = f"poly({px},{py})*cutoff({radius:g})"  # type: ignore[attr-defined]
     return f
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._kernels import sturm_counts
 from .errors import EigenSolveError, SingularResolventError, ValidationError
-from .operators import OperatorBundle, boundary_residual, transfer_product
+from .operators import OperatorBundle, TransferState, boundary_residual, transfer_product
 
 __all__ = [
     "SpectrumResult",
@@ -35,7 +35,6 @@ __all__ = [
     "spectrum",
     "resolvent_corners",
     "rank2_det",
-    "log_det_reference",
 ]
 
 # Vectors (hence direct residuals) are computed below this size; above it
@@ -229,15 +228,20 @@ class ResolventCorners:
         return cmath.exp(self.log_g1n)
 
 
-def resolvent_corners(bundle: OperatorBundle, z: complex) -> ResolventCorners:
+def resolvent_corners(
+    bundle: OperatorBundle, z: complex, state: Optional[TransferState] = None
+) -> ResolventCorners:
     """Corner resolvent entries of the symmetric reference and det(H - z),
-    from one transfer product.
+    from one transfer product.  state is transfer_product(bundle, z) when
+    the caller already holds it (say, one lane of transfer_products);
+    otherwise it is computed here.
 
     Requires z off the reference spectrum (use Im z != 0, or a real z in a
     spectral gap); a vanishing determinant raises SingularResolventError.
     """
     z = complex(z)
-    state = transfer_product(bundle, z)
+    if state is None:
+        state = transfer_product(bundle, z)
     (m00, m01), (m10, _) = state.matrix
     if m00 == 0:
         raise SingularResolventError(f"z={z} is (numerically) an eigenvalue of the reference matrix")
@@ -251,12 +255,6 @@ def resolvent_corners(bundle: OperatorBundle, z: complex) -> ResolventCorners:
         log_g1n=-state.log_scale - math.log(c[-1]) - log_m00,
         log_det=state.log_scale + log_m00 + float(np.sum(np.log(c[1:]))),
     )
-
-
-def log_det_reference(bundle: OperatorBundle, z: complex) -> complex:
-    """det(H - z) as a complex logarithm; raises SingularResolventError
-    where it vanishes."""
-    return resolvent_corners(bundle, z).log_det
 
 
 def _log_add(x: complex, y: complex) -> complex:
@@ -290,10 +288,14 @@ def rank2_det(
     return _log_add(log_d, bundle.log_abs_a + bundle.log_abs_b + cmath.log(-cross))
 
 
-def characteristic_residual(bundle: OperatorBundle, z: complex) -> float:
+def characteristic_residual(
+    bundle: OperatorBundle, z: complex, corners: Optional[ResolventCorners] = None
+) -> float:
     """|det(J - z)| ratio defect against the rank-2 factorization, in log
-    modulus: |log|det(J-z)| - log|d| - log|det(H-z)||."""
+    modulus: |log|det(J-z)| - log|d| - log|det(H-z)||.  corners are
+    resolvent_corners(bundle, z) when the caller already holds them."""
     lhs = log_abs_det_dense(bundle.dense() - complex(z) * np.eye(bundle.n))
-    rc = resolvent_corners(bundle, z)  # one transfer product serves both factors
+    # one transfer product serves both factors
+    rc = resolvent_corners(bundle, z) if corners is None else corners
     rhs = rank2_det(bundle, z, rc).real + rc.log_det.real
     return abs(lhs - rhs)

@@ -39,6 +39,7 @@ __all__ = [
     "estimate_ids",
     "phi",
     "phi_many",
+    "phi_dy_many",
     "stieltjes",
     "stieltjes_many",
     "lyapunov_transfer",
@@ -140,6 +141,17 @@ def estimate_ids(
 
 # -- potential and Stieltjes transform ---------------------------------------
 
+def _complex_primitive(ids: IdsEstimate, zs: np.ndarray) -> tuple:
+    """(F, atan(t/y)) at every grid node for each non-real z, one row per
+    z, with t = lam - x and the primitive
+    F(lam) = t log(t^2+y^2)/2 - t + y atan(t/y), whose y-derivative is
+    atan(t/y)."""
+    y = zs.imag[:, None]
+    t = ids.grid[None, :] - zs.real[:, None]
+    atan = np.arctan(t / y)
+    return 0.5 * t * np.log(t * t + y * y) - t + y * atan, atan
+
+
 def phi_many(ids: IdsEstimate, zs: np.ndarray) -> np.ndarray:
     """Log-potential of dN at each z (any z, including real).
 
@@ -147,35 +159,35 @@ def phi_many(ids: IdsEstimate, zs: np.ndarray) -> np.ndarray:
     s_i * (F(g_{i+1}) - F(g_i)) with the exact primitive
     F(lam) = t log|t| - t for real z (t = lam - x) and
     F(lam) = t log(t^2+y^2)/2 - t + y atan(t/y) for y != 0.
+    F is evaluated once per grid node and differenced along the grid.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     dens = ids.cell_density
-    x = zs.real[:, None]
-    y = zs.imag[:, None]
-    t0 = ids.grid[None, :-1] - x
-    t1 = ids.grid[None, 1:] - x
     out = np.empty(zs.shape[0], dtype=float)
-    real_rows = np.abs(zs.imag) == 0.0
-
-    def primitive_real(t):
+    real_rows = zs.imag == 0.0
+    if np.any(real_rows):
+        t = ids.grid[None, :] - zs.real[real_rows, None]
         r = np.abs(t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            val = t * np.log(r) - t
-        return np.where(r == 0.0, 0.0, val)
-
-    def primitive_cplx(t, yy):
-        return 0.5 * t * np.log(t * t + yy * yy) - t + yy * np.arctan(t / yy)
-
-    if np.any(real_rows):
-        rr = np.where(real_rows)[0]
-        seg = primitive_real(t1[rr]) - primitive_real(t0[rr])
-        out[rr] = seg @ dens
-    if np.any(~real_rows):
-        cc = np.where(~real_rows)[0]
-        yy = y[cc]
-        seg = primitive_cplx(t1[cc], yy) - primitive_cplx(t0[cc], yy)
-        out[cc] = seg @ dens
+            f = np.where(r == 0.0, 0.0, t * np.log(r) - t)
+        out[real_rows] = np.diff(f, axis=1) @ dens
+    if not np.all(real_rows):
+        f, _ = _complex_primitive(ids, zs[~real_rows])
+        out[~real_rows] = np.diff(f, axis=1) @ dens
     return out
+
+
+def phi_dy_many(ids: IdsEstimate, zs: np.ndarray) -> tuple:
+    """(Phi, dPhi/dy) at each z with Im z > 0, from one evaluation of the
+    primitive per grid node.  dPhi/dy = Im integral dN(lambda)/(lambda - z)
+    (the Stieltjes transform of stieltjes_many), which is the sum of the
+    cell differences of atan(t/y)."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    if np.any(zs.imag <= 0.0):
+        raise ValidationError("phi_dy_many needs Im z > 0")
+    dens = ids.cell_density
+    f, atan = _complex_primitive(ids, zs)
+    return np.diff(f, axis=1) @ dens, np.diff(atan, axis=1) @ dens
 
 
 def phi(ids: IdsEstimate, z: complex) -> float:

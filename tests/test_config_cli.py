@@ -202,6 +202,16 @@ def test_curve_rerun_keeps_its_artifacts(tmp_path):
     assert [_stamp(p) for p in paths] == before
 
 
+def test_curve_height_stall_exits_3(tmp_path, capsys):
+    # no height reaches a residual of 1e-18 (Phi rounds at about 1e-16)
+    cfg_path = write_cfg(tmp_path, BASE + "\n[curve]\nx_points = 400\ncurve_tol = 1e-18\n")
+    assert main(["curve", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: curve height solve stalled: worst residual" in err
+    assert "(tol 1e-18) after 110 sweeps" in err
+    assert not os.path.exists(tmp_path / "run" / "curve" / "curve_model.txt")
+
+
 def test_curve_stage_deterministic_bytes(tmp_path):
     cfg_path = write_cfg(tmp_path, BASE)
     out_a = str(tmp_path / "a")

@@ -17,17 +17,49 @@ from tricurves import (
     stieltjes,
     trace_curve,
 )
+from tricurves import curves
 from tricurves.curves import (
     default_bump_panel,
-    equipotential_threshold,
     gaussian_bump,
     load_curve_model,
-    poly_cutoff,
     save_curve_model,
 )
-from tricurves.spectral import lyapunov_thouless, phi_many
+from tricurves.ensembles import analytic_means
+from tricurves.errors import NumericalError
+from tricurves.spectral import lyapunov_thouless, phi_dy_many, phi_many
 
 from conftest import fig1b_spec, free_spec
+
+
+def equipotential_threshold(spec: EnsembleSpec) -> float:
+    """Oracle: max(E xi, E eta) -- the potential level of the curve, equal
+    to E log c_0 + |g|."""
+    e_xi, e_eta = analytic_means(spec)
+    return max(e_xi, e_eta)
+
+
+def poly_cutoff(px: int, py: int, radius: float):
+    """(Re z)^px (Im z)^py times a Gaussian cutoff of the given radius."""
+    r2 = 2.0 * float(radius) ** 2
+
+    def f(z: complex) -> float:
+        z = complex(z)
+        return (z.real ** px) * (z.imag ** py) * math.exp(-abs(z) ** 2 / r2)
+
+    return f
+
+
+def bisection_heights(ids, mean_log_c, abs_g, xs, y_hi):
+    """Oracle: the level-set heights by bisection in y down to float
+    resolution of the bracket."""
+    lo = np.zeros_like(xs)
+    hi = np.full_like(xs, y_hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        above = lyapunov_thouless(ids, mean_log_c, xs + 1j * mid) > abs_g
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def drifted_free_spec(g0: float, seed=0) -> EnsembleSpec:
@@ -149,6 +181,58 @@ def test_endpoint_density_finite_limit_drifted_free_case():
     assert np.all(np.isfinite(tail))
     assert tail[-1] == pytest.approx(exact, rel=0.1)
     assert np.max(tail) / np.min(tail) < 1.3  # no blow-up approaching the end
+
+
+def _assert_heights_match_bisection(ids, spec):
+    g = coupling_g(spec)
+    mlc = mean_log_coupling(spec)
+    model = trace_curve(ids, g, mean_log_c=mlc)
+    assert model.arcs
+    y_hi = curves._upper_height(mlc, abs(g))
+    for arc in model.arcs:
+        xs, ys = arc.x[1:-1], arc.y[1:-1]
+        exact = bisection_heights(ids, mlc, abs(g), xs, y_hi)
+        _, slope = phi_dy_many(ids, xs + 1j * exact)
+        assert np.all(np.abs(ys - exact) <= model.curve_tol / slope)
+
+
+def test_newton_heights_match_bisection_oracle_fig1b(fig1b_ids):
+    _assert_heights_match_bisection(fig1b_ids, fig1b_spec())
+
+
+def test_newton_heights_match_bisection_oracle_drifted_free():
+    spec = drifted_free_spec(0.5)
+    _assert_heights_match_bisection(estimate_ids(spec, 5000, 2), spec)
+
+
+def test_height_solve_sweep_floor(fig1b_ids, monkeypatch):
+    # each height solve is a few potential sweeps (bisection took 26-31)
+    sweeps = []
+    potential = curves.phi_dy_many
+    solve = curves._solve_heights
+
+    def counted_potential(*args):
+        sweeps[-1] += 1
+        return potential(*args)
+
+    def counted_solve(*args):
+        sweeps.append(0)
+        return solve(*args)
+
+    monkeypatch.setattr(curves, "phi_dy_many", counted_potential)
+    monkeypatch.setattr(curves, "_solve_heights", counted_solve)
+    spec = fig1b_spec()
+    model = trace_curve(fig1b_ids, coupling_g(spec), mean_log_c=mean_log_coupling(spec), x_points=800)
+    assert model.arcs and sweeps
+    assert max(sweeps) <= 15
+
+
+def test_height_stall_is_a_numerical_error(fig1b_ids):
+    # residuals cannot fall below the rounding of Phi (about 1e-16)
+    spec = fig1b_spec()
+    with pytest.raises(NumericalError, match=r"worst residual .* at x = .* \(tol 1e-18\) after 110 sweeps"):
+        trace_curve(fig1b_ids, coupling_g(spec), mean_log_c=mean_log_coupling(spec), x_points=200,
+                    curve_tol=1e-18)
 
 
 # -- real support -----------------------------------------------------------------

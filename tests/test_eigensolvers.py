@@ -20,7 +20,6 @@ from tricurves import (
 )
 from tricurves.eigensolvers import (
     characteristic_residual,
-    log_det_reference,
     multiset_distance,
     symmetric_eigencounts,
     tridiagonal_counts,
@@ -28,6 +27,11 @@ from tricurves.eigensolvers import (
 )
 
 from conftest import fig1a_spec, fig1b_spec, free_spec, generic_spec
+
+
+def log_det_reference(bundle, z) -> complex:
+    """det(H - z) as a complex logarithm, read off the resolvent corners."""
+    return resolvent_corners(bundle, z).log_det
 
 
 def _poly_mul(a, b):
@@ -341,6 +345,35 @@ def test_rank2_identity_random(monkeypatch):
         z = complex(rng.uniform(-2, 3), rng.uniform(0.2, 2.0) * (1 if rng.uniform() < 0.5 else -1))
         assert characteristic_residual(b, z) < 1e-6
     assert calls == {"transfer_product": 10, "rank2_det": 10}  # one product per z
+
+
+def test_rank2_check_makes_one_kernel_call_per_realization(monkeypatch):
+    from tricurves import operators, verify
+    from tricurves.ensembles import realization
+
+    spec = fig1b_spec(seed=33)
+    lanes = []
+    kernel = operators.transfer_product_scaled
+
+    def counting_kernel(c, q, z):
+        lanes.append(np.size(z))
+        return kernel(c, q, z)
+
+    monkeypatch.setattr(operators, "transfer_product_scaled", counting_kernel)
+    res = verify.check_rank2_identity(spec, realizations=4, n=30, z_count=6)
+    assert lanes == [6, 6, 6, 6]
+    # oracle: the same z draws, one unbatched product per z
+    rng = verify._rng(spec.seed, 1)
+    worst = 0.0
+    for r in range(4):
+        b = build(realization(spec, 30, r))
+        lo, hi = b.gershgorin()
+        for _ in range(6):
+            x = rng.uniform(lo, hi)
+            y = rng.uniform(0.2, 2.0) * (1 if rng.uniform() < 0.5 else -1)
+            worst = max(worst, characteristic_residual(b, complex(x, y)))
+    assert abs(res.measured - worst) < 1e-12
+    assert res.passed
 
 
 def test_rank2_cross_term_decays():

@@ -15,7 +15,7 @@ from tricurves import (
     phi,
     stieltjes,
 )
-from tricurves.spectral import load_ids, phi_many, save_ids
+from tricurves.spectral import load_ids, phi_dy_many, phi_many, save_ids, stieltjes_many
 
 from conftest import fig1b_spec, free_spec, generic_spec
 
@@ -129,6 +129,61 @@ def test_phi_real_axis_inside_support(free_ids):
     assert np.all(np.isfinite(vals))
     # free case: gamma = phi >= 0 with equality on the spectrum
     assert np.max(np.abs(vals)) < 0.02
+
+
+def _phi_per_cell(ids, zs):
+    """Oracle: the log-potential with the primitive evaluated at both ends
+    of every cell, F(g_{i+1}) - F(g_i), instead of once per grid node."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    dens = ids.cell_density
+    t0 = ids.grid[None, :-1] - zs.real[:, None]
+    t1 = ids.grid[None, 1:] - zs.real[:, None]
+    y = zs.imag[:, None]
+    out = np.empty(zs.shape[0])
+
+    def primitive_real(t):
+        r = np.abs(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = t * np.log(r) - t
+        return np.where(r == 0.0, 0.0, val)
+
+    def primitive_cplx(t, yy):
+        return 0.5 * t * np.log(t * t + yy * yy) - t + yy * np.arctan(t / yy)
+
+    rr = np.where(zs.imag == 0.0)[0]
+    cc = np.where(zs.imag != 0.0)[0]
+    out[rr] = (primitive_real(t1[rr]) - primitive_real(t0[rr])) @ dens
+    out[cc] = (primitive_cplx(t1[cc], y[cc]) - primitive_cplx(t0[cc], y[cc])) @ dens
+    return out
+
+
+def test_phi_node_once_matches_per_cell_oracle(fig1b_ids):
+    # real points include grid nodes (t = 0 exactly) and points off the
+    # support; non-real points lie on both sides of the axis
+    rng = np.random.Generator(np.random.Philox(key=61))
+    zs = np.concatenate([
+        rng.uniform(-3.0, 4.0, 120).astype(complex),
+        fig1b_ids.grid[::37].astype(complex),
+        rng.uniform(-3.0, 4.0, 160) + 1j * rng.uniform(-2.0, 2.0, 160),
+    ])
+    assert np.array_equal(phi_many(fig1b_ids, zs), _phi_per_cell(fig1b_ids, zs))
+    for z in zs[::50]:
+        assert phi(fig1b_ids, z) == _phi_per_cell(fig1b_ids, [z])[0]
+
+
+def test_phi_dy_is_im_stieltjes_and_the_y_derivative(fig1b_ids):
+    rng = np.random.Generator(np.random.Philox(key=62))
+    zs = rng.uniform(-3.0, 4.0, 60) + 1j * rng.uniform(0.05, 2.5, 60)
+    value, dy = phi_dy_many(fig1b_ids, zs)
+    assert np.array_equal(value, phi_many(fig1b_ids, zs))
+    assert np.max(np.abs(dy - stieltjes_many(fig1b_ids, zs).imag)) < 1e-12
+    h = 1e-5
+    central = (phi_many(fig1b_ids, zs + 1j * h) - phi_many(fig1b_ids, zs - 1j * h)) / (2.0 * h)
+    assert np.max(np.abs(dy - central)) < 1e-7
+    with pytest.raises(ValidationError):
+        phi_dy_many(fig1b_ids, [0.5 - 0.5j])
+    with pytest.raises(ValidationError):
+        phi_dy_many(fig1b_ids, [0.5])
 
 
 # -- stieltjes transform ---------------------------------------------------------------

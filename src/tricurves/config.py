@@ -2,20 +2,24 @@
 
 Configs are plain INI text (key-value with nested sections).  Only the
 [ensemble] block is mandatory -- every numeric knob has a default -- and
-the seed inside it is required.  The config hash is the sha256 of the
-canonical re-serialization, so semantically identical files hash alike;
-every artifact file embeds this hash in its header line (see
-``artifacts``), and a manifest lists the artifacts of a run together with
-wall times and the tool version.
+the seed inside it is required.  The fields of ExperimentConfig are the
+schema: each one names its ``[section] key`` in its metadata, and its type
+picks how the value is read, written and checked (int, float, or a
+space-separated list of ints or of complex points); its declaration order
+is the canonical order.  The config hash is the sha256 of the canonical
+re-serialization, so semantically identical files hash alike; every
+artifact file embeds this hash in its header line (see ``artifacts``),
+and a manifest lists the artifacts of a run together with wall times and
+the tool version.
 """
 
-from __future__ import annotations
-
+# No ``from __future__ import annotations`` here: the schema reads each
+# field's type as a class.
 import configparser
 import hashlib
 import io
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import artifacts
 from .ensembles import EnsembleSpec, ensemble_from_config, ensemble_to_config
@@ -24,115 +28,93 @@ from .errors import ValidationError
 __all__ = ["ExperimentConfig", "RunManifest", "load_config", "config_to_text", "config_hash"]
 
 
+def _at(section: str, key: str, default):
+    """A field read from and written to ``[section] key``."""
+    return field(default=default, metadata={"at": (section, key)})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     ensemble: EnsembleSpec
-    sizes: tuple = (201,)
-    reps: int = 1
-    nonreal_tol: float = 1e-6
-    ids_n: int = 4000
-    ids_reps: int = 4
-    ids_grid_points: int = 2048
-    curve_x_points: int = 800
-    curve_tol: float = 1e-6
-    mass_tol: float = 0.02
-    rect_margin: float = 0.1
-    exclusion_n: int = 2001
-    exclusion_reps: int = 5
-    thouless_n: int = 100_000
-    thouless_reps: int = 8
-    thouless_tol: float = 0.02
-    thouless_points: tuple = (1 + 1j, -0.5 + 0.75j, 2 - 0.5j, 0.25 + 1.5j, -1 - 1j, 3 + 2j)
-    panel_sizes: tuple = (500, 1000, 2000)
-    panel_reps: int = 8
-    hausdorff_budget: float = 0.15
+    sizes: tuple = _at("run", "sizes", (201,))
+    reps: int = _at("run", "reps", 1)
+    nonreal_tol: float = _at("run", "nonreal_tol", 1e-6)
+    ids_n: int = _at("ids", "n", 4000)
+    ids_reps: int = _at("ids", "reps", 4)
+    ids_grid_points: int = _at("ids", "grid_points", 2048)
+    curve_x_points: int = _at("curve", "x_points", 800)
+    curve_tol: float = _at("curve", "curve_tol", 1e-6)
+    mass_tol: float = _at("curve", "mass_tol", 0.02)
+    rect_margin: float = _at("verify", "rect_margin", 0.1)
+    exclusion_n: int = _at("verify", "exclusion_n", 2001)
+    exclusion_reps: int = _at("verify", "exclusion_reps", 5)
+    thouless_n: int = _at("verify", "thouless_n", 100_000)
+    thouless_reps: int = _at("verify", "thouless_reps", 8)
+    thouless_tol: float = _at("verify", "thouless_tol", 0.02)
+    thouless_points: tuple = _at(
+        "verify", "thouless_points", (1 + 1j, -0.5 + 0.75j, 2 - 0.5j, 0.25 + 1.5j, -1 - 1j, 3 + 2j)
+    )
+    panel_sizes: tuple = _at("verify", "panel_sizes", (500, 1000, 2000))
+    panel_reps: int = _at("verify", "panel_reps", 8)
+    hausdorff_budget: float = _at("compare", "hausdorff_budget", 0.15)
 
     def __post_init__(self):
-        if not self.sizes or any(n < 2 for n in self.sizes):
-            raise ValidationError("sizes must be a nonempty list of integers >= 2")
-        if list(self.sizes) != sorted(self.sizes):
-            raise ValidationError("sizes must be ascending")
-        if not self.panel_sizes or any(n < 2 for n in self.panel_sizes):
-            raise ValidationError("panel_sizes must be a nonempty list of integers >= 2")
-        for name in (
-            "nonreal_tol", "curve_tol", "mass_tol", "rect_margin", "thouless_tol", "hausdorff_budget",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        for name in ("reps", "ids_n", "ids_reps", "ids_grid_points", "curve_x_points",
-                     "exclusion_n", "exclusion_reps", "thouless_n", "thouless_reps", "panel_reps"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1")
+        for f in _SCHEMA:
+            value = getattr(self, f.name)
+            if f.type is float and value <= 0:
+                raise ValidationError(f"{f.name} must be positive")
+            if f.type is int and value < 1:
+                raise ValidationError(f"{f.name} must be >= 1")
+            if f.type is tuple and _holds_complex(f) and not value:
+                raise ValidationError(f"{f.name} must be a nonempty list of points")
+            if f.type is tuple and not _holds_complex(f):
+                if not value or any(n < 2 for n in value):
+                    raise ValidationError(f"{f.name} must be a nonempty list of integers >= 2")
+                if list(value) != sorted(value):
+                    raise ValidationError(f"{f.name} must be ascending")
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, ensemble=replace(self.ensemble, seed=int(seed)))
 
 
-def _parse_complex_list(text: str) -> tuple:
-    return tuple(complex(tok.replace("i", "j")) for tok in text.split())
+_SCHEMA = tuple(f for f in fields(ExperimentConfig) if f.metadata)
 
 
-def load_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
-    """Parse a config; a malformed file, a bad value or a section or key
-    that nothing reads raises ValidationError."""
-    if not is_text and not os.path.exists(path_or_text):
-        raise ValidationError(f"config file not found: {path_or_text}")
+def _holds_complex(f) -> bool:
+    return isinstance(f.default[0], complex)
+
+
+def _decode(f, text: str):
+    if f.type is not tuple:
+        return f.type(text)
+    if _holds_complex(f):
+        return tuple(complex(tok.replace("i", "j")) for tok in text.split())
+    return tuple(int(tok) for tok in text.split())
+
+
+def _encode(f, value) -> str:
+    if f.type is tuple:
+        return " ".join(str(v) for v in value)
+    return repr(value) if f.type is float else str(value)
+
+
+def load_config(path: str) -> ExperimentConfig:
+    """Parse a config file; a missing or malformed file, a bad value or a
+    section or key that nothing reads raises ValidationError."""
+    if not os.path.exists(path):
+        raise ValidationError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
     try:
-        if is_text:
-            cp.read_string(path_or_text)
-        else:
-            cp.read(path_or_text)
-        cfg = _parse(cp)
+        cp.read(path)
+        ensemble = ensemble_from_config(cp)
+        values = {f.name: _decode(f, cp.get(*f.metadata["at"])) for f in _SCHEMA if cp.has_option(*f.metadata["at"])}
+        cfg = ExperimentConfig(ensemble=ensemble, **values)
     except ValidationError:
         raise
     except (configparser.Error, ValueError) as exc:
         raise ValidationError(f"invalid config: {exc}") from exc
     _reject_unread(cp, cfg)
     return cfg
-
-
-def _parse(cp: configparser.ConfigParser) -> ExperimentConfig:
-    ensemble = ensemble_from_config(cp)
-    kwargs = {}
-    run = cp["run"] if "run" in cp else {}
-    if "sizes" in run:
-        kwargs["sizes"] = tuple(int(tok) for tok in run["sizes"].split())
-    for key, cast in (("reps", int), ("nonreal_tol", float)):
-        if key in run:
-            kwargs[key] = cast(run[key])
-    ids = cp["ids"] if "ids" in cp else {}
-    for src, dst, cast in (("n", "ids_n", int), ("reps", "ids_reps", int), ("grid_points", "ids_grid_points", int)):
-        if src in ids:
-            kwargs[dst] = cast(ids[src])
-    curve = cp["curve"] if "curve" in cp else {}
-    for src, dst, cast in (
-        ("x_points", "curve_x_points", int),
-        ("curve_tol", "curve_tol", float),
-        ("mass_tol", "mass_tol", float),
-    ):
-        if src in curve:
-            kwargs[dst] = cast(curve[src])
-    verify = cp["verify"] if "verify" in cp else {}
-    for src, dst, cast in (
-        ("rect_margin", "rect_margin", float),
-        ("exclusion_n", "exclusion_n", int),
-        ("exclusion_reps", "exclusion_reps", int),
-        ("thouless_n", "thouless_n", int),
-        ("thouless_reps", "thouless_reps", int),
-        ("thouless_tol", "thouless_tol", float),
-        ("panel_reps", "panel_reps", int),
-    ):
-        if src in verify:
-            kwargs[dst] = cast(verify[src])
-    if "thouless_points" in verify:
-        kwargs["thouless_points"] = _parse_complex_list(verify["thouless_points"])
-    if "panel_sizes" in verify:
-        kwargs["panel_sizes"] = tuple(int(tok) for tok in verify["panel_sizes"].split())
-    compare = cp["compare"] if "compare" in cp else {}
-    if "hausdorff_budget" in compare:
-        kwargs["hausdorff_budget"] = float(compare["hausdorff_budget"])
-    return ExperimentConfig(ensemble=ensemble, **kwargs)
 
 
 def _reject_unread(cp: configparser.ConfigParser, cfg: ExperimentConfig) -> None:
@@ -150,36 +132,14 @@ def _reject_unread(cp: configparser.ConfigParser, cfg: ExperimentConfig) -> None
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
-    """Canonical serialization (stable field order); hashing input."""
+    """Canonical serialization (schema field order); hashing input."""
     cp = configparser.ConfigParser()
     cp.read_string(ensemble_to_config(cfg.ensemble))
-    cp["run"] = {
-        "sizes": " ".join(str(n) for n in cfg.sizes),
-        "reps": str(cfg.reps),
-        "nonreal_tol": repr(cfg.nonreal_tol),
-    }
-    cp["ids"] = {
-        "n": str(cfg.ids_n),
-        "reps": str(cfg.ids_reps),
-        "grid_points": str(cfg.ids_grid_points),
-    }
-    cp["curve"] = {
-        "x_points": str(cfg.curve_x_points),
-        "curve_tol": repr(cfg.curve_tol),
-        "mass_tol": repr(cfg.mass_tol),
-    }
-    cp["verify"] = {
-        "rect_margin": repr(cfg.rect_margin),
-        "exclusion_n": str(cfg.exclusion_n),
-        "exclusion_reps": str(cfg.exclusion_reps),
-        "thouless_n": str(cfg.thouless_n),
-        "thouless_reps": str(cfg.thouless_reps),
-        "thouless_tol": repr(cfg.thouless_tol),
-        "thouless_points": " ".join(str(z) for z in cfg.thouless_points),
-        "panel_sizes": " ".join(str(n) for n in cfg.panel_sizes),
-        "panel_reps": str(cfg.panel_reps),
-    }
-    cp["compare"] = {"hausdorff_budget": repr(cfg.hausdorff_budget)}
+    for f in _SCHEMA:
+        section, key = f.metadata["at"]
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, key, _encode(f, getattr(cfg, f.name)))
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

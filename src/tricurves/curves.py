@@ -166,7 +166,7 @@ def trace_curve(
         a = _refine_endpoint(ids, mean_log_c, abs_g, x_grid[grp[0] - 1], x_grid[grp[0]])
         a_prime = _refine_endpoint(ids, mean_log_c, abs_g, x_grid[grp[-1] + 1], x_grid[grp[-1]])
         xs_inner = x_grid[grp]
-        ys_inner = _solve_heights(ids, mean_log_c, abs_g, xs_inner, y_hi, curve_tol)
+        ys_inner, m_inner = _solve_heights(ids, mean_log_c, abs_g, xs_inner, y_hi, curve_tol)
         keep = ys_inner > 1e-9 * max(1.0, ids.support_radius)
         if not np.any(keep):
             # the level set touches the axis only: an isolated real solution
@@ -174,7 +174,7 @@ def trace_curve(
             continue
         xs = np.concatenate(([a], xs_inner[keep], [a_prime]))
         ys = np.concatenate(([0.0], ys_inner[keep], [0.0]))
-        rho_inner = np.abs(stieltjes_many(ids, xs_inner[keep] + 1j * ys_inner[keep])) / (2.0 * np.pi)
+        rho_inner = np.abs(m_inner[keep]) / (2.0 * np.pi)
         rho = np.concatenate(([rho_inner[0]], rho_inner, [rho_inner[-1]]))
         arcs.append(Arc(x=xs, y=ys, rho=rho))
     return CurveModel(
@@ -204,27 +204,31 @@ def _refine_endpoint(ids, mean_log_c, abs_g, x_out, x_in) -> float:
     return float(0.5 * (x_out + x_in))
 
 
-def _solve_heights(ids, mean_log_c, abs_g, xs, y_hi, curve_tol) -> np.ndarray:
+def _solve_heights(ids, mean_log_c, abs_g, xs, y_hi, curve_tol) -> tuple:
     """For each qualifying x, the unique y >= 0 with gamma(x + iy) = |g|,
-    by safeguarded Newton in y.  gamma is strictly increasing in y with
-    d gamma / dy = Im m(x + iy), m the Stieltjes transform of dN, and one
-    potential sweep gives both.  Each sweep shrinks the bracket [0, y_hi]
-    by the sign of the residual and takes the Newton step when it lands
-    strictly inside the bracket, the midpoint otherwise.  An abscissa
-    leaves the iteration at the first height whose residual is below
-    curve_tol, and that certified height is returned."""
+    by safeguarded Newton in y, returned as (heights, m) with m the
+    Stieltjes transform of dN at x + iy.  gamma is strictly increasing in
+    y with d gamma / dy = Im m, and one potential sweep gives both.  Each
+    sweep shrinks the bracket [0, y_hi] by the sign of the residual and
+    takes the Newton step when it lands strictly inside the bracket, the
+    midpoint otherwise.  An abscissa leaves the iteration at the first
+    height whose residual is below curve_tol; that certified height and
+    the m of the same sweep are returned."""
     heights = np.empty_like(xs)
+    stieltjes = np.empty(xs.shape, dtype=complex)
     live = np.arange(xs.shape[0])
     lo = np.zeros_like(xs)
     hi = np.full_like(xs, y_hi)
     y = 0.5 * hi
     for sweep in range(1, _MAX_SWEEPS + 1):
-        phi, slope = phi_dy_many(ids, xs[live] + 1j * y)
+        phi, m = phi_dy_many(ids, xs[live] + 1j * y)
+        slope = m.imag
         resid = (phi - mean_log_c) - abs_g
         done = np.abs(resid) < curve_tol
         heights[live[done]] = y[done]
+        stieltjes[live[done]] = m[done]
         if np.all(done):
-            return heights
+            return heights, stieltjes
         if sweep == _MAX_SWEEPS:
             break
         go = ~done

@@ -391,14 +391,14 @@ def mean_log_coupling(spec: EnsembleSpec) -> float:
 
 # -- config serialization -------------------------------------------------
 
-def ensemble_to_config(spec: EnsembleSpec, section: str = "ensemble") -> str:
+def ensemble_to_config(spec: EnsembleSpec) -> str:
     """Serialize to the key-value config format (see ensemble_from_config)."""
     cp = configparser.ConfigParser()
-    cp[section] = {"mode": spec.mode, "seed": str(spec.seed)}
+    cp["ensemble"] = {"mode": spec.mode, "seed": str(spec.seed)}
     if spec.raw:
-        cp[section]["raw"] = "true"
+        cp["ensemble"]["raw"] = "true"
     if spec.mode == "periodic":
-        cp[f"{section}.table"] = {
+        cp["ensemble.table"] = {
             f"row{i}": " ".join(f"{v!r}" for v in row) for i, row in enumerate(spec.table)
         }
     else:
@@ -407,13 +407,13 @@ def ensemble_to_config(spec: EnsembleSpec, section: str = "ensemble") -> str:
             sec = {"kind": dist.kind}
             for pname, val in zip(_PARAM_NAMES[dist.kind], dist.params):
                 sec[pname] = f"{val!r}"
-            cp[f"{section}.{name}"] = sec
+            cp[f"ensemble.{name}"] = sec
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
 
 
-def ensemble_from_config(source, section: str = "ensemble") -> EnsembleSpec:
+def ensemble_from_config(source) -> EnsembleSpec:
     """Parse an EnsembleSpec from config text or a ConfigParser.
 
     Layout: section [ensemble] with keys mode and seed (seed is mandatory),
@@ -434,16 +434,16 @@ def ensemble_from_config(source, section: str = "ensemble") -> EnsembleSpec:
     else:
         cp = configparser.ConfigParser()
         cp.read_string(source)
-    if section not in cp:
-        raise ValidationError(f"missing [{section}] section")
-    base = cp[section]
+    if "ensemble" not in cp:
+        raise ValidationError("missing [ensemble] section")
+    base = cp["ensemble"]
     if "seed" not in base:
         raise ValidationError("ensemble config must declare a seed")
     mode = base.get("mode", "iid")
     seed = int(base["seed"])
     raw = base.getboolean("raw", fallback=False)
     if mode == "periodic":
-        tsec = f"{section}.table"
+        tsec = "ensemble.table"
         if tsec not in cp:
             raise ValidationError("periodic mode requires an [ensemble.table] section")
         rows = []
@@ -455,7 +455,7 @@ def ensemble_from_config(source, section: str = "ensemble") -> EnsembleSpec:
         return EnsembleSpec.periodic(rows, seed=seed)
     dists = {}
     for name in ("xi", "eta", "q"):
-        dsec = f"{section}.{name}"
+        dsec = f"ensemble.{name}"
         if dsec not in cp:
             raise ValidationError(f"missing [{dsec}] section")
         kind = cp[dsec].get("kind")

@@ -46,7 +46,6 @@ __all__ = [
     "boundary_matrix",
     "boundary_residual",
     "eigenvector_slopes",
-    "export_bundle",
 ]
 
 _MAX_LOG = 300.0
@@ -316,20 +315,3 @@ def eigenvector_slopes(matrix: np.ndarray) -> tuple:
         u, v = v, u
     return u, v
 
-
-def export_bundle(bundle: OperatorBundle, path_dense: str, path_reference: str) -> None:
-    """Write the dense matrix in matrix-market coordinate format and the
-    symmetric reference as (diag, offdiag) columns, for external checks."""
-    j = bundle.dense()
-    rows, cols = np.nonzero(j)
-    with open(path_dense, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{bundle.n} {bundle.n} {len(rows)}\n")
-        for r, ccol in zip(rows, cols):
-            fh.write(f"{r + 1} {ccol + 1} {float(j[r, ccol])!r}\n")
-    with open(path_reference, "w") as fh:
-        fh.write("# symmetric reference: k, diagonal q_k, off-diagonal -c_k (last off empty)\n")
-        off = bundle.h_off
-        for k in range(bundle.n):
-            tail = f" {float(off[k])!r}" if k < bundle.n - 1 else ""
-            fh.write(f"{k + 1} {float(bundle.h_diag[k])!r}{tail}\n")

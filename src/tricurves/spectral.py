@@ -27,10 +27,9 @@ from typing import Optional
 import numpy as np
 
 from . import artifacts
-from ._kernels import transfer_product_scaled
 from .ensembles import EnsembleSpec, realization, spec_hash
 from .errors import ValidationError
-from .operators import build, column_sum_norm
+from .operators import build, column_sum_norm, transfer_product
 from .eigensolvers import symmetric_eigencounts
 
 __all__ = [
@@ -142,14 +141,25 @@ def estimate_ids(
 # -- potential and Stieltjes transform ---------------------------------------
 
 def _complex_primitive(ids: IdsEstimate, zs: np.ndarray) -> tuple:
-    """(F, atan(t/y)) at every grid node for each non-real z, one row per
-    z, with t = lam - x and the primitive
+    """(F, log|t - iy|, atan(t/y)) at every grid node for each non-real
+    z, one row per z, with t = lam - x and the primitive
     F(lam) = t log(t^2+y^2)/2 - t + y atan(t/y), whose y-derivative is
     atan(t/y)."""
     y = zs.imag[:, None]
     t = ids.grid[None, :] - zs.real[:, None]
+    half_log = 0.5 * np.log(t * t + y * y)
     atan = np.arctan(t / y)
-    return 0.5 * t * np.log(t * t + y * y) - t + y * atan, atan
+    return t * half_log - t + y * atan, half_log, atan
+
+
+def _stieltjes(dens: np.ndarray, half_log: np.ndarray, atan: np.ndarray) -> np.ndarray:
+    """integral dN(lambda) / (lambda - z) from the node values of
+    _complex_primitive: per cell, log(lambda - z) moves by the difference
+    of log|t - iy| in its real part and of atan(t/y) in its imaginary
+    part (arg(lambda - z) and atan(t/y) differ by a constant for each z).
+    The two parts are summed as separate real products: a complex product
+    would reorder the sum of Im m, the slope of the curve-height sweeps."""
+    return np.diff(half_log, axis=1) @ dens + 1j * (np.diff(atan, axis=1) @ dens)
 
 
 def phi_many(ids: IdsEstimate, zs: np.ndarray) -> np.ndarray:
@@ -172,22 +182,22 @@ def phi_many(ids: IdsEstimate, zs: np.ndarray) -> np.ndarray:
             f = np.where(r == 0.0, 0.0, t * np.log(r) - t)
         out[real_rows] = np.diff(f, axis=1) @ dens
     if not np.all(real_rows):
-        f, _ = _complex_primitive(ids, zs[~real_rows])
+        f, _, _ = _complex_primitive(ids, zs[~real_rows])
         out[~real_rows] = np.diff(f, axis=1) @ dens
     return out
 
 
 def phi_dy_many(ids: IdsEstimate, zs: np.ndarray) -> tuple:
-    """(Phi, dPhi/dy) at each z with Im z > 0, from one evaluation of the
-    primitive per grid node.  dPhi/dy = Im integral dN(lambda)/(lambda - z)
-    (the Stieltjes transform of stieltjes_many), which is the sum of the
-    cell differences of atan(t/y)."""
+    """(Phi, m) at each z with Im z > 0, from one evaluation of the
+    primitive per grid node: m is the Stieltjes transform of
+    stieltjes_many, and dPhi/dy = Im m is the sum of the cell differences
+    of atan(t/y)."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(zs.imag <= 0.0):
         raise ValidationError("phi_dy_many needs Im z > 0")
     dens = ids.cell_density
-    f, atan = _complex_primitive(ids, zs)
-    return np.diff(f, axis=1) @ dens, np.diff(atan, axis=1) @ dens
+    f, half_log, atan = _complex_primitive(ids, zs)
+    return np.diff(f, axis=1) @ dens, _stieltjes(dens, half_log, atan)
 
 
 def phi(ids: IdsEstimate, z: complex) -> float:
@@ -196,14 +206,13 @@ def phi(ids: IdsEstimate, z: complex) -> float:
 
 
 def stieltjes_many(ids: IdsEstimate, zs: np.ndarray) -> np.ndarray:
-    """integral dN(lambda) / (lambda - z) for non-real z, exactly per cell:
-    each cell contributes s_i * [log(g_{i+1} - z) - log(g_i - z)] and the
-    principal branch is safe because Im(lambda - z) has constant sign."""
+    """integral dN(lambda) / (lambda - z) for non-real z, exactly per cell
+    (see _stieltjes)."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(zs.imag == 0.0):
         raise ValidationError("the Stieltjes transform needs Im z != 0")
-    logs = np.log(ids.grid[None, :] - zs[:, None])
-    return np.diff(logs, axis=1) @ ids.cell_density
+    _, half_log, atan = _complex_primitive(ids, zs)
+    return _stieltjes(ids.cell_density, half_log, atan)
 
 
 def stieltjes(ids: IdsEstimate, z: complex) -> complex:
@@ -240,13 +249,12 @@ def lyapunov_transfer(spec: EnsembleSpec, n: int, reps: int, z):
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     gammas = np.empty((zs.shape[0], reps))
     for r in range(reps):
-        seq = realization(spec, n, r)
-        c = np.exp(0.5 * (seq.xi + seq.eta))
+        bundle = build(realization(spec, n, r))
         # One kernel call per product: the per-layer step counter of
         # perfbench reads len(c) - 1 per call as the number of steps.
         for i, zi in enumerate(zs):
-            log_scale, m = transfer_product_scaled(c, seq.q, zi)
-            gammas[i, r] = (log_scale + math.log(column_sum_norm(m))) / n
+            state = transfer_product(bundle, zi)
+            gammas[i, r] = (state.log_scale + math.log(column_sum_norm(state.matrix))) / n
     estimates = [
         LyapunovEstimate(
             z=complex(zi),

@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import os
 
@@ -94,8 +95,114 @@ def test_load_config_defaults_and_round_trip(tmp_path):
     assert cfg.reps == 2
     assert cfg.ids_n == 400
     assert cfg.curve_tol == 1e-6  # default
-    again = load_config(config_to_text(cfg), is_text=True)
+    again = load_config(write_cfg(tmp_path, config_to_text(cfg), name="canonical.ini"))
+    assert again == cfg
     assert config_hash(again) == config_hash(cfg)
+
+
+# The canonical text of BASE: every artifact header carries its hash, so
+# these bytes decide which cached products stay current.
+BASE_CANONICAL = """[ensemble]
+mode = iid
+seed = 2024
+
+[ensemble.xi]
+kind = log_uniform
+a = 0.0
+b = 1.0
+
+[ensemble.eta]
+kind = log_uniform
+a = 0.5
+b = 1.5
+
+[ensemble.q]
+kind = uniform
+a = 0.0
+b = 1.0
+
+[run]
+sizes = 64 96
+reps = 2
+nonreal_tol = 1e-06
+
+[ids]
+n = 400
+reps = 2
+grid_points = 512
+
+[curve]
+x_points = 800
+curve_tol = 1e-06
+mass_tol = 0.02
+
+[verify]
+rect_margin = 0.1
+exclusion_n = 2001
+exclusion_reps = 5
+thouless_n = 100000
+thouless_reps = 8
+thouless_tol = 0.02
+thouless_points = (1+1j) (-0.5+0.75j) (2-0.5j) (0.25+1.5j) (-1-1j) (3+2j)
+panel_sizes = 500 1000 2000
+panel_reps = 8
+
+[compare]
+hausdorff_budget = 0.15
+
+"""
+
+
+def test_canonical_text_and_hash_are_pinned(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, BASE))
+    assert config_to_text(cfg) == BASE_CANONICAL
+    assert config_hash(cfg) == "abaef14c279affa5"
+    # every field but the ensemble has a key, so the text and the hash cover it
+    assert [f.name for f in dataclasses.fields(ExperimentConfig) if not f.metadata] == ["ensemble"]
+
+
+# one non-default value for every key of the schema, (file text, loaded value);
+# a schema field missing here fails its case below
+NON_DEFAULTS = {
+    ("run", "sizes"): ("50 70", (50, 70)),
+    ("run", "reps"): ("3", 3),
+    ("run", "nonreal_tol"): ("2e-6", 2e-6),
+    ("ids", "n"): ("500", 500),
+    ("ids", "reps"): ("3", 3),
+    ("ids", "grid_points"): ("100", 100),
+    ("curve", "x_points"): ("300", 300),
+    ("curve", "curve_tol"): ("3e-7", 3e-7),
+    ("curve", "mass_tol"): ("0.05", 0.05),
+    ("verify", "rect_margin"): ("0.2", 0.2),
+    ("verify", "exclusion_n"): ("11", 11),
+    ("verify", "exclusion_reps"): ("3", 3),
+    ("verify", "thouless_n"): ("99", 99),
+    ("verify", "thouless_reps"): ("3", 3),
+    ("verify", "thouless_tol"): ("0.5", 0.5),
+    ("verify", "thouless_points"): ("1+2i 3-1i (2+0j) 1", (1 + 2j, 3 - 1j, 2 + 0j, 1 + 0j)),
+    ("verify", "panel_sizes"): ("10 20", (10, 20)),
+    ("verify", "panel_reps"): ("2", 2),
+    ("compare", "hausdorff_budget"): ("0.3", 0.3),
+}
+SCHEMA = [f for f in dataclasses.fields(ExperimentConfig) if f.metadata]
+
+
+@pytest.mark.parametrize("f", SCHEMA, ids=[f.name for f in SCHEMA])
+def test_every_key_is_read_and_hashed(tmp_path, f):
+    section, key = f.metadata["at"]
+    text, value = NON_DEFAULTS[section, key]
+    cp = configparser.ConfigParser()
+    cp.read_string(VERIFY_CFG)
+    if section not in cp:
+        cp.add_section(section)
+    cp[section][key] = text
+    with open(tmp_path / "edited.ini", "w") as fh:
+        cp.write(fh)
+    plain = load_config(write_cfg(tmp_path, VERIFY_CFG))
+    edited = load_config(str(tmp_path / "edited.ini"))
+    assert getattr(plain, f.name) != value
+    assert edited == dataclasses.replace(plain, **{f.name: value})
+    assert config_hash(edited) != config_hash(plain)
 
 
 def test_config_validation():
@@ -106,6 +213,10 @@ def test_config_validation():
         ExperimentConfig(ensemble=spec, mass_tol=-1.0)
     with pytest.raises(ValidationError, match=">= 1"):
         ExperimentConfig(ensemble=spec, reps=0)
+    with pytest.raises(ValidationError, match="panel_sizes must be ascending"):
+        ExperimentConfig(ensemble=spec, panel_sizes=(1000, 500))
+    with pytest.raises(ValidationError, match="thouless_points must be a nonempty list"):
+        ExperimentConfig(ensemble=spec, thouless_points=())
 
 
 def test_seed_override_changes_hash(tmp_path):
@@ -128,9 +239,10 @@ def test_missing_config_exits_2(tmp_path, capsys):
         lambda text: text + "\n[verify]\npanel_sizes = 500\npanel_reps = 0\n",  # no panel realization
         lambda text: text + "\n[verify]\npanel_sizes = 16 500\npanel_reps = 0\n",
         lambda text: text + "\n[verify]\npanel_sizes =\n",  # no panel size
+        lambda text: text + "\n[verify]\nthouless_points =\n",  # no Thouless point to check
     ],
     ids=["unknown-key", "deleted-field", "unknown-section", "bad-value", "duplicate-section",
-         "panel-reps-0-one-size", "panel-reps-0-two-sizes", "empty-panel-sizes"],
+         "panel-reps-0-one-size", "panel-reps-0-two-sizes", "empty-panel-sizes", "empty-thouless-points"],
 )
 def test_bad_config_exits_2(tmp_path, capsys, edit):
     cfg_path = write_cfg(tmp_path, edit(BASE))

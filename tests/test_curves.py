@@ -192,7 +192,7 @@ def _assert_heights_match_bisection(ids, spec):
     for arc in model.arcs:
         xs, ys = arc.x[1:-1], arc.y[1:-1]
         exact = bisection_heights(ids, mlc, abs(g), xs, y_hi)
-        _, slope = phi_dy_many(ids, xs + 1j * exact)
+        slope = phi_dy_many(ids, xs + 1j * exact)[1].imag
         assert np.all(np.abs(ys - exact) <= model.curve_tol / slope)
 
 
@@ -203,6 +203,18 @@ def test_newton_heights_match_bisection_oracle_fig1b(fig1b_ids):
 def test_newton_heights_match_bisection_oracle_drifted_free():
     spec = drifted_free_spec(0.5)
     _assert_heights_match_bisection(estimate_ids(spec, 5000, 2), spec)
+
+
+def test_arc_density_is_the_curve_density_at_each_vertex(fig1b_ids):
+    # rho comes from the last height sweep, not from a second pass
+    spec = fig1b_spec()
+    model = trace_curve(fig1b_ids, coupling_g(spec), mean_log_c=mean_log_coupling(spec))
+    assert model.arcs
+    for arc in model.arcs:
+        inner = arc.points()[1:-1]
+        expected = np.array([curve_density(fig1b_ids, z) for z in inner])
+        assert np.max(np.abs(arc.rho[1:-1] - expected) / expected) < 1e-14
+        assert arc.rho[0] == arc.rho[1] and arc.rho[-1] == arc.rho[-2]
 
 
 def test_height_solve_sweep_floor(fig1b_ids, monkeypatch):

@@ -10,7 +10,6 @@ from tricurves.operators import (
     boundary_residual,
     column_sum_norm,
     eigenvector_slopes,
-    export_bundle,
     transfer_product,
     transfer_products,
 )
@@ -301,15 +300,3 @@ def test_eigenvector_slopes_match_numpy():
     assert u == pytest.approx(slopes[0], rel=1e-12)
     assert v == pytest.approx(slopes[1], rel=1e-12)
 
-
-def test_export_bundle_round_trip(tmp_path):
-    b = build(sample(generic_spec(seed=2), 8))
-    dense_path = tmp_path / "j.mtx"
-    ref_path = tmp_path / "h.txt"
-    export_bundle(b, dense_path, ref_path)
-    import scipy.io
-
-    j = scipy.io.mmread(dense_path).toarray()
-    assert np.allclose(j, b.dense())
-    lines = [l for l in ref_path.read_text().splitlines() if not l.startswith("#")]
-    assert len(lines) == 8

@@ -174,7 +174,8 @@ def test_phi_node_once_matches_per_cell_oracle(fig1b_ids):
 def test_phi_dy_is_im_stieltjes_and_the_y_derivative(fig1b_ids):
     rng = np.random.Generator(np.random.Philox(key=62))
     zs = rng.uniform(-3.0, 4.0, 60) + 1j * rng.uniform(0.05, 2.5, 60)
-    value, dy = phi_dy_many(fig1b_ids, zs)
+    value, m = phi_dy_many(fig1b_ids, zs)
+    dy = m.imag
     assert np.array_equal(value, phi_many(fig1b_ids, zs))
     assert np.max(np.abs(dy - stieltjes_many(fig1b_ids, zs).imag)) < 1e-12
     h = 1e-5
@@ -206,6 +207,18 @@ def test_stieltjes_conjugation_and_herglotz(fig1b_ids):
         m = stieltjes(fig1b_ids, z)
         assert m.imag > 0.0
         assert stieltjes(fig1b_ids, np.conj(z)) == np.conj(m)
+
+
+def test_stieltjes_matches_the_complex_log_per_cell(fig1b_ids):
+    # oracle: each cell adds s_i * [log(g_{i+1} - z) - log(g_i - z)], principal branch
+    rng = np.random.Generator(np.random.Philox(key=64))
+    zs = rng.uniform(-3.0, 4.0, 80) + 1j * rng.uniform(0.01, 2.5, 80) * rng.choice([-1.0, 1.0], 80)
+    logs = np.log(fig1b_ids.grid[None, :] - zs[:, None])
+    oracle = np.diff(logs, axis=1) @ fig1b_ids.cell_density
+    m = stieltjes_many(fig1b_ids, zs)
+    assert np.max(np.abs(m - oracle) / np.abs(oracle)) < 1e-14
+    upper = zs.imag > 0.0
+    assert np.array_equal(phi_dy_many(fig1b_ids, zs[upper])[1], stieltjes_many(fig1b_ids, zs[upper]))
 
 
 def test_stieltjes_rejects_real_z(fig1b_ids):

@@ -46,8 +46,11 @@ _VECTOR_LIMIT = 800
 
 def tridiagonal_counts(diag: np.ndarray, off: np.ndarray, lams) -> np.ndarray:
     """Eigenvalues below each lam for the symmetric tridiagonal (diag, off)."""
+    diag = np.asarray(diag, dtype=float)
+    if diag.shape[0] == 0:
+        raise ValidationError("empty matrix")
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    return sturm_counts(np.asarray(diag, float), np.asarray(off, float), lams)
+    return sturm_counts(diag, np.asarray(off, float), lams)
 
 
 def symmetric_eigencount(bundle: OperatorBundle, lam: float) -> int:
@@ -59,6 +62,9 @@ def symmetric_eigencounts(bundles: Sequence[OperatorBundle], lams: np.ndarray) -
     """Reference eigenvalue counts below each lam, one row per bundle, from
     one Sturm pass over all (bundle, lam) lanes; the bundles must share n.
     Each row equals symmetric_eigencount of its bundle at every lam."""
+    sizes = sorted({b.n for b in bundles})
+    if len(sizes) != 1:
+        raise ValidationError(f"bundles must share one n, got n in {sizes}")
     lams = np.asarray(lams, dtype=float)
     counts = sturm_counts(
         np.stack([b.h_diag for b in bundles], axis=1),

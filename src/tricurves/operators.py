@@ -157,13 +157,6 @@ class OperatorBundle:
         h[idx[:-1], idx[1:]] = self.h_off
         return h
 
-    def dense_perturbed(self) -> np.ndarray:
-        """H + V with the corner entries materialized (small n only)."""
-        hv = self.dense_reference()
-        hv[0, self.n - 1] += self.a_n
-        hv[self.n - 1, 0] += self.b_n
-        return hv
-
 
 def build(seq: CoefficientSequence) -> OperatorBundle:
     """Assemble the bundle for one realization (needs n >= 2)."""

@@ -152,14 +152,23 @@ def _complex_primitive(ids: IdsEstimate, zs: np.ndarray) -> tuple:
     return t * half_log - t + y * atan, half_log, atan
 
 
+def _cell_sums(f: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """sum_i dens_i (f[:, i+1] - f[:, i]) for each row of node values f.
+
+    einsum, not a BLAS product: BLAS splits the sum by how many rows
+    share the call, so a row's last bits would depend on its batch.  Here
+    each row gets the same result alone or in any batch."""
+    return np.einsum("ij,j->i", np.diff(f, axis=1), dens)
+
+
 def _stieltjes(dens: np.ndarray, half_log: np.ndarray, atan: np.ndarray) -> np.ndarray:
     """integral dN(lambda) / (lambda - z) from the node values of
     _complex_primitive: per cell, log(lambda - z) moves by the difference
     of log|t - iy| in its real part and of atan(t/y) in its imaginary
     part (arg(lambda - z) and atan(t/y) differ by a constant for each z).
-    The two parts are summed as separate real products: a complex product
-    would reorder the sum of Im m, the slope of the curve-height sweeps."""
-    return np.diff(half_log, axis=1) @ dens + 1j * (np.diff(atan, axis=1) @ dens)
+    The two parts are summed as separate real sums: a complex sum would
+    reorder the sum of Im m, the slope of the curve-height sweeps."""
+    return _cell_sums(half_log, dens) + 1j * _cell_sums(atan, dens)
 
 
 def phi_many(ids: IdsEstimate, zs: np.ndarray) -> np.ndarray:
@@ -169,7 +178,8 @@ def phi_many(ids: IdsEstimate, zs: np.ndarray) -> np.ndarray:
     s_i * (F(g_{i+1}) - F(g_i)) with the exact primitive
     F(lam) = t log|t| - t for real z (t = lam - x) and
     F(lam) = t log(t^2+y^2)/2 - t + y atan(t/y) for y != 0.
-    F is evaluated once per grid node and differenced along the grid.
+    F is evaluated once per grid node and differenced along the grid,
+    and each z's value does not depend on the other points of the call.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     dens = ids.cell_density
@@ -180,10 +190,10 @@ def phi_many(ids: IdsEstimate, zs: np.ndarray) -> np.ndarray:
         r = np.abs(t)
         with np.errstate(divide="ignore", invalid="ignore"):
             f = np.where(r == 0.0, 0.0, t * np.log(r) - t)
-        out[real_rows] = np.diff(f, axis=1) @ dens
+        out[real_rows] = _cell_sums(f, dens)
     if not np.all(real_rows):
         f, _, _ = _complex_primitive(ids, zs[~real_rows])
-        out[~real_rows] = np.diff(f, axis=1) @ dens
+        out[~real_rows] = _cell_sums(f, dens)
     return out
 
 
@@ -197,7 +207,7 @@ def phi_dy_many(ids: IdsEstimate, zs: np.ndarray) -> tuple:
         raise ValidationError("phi_dy_many needs Im z > 0")
     dens = ids.cell_density
     f, half_log, atan = _complex_primitive(ids, zs)
-    return np.diff(f, axis=1) @ dens, _stieltjes(dens, half_log, atan)
+    return _cell_sums(f, dens), _stieltjes(dens, half_log, atan)
 
 
 def phi(ids: IdsEstimate, z: complex) -> float:

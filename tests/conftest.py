@@ -38,6 +38,15 @@ def generic_spec(seed=7):
     )
 
 
+def dense_perturbed(bundle):
+    """Oracle: H + V, the symmetric reference plus the two corner entries
+    a_n (top right) and b_n (bottom left), materialized (small n only)."""
+    hv = bundle.dense_reference()
+    hv[0, bundle.n - 1] += bundle.a_n
+    hv[bundle.n - 1, 0] += bundle.b_n
+    return hv
+
+
 @pytest.fixture(scope="session")
 def free_ids():
     return estimate_ids(free_spec(), 5000, 4)

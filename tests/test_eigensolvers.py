@@ -18,6 +18,7 @@ from tricurves import (
     symmetric_eigencount,
     symmetric_spectrum,
 )
+from tricurves import _kernels
 from tricurves.eigensolvers import (
     characteristic_residual,
     multiset_distance,
@@ -25,8 +26,9 @@ from tricurves.eigensolvers import (
     tridiagonal_counts,
     tridiagonal_spectrum,
 )
+from tricurves.ensembles import realization
 
-from conftest import fig1a_spec, fig1b_spec, free_spec, generic_spec
+from conftest import dense_perturbed, fig1a_spec, fig1b_spec, free_spec, generic_spec
 
 
 def log_det_reference(bundle, z) -> complex:
@@ -144,6 +146,113 @@ def test_batched_counts_equal_per_bundle_counts():
         assert np.array_equal(row, tridiagonal_counts(b.h_diag, b.h_off, lams))
 
 
+def stepwise_counts(diag, off, lams):
+    """Oracle: the k-sequential Sturm loop, one step k over all lanes per
+    vector operation, with the kernel's lane layout and pivot floors."""
+    diag = np.asarray(diag, dtype=np.float64)
+    off2 = np.square(np.asarray(off, dtype=np.float64))
+    lams = np.asarray(lams, dtype=np.float64)
+    n = diag.shape[0]
+    diag = diag.reshape(n, -1, 1)
+    off2 = off2.reshape(max(n - 1, 0), diag.shape[1], 1)
+    lams = lams.reshape(diag.shape[1], -1)
+    pivmin = np.finfo(np.float64).tiny * np.max(off2, axis=0, initial=1.0)
+    d = diag[0] - lams
+    np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
+    count = (d < 0.0).astype(np.int64)
+    for k in range(1, n):
+        d = (diag[k] - lams) - off2[k - 1] / d
+        np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
+        count += d < 0.0
+    return count.reshape(-1)
+
+
+@pytest.fixture
+def sturm_steps(monkeypatch):
+    """(blocks, steps) of every stretch the Sturm kernel advances."""
+    calls = []
+    advance = _kernels._advance
+
+    def counted(diag, off2, lams, pivmin, d, count, start, stop):
+        calls.append((d.shape[0], stop - start))
+        return advance(diag, off2, lams, pivmin, d, count, start, stop)
+
+    monkeypatch.setattr(_kernels, "_advance", counted)
+    return calls
+
+
+def _padded_gershgorin_grid(bundle, points):
+    lo, hi = bundle.gershgorin()
+    half = 0.025 * (hi - lo)
+    return np.linspace(lo - half, hi + half, points)
+
+
+def test_blocked_counts_match_stepwise_oracle(sturm_steps):
+    # the IDS shape of the limit workload: every block coalesces, so the
+    # kernel advances far fewer than n sequential steps
+    n = 40000
+    b = build(sample(fig1b_spec(seed=2024), n))
+    lams = _padded_gershgorin_grid(b, 1024)
+    counts = tridiagonal_counts(b.h_diag, b.h_off, lams)
+    assert max(blocks for blocks, _ in sturm_steps) > 1
+    assert sum(steps for _, steps in sturm_steps) <= n // 4
+    assert np.array_equal(counts, stepwise_counts(b.h_diag, b.h_off, lams))
+
+
+def test_blocked_counts_fall_back_where_blocks_never_coalesce(sturm_steps):
+    # inside the band [-2, 2] of the free chain the pivot maps rotate and
+    # never contract; odd n puts an exact eigenvalue at lam = 0
+    n = 40001
+    diag, off = np.zeros(n), -np.ones(n - 1)
+    lams = np.concatenate([np.linspace(-2.5, 2.5, 1021), [0.0, -1e-9, 1e-9]])
+    counts = tridiagonal_counts(diag, off, lams)
+    assert (1, n) in sturm_steps  # the sequential pass over the lanes that failed
+    assert np.array_equal(counts, stepwise_counts(diag, off, lams))
+    assert list(counts[1021:]) == [n // 2 + 1, n // 2, n // 2 + 1]  # ties count below
+
+
+def test_blocked_counts_keep_each_pivot_floor(sturm_steps):
+    # couplings near e^349 give each realization its own pivot floor, up to
+    # about 2e-5; n % blocks != 0 gives block 0 extra steps.  Near lam = 0
+    # the blocks never coalesce (the couplings dwarf every shift in
+    # [-3, 3]); at lam = +-1e150 they coalesce
+    n = 8195
+    huge = EnsembleSpec(
+        DistributionSpec.uniform(340.0, 350.0),
+        DistributionSpec.uniform(340.0, 350.0),
+        DistributionSpec.uniform(-1, 1),
+        seed=4,
+    )
+    bundles = [build(realization(huge, n, r)) for r in range(2)]
+    lams = np.concatenate([np.linspace(-3.0, 3.0, 505), [-1e-5, -1e-7, -1e-9, 0.0, 1e-9, -1e150, 1e150]])
+    counts = symmetric_eigencounts(bundles, lams)
+    assert max(blocks for blocks, _ in sturm_steps) > 1
+    oracle = stepwise_counts(
+        np.stack([b.h_diag for b in bundles], axis=1), np.stack([b.h_off for b in bundles], axis=1),
+        np.tile(lams, 2),
+    )
+    assert np.array_equal(counts.reshape(-1), oracle)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_counts_of_tiny_matrices_match_stepwise_oracle(n):
+    rng = np.random.Generator(np.random.Philox(key=70 + n))
+    diag, off = rng.uniform(-1, 1, n), -np.exp(rng.uniform(-1, 1, n - 1))
+    lams = np.concatenate([np.linspace(-4.0, 4.0, 41), diag, [-1e150, 1e150]])
+    assert np.array_equal(tridiagonal_counts(diag, off, lams), stepwise_counts(diag, off, lams))
+
+
+def test_eigencounts_need_a_shared_n():
+    bundles = [build(sample(generic_spec(seed=3), n)) for n in (30, 31)]
+    with pytest.raises(ValidationError, match="share one n"):
+        symmetric_eigencounts(bundles, [0.0])
+
+
+def test_counts_reject_an_empty_matrix():
+    with pytest.raises(ValidationError, match="empty matrix"):
+        tridiagonal_counts(np.zeros(0), np.zeros(0), [0.0])
+
+
 def test_free_spectrum_closed_form():
     n = 200
     evs = tridiagonal_spectrum(np.zeros(n), -np.ones(n - 1))
@@ -224,7 +333,7 @@ def test_similarity_preserves_spectrum():
     for spec, n in cases:
         b = build(sample(spec, n))
         direct = spectrum(b).eigenvalues
-        transformed = np.linalg.eigvals(b.dense_perturbed())
+        transformed = np.linalg.eigvals(dense_perturbed(b))
         assert multiset_distance(direct, transformed) < 1e-8
 
 

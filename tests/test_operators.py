@@ -15,7 +15,7 @@ from tricurves.operators import (
 )
 from tricurves._kernels import transfer_product_scaled
 
-from conftest import fig1b_spec, free_spec, generic_spec
+from conftest import dense_perturbed, fig1b_spec, free_spec, generic_spec
 
 
 def one_step_matrix(bundle, k, z):
@@ -94,7 +94,7 @@ def test_similarity_identity_elementwise():
     b = build(sample(generic_spec(seed=50), 50))
     w = np.diag(b.w[1:51])
     lhs = np.linalg.inv(w) @ b.dense() @ w
-    rhs = b.dense_perturbed()
+    rhs = dense_perturbed(b)
     scale = np.max(np.abs(rhs))
     assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
 

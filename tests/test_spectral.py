@@ -152,8 +152,8 @@ def _phi_per_cell(ids, zs):
 
     rr = np.where(zs.imag == 0.0)[0]
     cc = np.where(zs.imag != 0.0)[0]
-    out[rr] = (primitive_real(t1[rr]) - primitive_real(t0[rr])) @ dens
-    out[cc] = (primitive_cplx(t1[cc], y[cc]) - primitive_cplx(t0[cc], y[cc])) @ dens
+    out[rr] = np.einsum("ij,j->i", primitive_real(t1[rr]) - primitive_real(t0[rr]), dens)
+    out[cc] = np.einsum("ij,j->i", primitive_cplx(t1[cc], y[cc]) - primitive_cplx(t0[cc], y[cc]), dens)
     return out
 
 
@@ -219,6 +219,26 @@ def test_stieltjes_matches_the_complex_log_per_cell(fig1b_ids):
     assert np.max(np.abs(m - oracle) / np.abs(oracle)) < 1e-14
     upper = zs.imag > 0.0
     assert np.array_equal(phi_dy_many(fig1b_ids, zs[upper])[1], stieltjes_many(fig1b_ids, zs[upper]))
+
+
+def test_cell_sums_do_not_depend_on_the_batch(fig1b_ids):
+    # a point's values are bit-equal alone, in a slice and in the full batch
+    rng = np.random.Generator(np.random.Philox(key=65))
+    upper = rng.uniform(-3.0, 4.0, 300) + 1j * rng.uniform(0.01, 2.5, 300)
+    nonreal = np.concatenate([upper, np.conj(upper[:50])])
+    points = np.concatenate([nonreal, rng.uniform(-3.0, 4.0, 50).astype(complex)])
+    batches = {
+        "phi_many": (lambda zs: phi_many(fig1b_ids, zs), points),
+        "phi_dy_many": (lambda zs: np.stack(phi_dy_many(fig1b_ids, zs)), upper),
+        "stieltjes_many": (lambda zs: stieltjes_many(fig1b_ids, zs), nonreal),
+    }
+    for name, (evaluate, zs) in batches.items():
+        full = evaluate(zs)
+        for i in (0, 1, 151, zs.shape[0] - 1):
+            lo = max(i - 3, 0)
+            assert np.array_equal(evaluate(zs[i : i + 1])[..., 0], full[..., i]), (name, i)
+            assert np.array_equal(evaluate(zs[lo : i + 5])[..., i - lo], full[..., i]), (name, i)
+    assert np.array_equal(phi_dy_many(fig1b_ids, upper)[1], stieltjes_many(fig1b_ids, nonreal)[:300])
 
 
 def test_stieltjes_rejects_real_z(fig1b_ids):

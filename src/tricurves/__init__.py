@@ -14,7 +14,6 @@ from .errors import (
     NumericalError,
     EigenSolveError,
     SingularResolventError,
-    ScaleOverflowError,
     VerificationFailure,
 )
 from .ensembles import (
@@ -22,21 +21,12 @@ from .ensembles import (
     EnsembleSpec,
     CoefficientSequence,
     sample,
-    empirical_means,
     analytic_means,
     mean_log_coupling,
 )
-from .operators import OperatorBundle, TransferState, build, transfer_product, boundary_matrix
-from .eigensolvers import (
-    SpectrumResult,
-    ResolventCorners,
-    symmetric_eigencount,
-    symmetric_spectrum,
-    spectrum,
-    resolvent_corners,
-    rank2_det,
-)
-from .spectral import IdsEstimate, LyapunovEstimate, estimate_ids, phi, stieltjes, lyapunov_transfer, lyapunov_thouless
-from .curves import CurveModel, coupling_g, trace_curve, real_support_sigma, curve_density, limit_measure_integral
+from .operators import OperatorBundle, TransferState, build, transfer_product
+from .eigensolvers import SpectrumResult, ResolventCorners, spectrum, resolvent_corners, rank2_det
+from .spectral import IdsEstimate, LyapunovEstimate, estimate_ids, lyapunov_transfer, lyapunov_thouless
+from .curves import CurveModel, coupling_g, trace_curve, real_support_sigma, limit_measure_integral
 
 __version__ = "0.1.0"

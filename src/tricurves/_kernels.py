@@ -179,8 +179,7 @@ def transfer_product_scaled(c: np.ndarray, q: np.ndarray, z):
 
     Lanes: c and q of shape (n+1, L) and z of shape (L,) give L independent
     products, returned as log_scale (L,) and M (L, 2, 2); a (n+1,) or
-    scalar argument is shared by all lanes.  With c, q of shape (n+1,) and
-    a scalar z the result is (float, (2, 2) array).
+    scalar argument is shared by all lanes.
 
     Blocks: the k-range 1..n is cut into blocks of ceil(sqrt(n)) steps.
     Every (lane, block) product A_k ... A_first advances one step per
@@ -191,12 +190,9 @@ def transfer_product_scaled(c: np.ndarray, q: np.ndarray, z):
     """
     c = np.asarray(c, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    z = np.asarray(z, dtype=np.complex128)
-    one_lane = c.ndim == q.ndim == 1 and z.ndim == 0
-    # a single product runs as one lane, through the same code path
     c = c.reshape(c.shape[0], -1)
     q = q.reshape(q.shape[0], -1)
-    z = z.reshape(-1)
+    z = np.asarray(z, dtype=np.complex128).reshape(-1)
     lanes = np.broadcast_shapes(c.shape[1:], q.shape[1:], z.shape)
     n = c.shape[0] - 1
     size = math.isqrt(max(n, 1) - 1) + 1  # steps per block, ceil(sqrt(n))
@@ -235,7 +231,4 @@ def transfer_product_scaled(c: np.ndarray, q: np.ndarray, z):
         norm = np.maximum(colsum[0], colsum[1])
         m_top, m_bottom = new_top / norm, new_bottom / norm
         total = total + (log_scale[blk] + np.log(norm))
-    m = np.stack([m_top.T, m_bottom.T], axis=1)
-    if one_lane:
-        return float(total[0]), m[0]
-    return total, m
+    return total, np.stack([m_top.T, m_bottom.T], axis=1)

@@ -70,8 +70,11 @@ class ExperimentConfig:
             if f.type is tuple and not _holds_complex(f):
                 if not value or any(n < 2 for n in value):
                     raise ValidationError(f"{f.name} must be a nonempty list of integers >= 2")
-                if list(value) != sorted(value):
-                    raise ValidationError(f"{f.name} must be ascending")
+                if any(b <= a for a, b in zip(value, value[1:])):
+                    raise ValidationError(f"{f.name} must be ascending, without repeats")
+        if len(self.panel_sizes) < 2:
+            # the panel checks that its error falls from size to size
+            raise ValidationError("panel_sizes needs at least two sizes")
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, ensemble=replace(self.ensemble, seed=int(seed)))

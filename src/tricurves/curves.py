@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .ensembles import EnsembleSpec, analytic_means
 from .errors import NumericalError, ValidationError
 from . import artifacts
-from .spectral import IdsEstimate, lyapunov_thouless, phi_dy_many, phi_many, stieltjes_many
+from .spectral import IdsEstimate, lyapunov_thouless, phi_dy_many, phi_many
 
 __all__ = [
     "Arc",
@@ -31,7 +31,6 @@ __all__ = [
     "coupling_g",
     "trace_curve",
     "real_support_sigma",
-    "curve_density",
     "limit_measure_integral",
     "gaussian_bump",
     "default_bump_panel",
@@ -85,11 +84,15 @@ class CurveModel:
     ids: IdsEstimate
     curve_tol: float
 
+    def interval_mass(self, lo: float, hi: float) -> float:
+        """dN-mass of the real interval [lo, hi]."""
+        return _interp_n(self.ids, hi) - _interp_n(self.ids, lo)
+
     def sigma_mass(self) -> float:
         """dN-mass of the real component."""
         total = 0.0
         for lo, hi in self.sigma:
-            total += _interp_n(self.ids, hi) - _interp_n(self.ids, lo)
+            total += self.interval_mass(lo, hi)
         return total
 
     def arcs_mass(self) -> float:
@@ -120,13 +123,13 @@ def _upper_height(mean_log_c: float, abs_g: float) -> float:
 def trace_curve(
     ids: IdsEstimate,
     g: float,
-    x_grid: Optional[np.ndarray] = None,
     mean_log_c: float = 0.0,
     x_points: int = 800,
     curve_tol: float = 1e-6,
 ) -> CurveModel:
-    """Trace the level set gamma = |g| over the given (or an automatic)
-    x grid; group qualifying abscissae into arcs, solve each one's height
+    """Trace the level set gamma = |g| over a grid of x_points abscissae
+    that pads the support of dN by 1.5 max(1, e^(|g| + mean_log_c)) on
+    each side; group qualifying abscissae into arcs, solve each one's height
     by safeguarded Newton in y (d gamma / dy = Im m) to a residual below
     curve_tol, refine the real endpoints by bisection in x, and attach
     the curve density.  A height solve that stalls raises NumericalError.
@@ -142,12 +145,9 @@ def trace_curve(
             g=float(g), threshold=threshold, mean_log_c=mean_log_c,
             arcs=(), real_points=(), sigma=sigma, ids=ids, curve_tol=curve_tol,
         )
-    if x_grid is None:
-        pad = max(1.0, math.exp(abs_g + mean_log_c)) * 1.5
-        lo, hi = ids.support
-        x_grid = np.linspace(lo - pad, hi + pad, x_points)
-    else:
-        x_grid = np.asarray(x_grid, dtype=float)
+    pad = max(1.0, math.exp(abs_g + mean_log_c)) * 1.5
+    lo, hi = ids.support
+    x_grid = np.linspace(lo - pad, hi + pad, x_points)
     gam = lyapunov_thouless(ids, mean_log_c, x_grid)
     qualify = gam <= abs_g
     # never let the scan window clip the curve
@@ -245,14 +245,14 @@ def _solve_heights(ids, mean_log_c, abs_g, xs, y_hi, curve_tol) -> tuple:
     )
 
 
-def real_support_sigma(ids: IdsEstimate, threshold: float, tie_band: float = _TIE_BAND) -> tuple:
+def real_support_sigma(ids: IdsEstimate, threshold: float) -> tuple:
     """Intervals of supp dN where Phi(lambda + i0) strictly exceeds the
-    threshold.  Grid points within tie_band of the threshold are assigned
+    threshold.  Grid points within _TIE_BAND of the threshold are assigned
     to neither side (dropped) to avoid double counting with the contours."""
     dens = ids.cell_density
     mids = 0.5 * (ids.grid[:-1] + ids.grid[1:])
     phi_mid = phi_many(ids, mids.astype(complex))
-    qualifies = (dens > 0.0) & (phi_mid > threshold + tie_band)
+    qualifies = (dens > 0.0) & (phi_mid > threshold + _TIE_BAND)
     intervals = []
     start = None
     for i, flag in enumerate(qualifies):
@@ -264,16 +264,6 @@ def real_support_sigma(ids: IdsEstimate, threshold: float, tie_band: float = _TI
     if start is not None:
         intervals.append((float(start), float(ids.grid[-1])))
     return tuple(intervals)
-
-
-def curve_density(ids: IdsEstimate, z: complex) -> float:
-    """Linear eigenvalue density along the curve: |m(z)| / 2 pi where m is
-    the Stieltjes transform of dN.  Requires Im z > 0 (endpoint values are
-    one-sided limits along the arc)."""
-    z = complex(z)
-    if z.imag <= 0.0:
-        raise ValidationError("curve_density needs Im z > 0")
-    return float(np.abs(stieltjes_many(ids, [z]))[0] / (2.0 * np.pi))
 
 
 def limit_measure_integral(model: CurveModel, f: Callable[[complex], float]) -> float:

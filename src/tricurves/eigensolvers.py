@@ -2,13 +2,13 @@
 
 Symmetric tridiagonal counting is hand-rolled (safeguarded Sturm
 sequences, vectorized over (realization x shift) lanes) because it is the
-backbone of the density-of-states estimator; full symmetric spectra come
-from LAPACK through scipy.  The dense nonsymmetric spectrum delegates to LAPACK's
-balancing + Hessenberg + implicitly shifted QR through numpy;
-non-convergence is surfaced, never swallowed.  Resolvent corners,
-det(H - z) and the rank-2 corner-perturbation determinant are read off
-one renormalized transfer product, with the values that leave the double
-range held as complex logarithms.
+backbone of the density-of-states estimator.  The dense nonsymmetric
+spectrum delegates to LAPACK's balancing + Hessenberg + implicitly
+shifted QR through numpy; non-convergence is surfaced, never swallowed.
+Resolvent corners, det(H - z) and the rank-2 corner-perturbation
+determinant are read off one renormalized transfer product, which the
+caller supplies, with the values that leave the double range held as
+complex logarithms.
 """
 
 from __future__ import annotations
@@ -22,16 +22,12 @@ import numpy as np
 
 from ._kernels import sturm_counts
 from .errors import EigenSolveError, SingularResolventError, ValidationError
-from .operators import OperatorBundle, TransferState, boundary_residual, transfer_product
+from .operators import OperatorBundle, TransferState, boundary_residual
 
 __all__ = [
     "SpectrumResult",
     "ResolventCorners",
-    "symmetric_eigencount",
     "symmetric_eigencounts",
-    "symmetric_spectrum",
-    "tridiagonal_counts",
-    "tridiagonal_spectrum",
     "spectrum",
     "resolvent_corners",
     "rank2_det",
@@ -44,50 +40,20 @@ _VECTOR_LIMIT = 800
 
 # -- symmetric tridiagonal --------------------------------------------------
 
-def tridiagonal_counts(diag: np.ndarray, off: np.ndarray, lams) -> np.ndarray:
-    """Eigenvalues below each lam for the symmetric tridiagonal (diag, off)."""
-    diag = np.asarray(diag, dtype=float)
-    if diag.shape[0] == 0:
-        raise ValidationError("empty matrix")
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    return sturm_counts(diag, np.asarray(off, float), lams)
-
-
-def symmetric_eigencount(bundle: OperatorBundle, lam: float) -> int:
-    """Exact count of reference eigenvalues in (-inf, lam)."""
-    return int(tridiagonal_counts(bundle.h_diag, bundle.h_off, [lam])[0])
-
-
 def symmetric_eigencounts(bundles: Sequence[OperatorBundle], lams: np.ndarray) -> np.ndarray:
-    """Reference eigenvalue counts below each lam, one row per bundle, from
-    one Sturm pass over all (bundle, lam) lanes; the bundles must share n.
-    Each row equals symmetric_eigencount of its bundle at every lam."""
+    """Reference eigenvalue counts in (-inf, lam) for each lam, one row per
+    bundle, from one Sturm pass over all (bundle, lam) lanes; the bundles
+    must share n."""
     sizes = sorted({b.n for b in bundles})
     if len(sizes) != 1:
         raise ValidationError(f"bundles must share one n, got n in {sizes}")
     lams = np.asarray(lams, dtype=float)
     counts = sturm_counts(
-        np.stack([b.h_diag for b in bundles], axis=1),
+        np.stack([b.diag for b in bundles], axis=1),
         np.stack([b.h_off for b in bundles], axis=1),
         np.tile(lams, len(bundles)),
     )
     return counts.reshape(len(bundles), lams.shape[0])
-
-
-def tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix, sorted ascending
-    (LAPACK through scipy)."""
-    # imported here: scipy.linalg would add to the start-up of every CLI call
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    diag = np.asarray(diag, dtype=float)
-    if diag.shape[0] == 0:
-        raise ValidationError("empty matrix")
-    return eigvalsh_tridiagonal(diag, np.asarray(off, dtype=float))
-
-
-def symmetric_spectrum(bundle: OperatorBundle) -> np.ndarray:
-    return tridiagonal_spectrum(bundle.h_diag, bundle.h_off)
 
 
 # -- dense nonsymmetric spectrum ---------------------------------------------
@@ -100,55 +66,21 @@ class SpectrumResult:
     when eigenvectors were computed (n <= 800), otherwise the worst periodic
     boundary-condition probe residual over three sampled eigenvalues
     (method tag then carries the "+probe" suffix; raw bundles above the
-    vector limit report nan).  trace and log_abs_det record the invariant
-    targets sum q_k and log|det J|.
+    vector limit report nan).
     """
 
     eigenvalues: np.ndarray
     n: int
     method: str
     residual: float
-    trace: float
-    log_abs_det: float
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
-
-    def nonreal_fraction(self, tol: float = 1e-6) -> float:
-        return float(np.mean(np.abs(self.eigenvalues.imag) > tol))
 
     def empirical_integral(self, f) -> float:
         """Mean of f over the eigenvalues: the integral of f against the
         empirical measure that puts mass 1/n on each eigenvalue."""
         return float(np.mean([f(complex(z)) for z in self.eigenvalues]).real)
-
-    def trace_defect(self) -> float:
-        """|sum z_i - trace| / (n * max(1, |trace|)); invariant <= 1e-8."""
-        s = complex(np.sum(self.eigenvalues))
-        return abs(s - self.trace) / (self.n * max(1.0, abs(self.trace)))
-
-    def det_defect(self) -> float:
-        """Per-eigenvalue defect of sum log|z_i| against log|det J|;
-        -inf/-inf (an exactly singular matrix) counts as a match."""
-        logs = np.log(np.abs(self.eigenvalues))
-        s = float(np.sum(logs))
-        if not math.isfinite(s) or not math.isfinite(self.log_abs_det):
-            return 0.0 if s == self.log_abs_det else float("inf")
-        return abs(s - self.log_abs_det) / (self.n * max(1.0, abs(self.log_abs_det)))
-
-    def conjugation_defect(self) -> float:
-        """Multiset distance between the spectrum and its conjugate."""
-        return multiset_distance(self.eigenvalues, np.conj(self.eigenvalues))
-
-
-def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max pairwise distance after sorting both sets by (Re, Im)."""
-    key = lambda v: np.lexsort((np.imag(v), np.real(v)))
-    a = np.asarray(a, complex)
-    b = np.asarray(b, complex)
-    if a.shape != b.shape:
-        raise ValidationError("multisets must have equal size")
-    return float(np.max(np.abs(a[key(a)] - b[key(b)])))
 
 
 def spectrum(bundle: OperatorBundle, want_vectors: Optional[bool] = None) -> SpectrumResult:
@@ -184,21 +116,7 @@ def spectrum(bundle: OperatorBundle, want_vectors: Optional[bool] = None) -> Spe
         method += "+probe"
     else:
         residual = float("nan")
-    return SpectrumResult(
-        eigenvalues=ev,
-        n=n,
-        method=method,
-        residual=residual,
-        trace=float(np.sum(bundle.diag)),
-        log_abs_det=log_abs_det_dense(j),
-    )
-
-
-def log_abs_det_dense(m: np.ndarray) -> float:
-    sign, logdet = np.linalg.slogdet(m)
-    if sign == 0:
-        return float("-inf")
-    return float(logdet)
+    return SpectrumResult(eigenvalues=ev, n=n, method=method, residual=residual)
 
 
 # -- resolvent corners and rank-2 determinant ---------------------------------
@@ -218,9 +136,8 @@ def log_abs_det_dense(m: np.ndarray) -> float:
 @dataclass(frozen=True)
 class ResolventCorners:
     """Corner entries of (H - z)^-1 and det(H - z), read off one transfer
-    product.  log_g1n and log_det are complex logarithms; g1n materializes
-    G_1n (= G_n1, the reference is symmetric) and may under- or overflow
-    for large n."""
+    product.  log_g1n (G_1n = G_n1, the reference is symmetric) and
+    log_det are complex logarithms."""
 
     z: complex
     n: int
@@ -229,25 +146,16 @@ class ResolventCorners:
     log_g1n: complex
     log_det: complex
 
-    @property
-    def g1n(self) -> complex:
-        return cmath.exp(self.log_g1n)
 
-
-def resolvent_corners(
-    bundle: OperatorBundle, z: complex, state: Optional[TransferState] = None
-) -> ResolventCorners:
+def resolvent_corners(bundle: OperatorBundle, z: complex, state: TransferState) -> ResolventCorners:
     """Corner resolvent entries of the symmetric reference and det(H - z),
-    from one transfer product.  state is transfer_product(bundle, z) when
-    the caller already holds it (say, one lane of transfer_products);
-    otherwise it is computed here.
+    from state = transfer_product(bundle, z) (say, one lane of
+    transfer_products).
 
     Requires z off the reference spectrum (use Im z != 0, or a real z in a
     spectral gap); a vanishing determinant raises SingularResolventError.
     """
     z = complex(z)
-    if state is None:
-        state = transfer_product(bundle, z)
     (m00, m01), (m10, _) = state.matrix
     if m00 == 0:
         raise SingularResolventError(f"z={z} is (numerically) an eigenvalue of the reference matrix")
@@ -274,34 +182,27 @@ def _log_add(x: complex, y: complex) -> complex:
     return x + cmath.log(rest) if rest != 0 else complex(-math.inf, 0.0)
 
 
-def rank2_det(
-    bundle: OperatorBundle, z: complex, corners: Optional[ResolventCorners] = None
-) -> complex:
+def rank2_det(bundle: OperatorBundle, corners: ResolventCorners) -> complex:
     """Determinant ratio det(J - z) / det(H - z) of the rank-2 corner
-    perturbation, (1 + a G_n1)(1 + b G_1n) - a b G_11 G_nn, as a complex
-    logarithm.  corners are resolvent_corners(bundle, z) when the caller
-    already holds them; otherwise they are computed here.
+    perturbation at z = corners.z, (1 + a G_n1)(1 + b G_1n) - a b G_11 G_nn,
+    as a complex logarithm.
 
     a G_1n and b G_1n are formed from their logarithms, sums of moderate
     terms even when a_n alone would overflow; a_n, b_n < 0 and a b > 0.
     """
-    rc = resolvent_corners(bundle, z) if corners is None else corners
-    log_d = sum(_log_add(0j, complex(log_abs, math.pi) + rc.log_g1n)  # log(1 + a G_1n) + log(1 + b G_1n)
+    log_d = sum(_log_add(0j, complex(log_abs, math.pi) + corners.log_g1n)  # log(1 + a G_1n) + log(1 + b G_1n)
                 for log_abs in (bundle.log_abs_a, bundle.log_abs_b))
-    cross = rc.g11 * rc.gnn
+    cross = corners.g11 * corners.gnn
     if cross == 0:
         return log_d
     return _log_add(log_d, bundle.log_abs_a + bundle.log_abs_b + cmath.log(-cross))
 
 
-def characteristic_residual(
-    bundle: OperatorBundle, z: complex, corners: Optional[ResolventCorners] = None
-) -> float:
-    """|det(J - z)| ratio defect against the rank-2 factorization, in log
-    modulus: |log|det(J-z)| - log|d| - log|det(H-z)||.  corners are
-    resolvent_corners(bundle, z) when the caller already holds them."""
-    lhs = log_abs_det_dense(bundle.dense() - complex(z) * np.eye(bundle.n))
-    # one transfer product serves both factors
-    rc = resolvent_corners(bundle, z) if corners is None else corners
-    rhs = rank2_det(bundle, z, rc).real + rc.log_det.real
+def characteristic_residual(bundle: OperatorBundle, corners: ResolventCorners) -> float:
+    """|det(J - z)| ratio defect against the rank-2 factorization at
+    z = corners.z, in log modulus: |log|det(J-z)| - log|d| - log|det(H-z)||;
+    one transfer product serves both factors."""
+    sign, logdet = np.linalg.slogdet(bundle.dense() - corners.z * np.eye(bundle.n))
+    lhs = float(logdet) if sign != 0 else -math.inf
+    rhs = rank2_det(bundle, corners).real + corners.log_det.real
     return abs(lhs - rhs)

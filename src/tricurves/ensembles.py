@@ -14,10 +14,10 @@ with one stream per field: stream key = 4 * seed + field index, where the
 field indices are xi -> 0, eta -> 1, q -> 2 (same slots for sub/sup/diag
 in raw mode).  The value at index k is inverse-CDF(u_k) where u_k is built
 from the k-th 64-bit word of the stream (u = (word >> 11) * 2**-53).
-Values are therefore pure functions of (seed, field, k): disjoint index
-ranges can be generated independently and concurrently and always agree
-with a single bulk pass.  Realization r of an ensemble is its sample at
-seed + r (``realization``); every stage and check draws through that rule.
+Values are therefore pure functions of (seed, field, k): a sample of
+size n is the first n + 1 values of any larger one.  Realization r of an
+ensemble is its sample at seed + r (``realization``); every stage and
+check draws through that rule.
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ __all__ = [
     "EnsembleSpec",
     "CoefficientSequence",
     "sample",
-    "sample_range",
     "realization",
-    "empirical_means",
     "analytic_means",
     "mean_log_coupling",
     "ensemble_to_config",
@@ -244,10 +242,6 @@ class EnsembleSpec:
         """Mixed-sign demo mode: sample matrix entries directly."""
         return EnsembleSpec(sub, sup, diag, mode="iid", seed=seed, raw=True)
 
-    @property
-    def period(self) -> int:
-        return len(self.table) if self.table else 0
-
     def require_log_coordinates(self, operation: str) -> None:
         if self.raw:
             raise ValidationError(
@@ -307,66 +301,43 @@ class CoefficientSequence:
         return self.diag if self.raw else self.q
 
 
-def _uniform_words(key: int, start: int, count: int) -> np.ndarray:
-    """Words [start, start+count) of the Philox stream, as uniforms in [0,1)."""
-    bg = np.random.Philox(key=key)
-    block, rem = divmod(start, 4)  # Philox counters advance in 4-word blocks
-    if block:
-        bg.advance(block)
-    raw = bg.random_raw(count + rem)[rem:]
+def _uniform_words(key: int, count: int) -> np.ndarray:
+    """The first count words of the Philox stream, as uniforms in [0,1)."""
+    raw = np.random.Philox(key=key).random_raw(count)
     return (raw >> np.uint64(11)) * (2.0**-53)
 
 
-def sample_range(spec: EnsembleSpec, lo: int, hi: int) -> dict:
-    """Field arrays for indices [lo, hi); pure function of (spec, lo, hi)."""
-    if hi <= lo or lo < 0:
-        raise ValidationError("need 0 <= lo < hi")
-    count = hi - lo
-    out = {}
-    if spec.mode == "periodic":
-        tab = np.asarray(spec.table)
-        idx = np.arange(lo, hi) % spec.period
-        for j, name in enumerate(("xi", "eta", "q")):
-            out[name] = tab[idx, j].copy()
-        return out
-    names = ("sub", "sup", "diag") if spec.raw else ("xi", "eta", "q")
-    for field, name in enumerate(names):
-        dist = (spec.xi, spec.eta, spec.q)[field]
-        if spec.mode == "constant" or dist.kind == "constant":
-            out[name] = np.full(count, dist.params[0])
-        else:
-            u = _uniform_words(4 * spec.seed + field, lo, count)
-            out[name] = dist.from_uniform(u)
-    return out
-
-
 def sample(spec: EnsembleSpec, n: int) -> CoefficientSequence:
-    """Seeded realization of the triple sequence for matrix size n.
+    """Seeded realization of the triple sequence for matrix size n, indices
+    0..n.
 
     Deterministic in (spec, n): identical inputs give bit-identical arrays,
-    and any sub-range equals the corresponding slice of the full arrays.
+    and each value depends only on (seed, field, k), so a smaller sample
+    is a prefix of a larger one.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    fields = sample_range(spec, 0, n + 1)
+    count = n + 1
+    fields = {}
+    if spec.mode == "periodic":
+        tab = np.asarray(spec.table)
+        idx = np.arange(count) % len(spec.table)
+        for j, name in enumerate(("xi", "eta", "q")):
+            fields[name] = tab[idx, j].copy()
+    else:
+        names = ("sub", "sup", "diag") if spec.raw else ("xi", "eta", "q")
+        for field, name in enumerate(names):
+            dist = (spec.xi, spec.eta, spec.q)[field]
+            if spec.mode == "constant" or dist.kind == "constant":
+                fields[name] = np.full(count, dist.params[0])
+            else:
+                fields[name] = dist.from_uniform(_uniform_words(4 * spec.seed + field, count))
     return CoefficientSequence(n=n, spec=spec, **fields)
 
 
 def realization(spec: EnsembleSpec, n: int, r: int) -> CoefficientSequence:
     """Realization r of size n: the sample at seed spec.seed + r."""
     return sample(replace(spec, seed=spec.seed + r), n)
-
-
-def empirical_means(seq: CoefficientSequence):
-    """(mean xi, mean eta, mean log(1+|q|)) over indices 0..n-1."""
-    if seq.raw:
-        raise ValidationError("empirical_means requires log-coordinate sequences")
-    sl = slice(0, seq.n)
-    return (
-        float(np.mean(seq.xi[sl])),
-        float(np.mean(seq.eta[sl])),
-        float(np.mean(np.log1p(np.abs(seq.q[sl])))),
-    )
 
 
 def analytic_means(spec: EnsembleSpec):

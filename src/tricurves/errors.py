@@ -27,14 +27,5 @@ class SingularResolventError(NumericalError):
     """Resolvent requested at (numerically) an eigenvalue of the reference matrix."""
 
 
-class ScaleOverflowError(NumericalError):
-    """A log-scaled quantity was asked for in raw form but its magnitude
-    exceeds floating range; the log value is reported instead."""
-
-    def __init__(self, message: str, log_value: float):
-        super().__init__(f"{message} (log value {log_value:.6g})")
-        self.log_value = log_value
-
-
 class VerificationFailure(RuntimeError):
     """A verification battery check exceeded its budget."""

@@ -20,8 +20,8 @@ The periodic closure enters one-step form through B = diag(beta, 1) with
 beta = w_{n+1} / (w_1 w_n).
 
 Everything with exponential scale (weights, corner entries, transfer
-products) is stored in log form; raw exponentials are materialized only on
-demand and refuse to do so beyond |log| = 300.
+products) is stored in log form.  The closure residual assembles its
+terms from logarithms and reports inf where one would exceed e^300.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from ._kernels import transfer_product_scaled
 from .ensembles import CoefficientSequence
-from .errors import ScaleOverflowError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "OperatorBundle",
@@ -43,7 +43,6 @@ __all__ = [
     "transfer_product",
     "transfer_products",
     "closed_product",
-    "boundary_matrix",
     "boundary_residual",
     "eigenvector_slopes",
 ]
@@ -51,22 +50,16 @@ __all__ = [
 _MAX_LOG = 300.0
 
 
-def _materialize(log_value: float, what: str, sign: float = 1.0) -> float:
-    if abs(log_value) > _MAX_LOG:
-        raise ScaleOverflowError(f"{what} exceeds floating range", log_value)
-    return sign * math.exp(log_value)
-
-
 @dataclass(frozen=True)
 class OperatorBundle:
     """All matrix data for one realization.
 
-    diag is q[1..n] (length n); sub/sup are the strictly off-diagonal
-    entries (length n-1); corner_top is entry (1, n), corner_bottom is
-    entry (n, 1).  Canonical (log-coordinate) bundles also carry the
-    couplings c[0..n], log-weights log w[0..n+1], log|a_n|, log|b_n|,
-    beta and the realization drift g_hat = (1/2) mean(eta - xi) over
-    indices 0..n-1.  Raw bundles support only the dense spectrum.
+    diag is q[1..n] (length n), also the diagonal of the symmetric
+    reference; sub/sup are the strictly off-diagonal entries (length
+    n-1); corner_top is entry (1, n), corner_bottom is entry (n, 1).
+    Canonical (log-coordinate) bundles also carry the couplings c[0..n],
+    log-weights log w[0..n+1], log|a_n|, log|b_n| and beta.  Raw bundles
+    support only the dense spectrum.
     """
 
     n: int
@@ -82,7 +75,6 @@ class OperatorBundle:
     log_abs_a: Optional[float] = None
     log_abs_b: Optional[float] = None
     beta: Optional[float] = None
-    g_hat: Optional[float] = None
 
     def __post_init__(self):
         for arr in (self.diag, self.sub, self.sup):
@@ -95,32 +87,6 @@ class OperatorBundle:
     def _need_log_coords(self, what: str):
         if self.raw:
             raise ValidationError(f"{what} is undefined for raw-entry bundles")
-
-    # -- materialized views ----------------------------------------------
-    @property
-    def w(self) -> np.ndarray:
-        """Weights w_0..w_{n+1}; raises ScaleOverflowError when any
-        |log w_k| > 300 (the log array is always available as log_w)."""
-        self._need_log_coords("weights")
-        k = int(np.argmax(np.abs(self.log_w)))
-        if abs(self.log_w[k]) > _MAX_LOG:
-            raise ScaleOverflowError(f"weight w_{k} exceeds floating range", float(self.log_w[k]))
-        return np.exp(self.log_w)
-
-    @property
-    def a_n(self) -> float:
-        self._need_log_coords("corner a_n")
-        return _materialize(self.log_abs_a, "corner a_n", -1.0)
-
-    @property
-    def b_n(self) -> float:
-        self._need_log_coords("corner b_n")
-        return _materialize(self.log_abs_b, "corner b_n", -1.0)
-
-    @property
-    def h_diag(self) -> np.ndarray:
-        self._need_log_coords("symmetric reference")
-        return self.diag
 
     @property
     def h_off(self) -> np.ndarray:
@@ -137,7 +103,6 @@ class OperatorBundle:
         r[1:] += off
         return float(np.min(self.diag - r)), float(np.max(self.diag + r))
 
-    # -- dense forms -------------------------------------------------------
     def dense(self) -> np.ndarray:
         """The full matrix, column-major for the eigensolver."""
         j = np.zeros((self.n, self.n), order="F")
@@ -148,14 +113,6 @@ class OperatorBundle:
         j[0, self.n - 1] += self.corner_top
         j[self.n - 1, 0] += self.corner_bottom
         return j
-
-    def dense_reference(self) -> np.ndarray:
-        h = np.zeros((self.n, self.n))
-        idx = np.arange(self.n)
-        h[idx, idx] = self.h_diag
-        h[idx[1:], idx[:-1]] = self.h_off
-        h[idx[:-1], idx[1:]] = self.h_off
-        return h
 
 
 def build(seq: CoefficientSequence) -> OperatorBundle:
@@ -184,14 +141,12 @@ def build(seq: CoefficientSequence) -> OperatorBundle:
     log_abs_a = 0.5 * (xi[0] + eta[0]) + log_w[n]
     log_abs_b = 0.5 * (xi[n] + eta[n]) + log_w[1] - log_w[n + 1]
     beta = math.exp(0.5 * (eta[0] - xi[0] + xi[n] - eta[n]))
-    g_hat = 0.5 * float(np.mean(eta[:n] - xi[:n]))
     return OperatorBundle(
         c=c,
         log_w=log_w,
         log_abs_a=float(log_abs_a),
         log_abs_b=float(log_abs_b),
         beta=beta,
-        g_hat=g_hat,
         **common,
     )
 
@@ -209,17 +164,11 @@ class TransferState:
 
     The true product is exp(log_scale) * matrix, and the stored matrix has
     unit column-sum norm.  The kernel renormalizes after every step within
-    a block and after every fold of a block product; the stepwise form
-    renormalizes after every step.
+    a block and after every fold of a block product.
     """
 
     matrix: np.ndarray
     log_scale: float
-    steps: int
-
-    @staticmethod
-    def identity(dtype=np.complex128) -> "TransferState":
-        return TransferState(np.eye(2, dtype=dtype), 0.0, 0)
 
 
 def transfer_product(bundle: OperatorBundle, z: complex) -> TransferState:
@@ -241,7 +190,7 @@ def transfer_products(bundles, zs) -> list:
         np.stack([b.seq.q for b in bundles], axis=1),
         np.asarray(zs, dtype=np.complex128),
     )
-    return [TransferState(m, float(s), b.n) for b, s, m in zip(bundles, log_scales, mats)]
+    return [TransferState(m, float(s)) for s, m in zip(log_scales, mats)]
 
 
 def closed_product(bundle: OperatorBundle, state: TransferState) -> tuple:
@@ -253,11 +202,6 @@ def closed_product(bundle: OperatorBundle, state: TransferState) -> tuple:
     return m / norm, state.log_scale + math.log(norm)
 
 
-def boundary_matrix(bundle: OperatorBundle, z: complex) -> tuple:
-    """(matrix, log_scale) with exp(log_scale) * matrix = B S_n(z)."""
-    return closed_product(bundle, transfer_product(bundle, z))
-
-
 def boundary_residual(bundle: OperatorBundle, z: complex) -> float:
     """Normalized defect of the periodic eigenvalue condition
     det(I/w_n - B S_n(z)) = 0.
@@ -267,7 +211,7 @@ def boundary_residual(bundle: OperatorBundle, z: complex) -> float:
     stays exact on defective T where an eigenvalue route loses half the
     digits).  The value is |det| / max(1, |w_n tr T|, |w_n^2 det T|).
     """
-    m, log_scale = boundary_matrix(bundle, z)
+    m, log_scale = closed_product(bundle, transfer_product(bundle, z))
     lw = log_scale + bundle.log_w[bundle.n]  # log(w_n e^scale)
     tr = m[0, 0] + m[1, 1]
     dt = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]

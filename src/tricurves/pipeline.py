@@ -355,14 +355,9 @@ def _real_histogram_error(eigs: np.ndarray, model: CurveModel, tol: float) -> fl
     worst = 0.0
     for lo, hi in model.sigma:
         emp = np.sum((real >= lo) & (real <= hi)) / n
-        pred = _sigma_interval_mass(model, lo, hi)
+        pred = model.interval_mass(lo, hi)
         worst = max(worst, abs(emp - pred))
     return worst
-
-
-def _sigma_interval_mass(model: CurveModel, lo: float, hi: float) -> float:
-    ids = model.ids
-    return float(np.interp(hi, ids.grid, ids.values) - np.interp(lo, ids.grid, ids.values))
 
 
 def _arc_histogram_error(nonreal: np.ndarray, model: CurveModel, n: int, bins_per_arc: int = 12) -> float:

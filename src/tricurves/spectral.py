@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,16 +35,16 @@ __all__ = [
     "IdsEstimate",
     "LyapunovEstimate",
     "estimate_ids",
-    "phi",
     "phi_many",
     "phi_dy_many",
-    "stieltjes",
-    "stieltjes_many",
     "lyapunov_transfer",
     "lyapunov_thouless",
     "save_ids",
     "load_ids",
 ]
+
+
+_GRID_PAD = 0.05  # the IDS grid is this much wider than the Gershgorin interval, half on each side
 
 
 @dataclass(frozen=True)
@@ -89,21 +88,10 @@ class IdsEstimate:
         return max(abs(lo), abs(hi), 0.5 * (hi - lo))
 
 
-def estimate_ids(
-    spec: EnsembleSpec,
-    n: int,
-    reps: int,
-    grid: Optional[np.ndarray] = None,
-    grid_points: int = 2048,
-    pad: float = 0.05,
-) -> IdsEstimate:
-    """Average of rescaled eigenvalue counts over realizations 0..reps-1.
-
-    When no grid is given, one of grid_points nodes spanning the joint
-    Gershgorin interval padded by 5% is built; an explicit grid must be
-    strictly increasing and cover the Gershgorin bounds of every sampled
-    realization.
-    """
+def estimate_ids(spec: EnsembleSpec, n: int, reps: int, grid_points: int = 2048) -> IdsEstimate:
+    """Average of rescaled eigenvalue counts over realizations 0..reps-1,
+    on a grid of grid_points nodes spanning the joint Gershgorin interval
+    of the realizations, padded by 5% of its width."""
     if n < 100:
         raise ValidationError(f"density-of-states estimation needs n >= 100, got {n}")
     if reps < 1:
@@ -112,18 +100,8 @@ def estimate_ids(
     bundles = [build(realization(spec, n, r)) for r in range(reps)]
     glo = min(b.gershgorin()[0] for b in bundles)
     ghi = max(b.gershgorin()[1] for b in bundles)
-    if grid is None:
-        half = 0.5 * (ghi - glo) * pad
-        grid = np.linspace(glo - half, ghi + half, grid_points)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if not np.all(np.diff(grid) > 0):
-            raise ValidationError("grid must be strictly increasing")
-        if grid[0] > glo or grid[-1] < ghi:
-            raise ValidationError(
-                f"grid [{grid[0]:.6g}, {grid[-1]:.6g}] does not cover the sampled "
-                f"Gershgorin interval [{glo:.6g}, {ghi:.6g}]"
-            )
+    half = 0.5 * (ghi - glo) * _GRID_PAD
+    grid = np.linspace(glo - half, ghi + half, grid_points)
     values = symmetric_eigencounts(bundles, grid).sum(axis=0) / (reps * n)
     i_lo = int(np.argmax(values > 0.0))
     i_hi = int(values.shape[0] - 1 - np.argmax(values[::-1] < 1.0))
@@ -161,16 +139,6 @@ def _cell_sums(f: np.ndarray, dens: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", np.diff(f, axis=1), dens)
 
 
-def _stieltjes(dens: np.ndarray, half_log: np.ndarray, atan: np.ndarray) -> np.ndarray:
-    """integral dN(lambda) / (lambda - z) from the node values of
-    _complex_primitive: per cell, log(lambda - z) moves by the difference
-    of log|t - iy| in its real part and of atan(t/y) in its imaginary
-    part (arg(lambda - z) and atan(t/y) differ by a constant for each z).
-    The two parts are summed as separate real sums: a complex sum would
-    reorder the sum of Im m, the slope of the curve-height sweeps."""
-    return _cell_sums(half_log, dens) + 1j * _cell_sums(atan, dens)
-
-
 def phi_many(ids: IdsEstimate, zs: np.ndarray) -> np.ndarray:
     """Log-potential of dN at each z (any z, including real).
 
@@ -199,34 +167,19 @@ def phi_many(ids: IdsEstimate, zs: np.ndarray) -> np.ndarray:
 
 def phi_dy_many(ids: IdsEstimate, zs: np.ndarray) -> tuple:
     """(Phi, m) at each z with Im z > 0, from one evaluation of the
-    primitive per grid node: m is the Stieltjes transform of
-    stieltjes_many, and dPhi/dy = Im m is the sum of the cell differences
-    of atan(t/y)."""
+    primitive per grid node, with m = integral dN(lambda) / (lambda - z)
+    the Stieltjes transform.  Per cell, log(lambda - z) moves by the
+    difference of log|t - iy| in its real part and of atan(t/y) in its
+    imaginary part (arg(lambda - z) and atan(t/y) differ by a constant
+    for each z), so dPhi/dy = Im m.  The two parts of m are summed as
+    separate real sums: a complex sum would reorder the sum of Im m, the
+    slope of the curve-height sweeps."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(zs.imag <= 0.0):
         raise ValidationError("phi_dy_many needs Im z > 0")
     dens = ids.cell_density
     f, half_log, atan = _complex_primitive(ids, zs)
-    return _cell_sums(f, dens), _stieltjes(dens, half_log, atan)
-
-
-def phi(ids: IdsEstimate, z: complex) -> float:
-    """Log-potential at a single point (see phi_many)."""
-    return float(phi_many(ids, [z])[0])
-
-
-def stieltjes_many(ids: IdsEstimate, zs: np.ndarray) -> np.ndarray:
-    """integral dN(lambda) / (lambda - z) for non-real z, exactly per cell
-    (see _stieltjes)."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    if np.any(zs.imag == 0.0):
-        raise ValidationError("the Stieltjes transform needs Im z != 0")
-    _, half_log, atan = _complex_primitive(ids, zs)
-    return _stieltjes(ids.cell_density, half_log, atan)
-
-
-def stieltjes(ids: IdsEstimate, z: complex) -> complex:
-    return complex(stieltjes_many(ids, [z])[0])
+    return _cell_sums(f, dens), _cell_sums(half_log, dens) + 1j * _cell_sums(atan, dens)
 
 
 # -- Lyapunov exponent --------------------------------------------------------
@@ -301,15 +254,10 @@ def save_ids(ids: IdsEstimate, path, **header) -> None:
     )
 
 
-def load_ids(path, expect_hash: Optional[str] = None) -> IdsEstimate:
+def load_ids(path) -> IdsEstimate:
     header, body = artifacts.read(path)
     if "n_used" not in header:
         raise ValidationError(f"{path} is not an ids cache file")
-    source = header["source_hash"]
-    if expect_hash is not None and source != expect_hash:
-        raise ValidationError(
-            f"ids cache {path} was built for ensemble {source}, expected {expect_hash}"
-        )
     pairs = [line.split() for line in body]
     return IdsEstimate(
         grid=np.array([float(lam) for lam, _ in pairs]),
@@ -317,5 +265,5 @@ def load_ids(path, expect_hash: Optional[str] = None) -> IdsEstimate:
         n_used=int(header["n_used"]),
         realizations_used=int(header["realizations_used"]),
         support=tuple(float(v) for v in header["support"].split(",")),
-        source_hash=source,
+        source_hash=header["source_hash"],
     )

@@ -76,8 +76,7 @@ def check_rank2_identity(
             y = rng.uniform(0.2, 2.0) * (1 if rng.uniform() < 0.5 else -1)
             zs.append(complex(x, y))
         for z, state in zip(zs, transfer_products([bundle] * z_count, zs)):
-            corners = resolvent_corners(bundle, z, state)
-            worst = max(worst, characteristic_residual(bundle, z, corners))
+            worst = max(worst, characteristic_residual(bundle, resolvent_corners(bundle, z, state)))
     return CheckResult("rank2-determinant-identity", worst < tol, worst, tol)
 
 

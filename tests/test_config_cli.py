@@ -240,9 +240,13 @@ def test_missing_config_exits_2(tmp_path, capsys):
         lambda text: text + "\n[verify]\npanel_sizes = 16 500\npanel_reps = 0\n",
         lambda text: text + "\n[verify]\npanel_sizes =\n",  # no panel size
         lambda text: text + "\n[verify]\nthouless_points =\n",  # no Thouless point to check
+        lambda text: text + "\n[verify]\npanel_sizes = 500\n",  # a panel with nothing to compare
+        lambda text: text + "\n[verify]\npanel_sizes = 200 200\n",  # the error cannot fall
+        lambda text: text.replace("sizes = 64 96", "sizes = 300 300"),  # one (n, rep) solved twice
     ],
     ids=["unknown-key", "deleted-field", "unknown-section", "bad-value", "duplicate-section",
-         "panel-reps-0-one-size", "panel-reps-0-two-sizes", "empty-panel-sizes", "empty-thouless-points"],
+         "panel-reps-0-one-size", "panel-reps-0-two-sizes", "empty-panel-sizes", "empty-thouless-points",
+         "one-panel-size", "repeated-panel-size", "repeated-run-size"],
 )
 def test_bad_config_exits_2(tmp_path, capsys, edit):
     cfg_path = write_cfg(tmp_path, edit(BASE))

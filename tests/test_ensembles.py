@@ -9,11 +9,10 @@ from tricurves import (
     EnsembleSpec,
     ValidationError,
     analytic_means,
-    empirical_means,
     mean_log_coupling,
     sample,
 )
-from tricurves.ensembles import ensemble_from_config, ensemble_to_config, sample_range, spec_hash
+from tricurves.ensembles import ensemble_from_config, ensemble_to_config, spec_hash
 
 
 def iid_spec(seed=0, xi=None, eta=None, q=None):
@@ -96,13 +95,27 @@ def test_uniform_mean_sanity_bound():
     assert abs(np.mean(seq.q) - 0.5) < 3.0 * sigma
 
 
+def philox_uniforms(key: int, start: int, count: int) -> np.ndarray:
+    """Oracle: words [start, start + count) of the Philox stream with this
+    key, as uniforms in [0, 1); the counter advances in 4-word blocks."""
+    bg = np.random.Philox(key=key)
+    block, rem = divmod(start, 4)
+    bg.advance(block)
+    return (bg.random_raw(count + rem)[rem:] >> np.uint64(11)) * (2.0**-53)
+
+
 def test_range_sampling_matches_full_pass():
+    # value k of a field is a pure function of (seed, field, k): any index
+    # range drawn on its own from the field's stream (key 4 seed + field)
+    # matches the full pass, and a smaller sample is its prefix
     spec = iid_spec(seed=31)
     full = sample(spec, 1000)
-    part = sample_range(spec, 400, 700)
-    assert np.array_equal(part["xi"], full.xi[400:700])
-    assert np.array_equal(part["eta"], full.eta[400:700])
-    assert np.array_equal(part["q"], full.q[400:700])
+    for field, (name, dist) in enumerate((("xi", spec.xi), ("eta", spec.eta), ("q", spec.q))):
+        part = dist.from_uniform(philox_uniforms(4 * 31 + field, 401, 299))
+        assert np.array_equal(part, getattr(full, name)[401:700])
+    prefix = sample(spec, 699)
+    for name in ("xi", "eta", "q"):
+        assert np.array_equal(getattr(prefix, name), getattr(full, name)[:700])
 
 
 def test_periodic_mode_tiles_table():
@@ -128,8 +141,6 @@ def test_raw_mode_samples_entries_directly():
     assert seq.xi is None
     assert np.all(np.abs(seq.sub_entries()) <= 0.5)
     assert np.any(seq.sub_entries() > 0)  # signs really are free
-    with pytest.raises(ValidationError):
-        empirical_means(seq)
 
 
 def test_log_uniform_never_minus_inf():
@@ -155,22 +166,6 @@ def test_two_point_sampling_frequencies():
 
 
 # -- means ---------------------------------------------------------------------
-
-def test_empirical_means_uses_first_n_indices():
-    spec = EnsembleSpec.constants(0.0, 1.0, 0.0, seed=0)
-    m_xi, m_eta, m_qlog = empirical_means(sample(spec, 64))
-    assert (m_xi, m_eta, m_qlog) == (0.0, 1.0, 0.0)
-
-
-def test_empirical_means_symmetry_when_fields_equal():
-    from tricurves.ensembles import CoefficientSequence
-
-    spec = iid_spec(seed=77)
-    seq = sample(spec, 500)
-    twin = CoefficientSequence(n=500, spec=spec, xi=seq.xi, eta=seq.xi.copy(), q=seq.q)
-    m_xi, m_eta, _ = empirical_means(twin)
-    assert m_xi == m_eta
-
 
 def test_log_uniform_mean_matches_integral():
     # E log u over Uni[0,1] is -1; Monte Carlo at n=1e5 within 0.02

@@ -40,6 +40,7 @@ __all__ = [
 
 _TIE_BAND = 1e-9  # grid values this close to the threshold belong to neither side
 _MAX_SWEEPS = 110  # potential sweeps per height solve
+_PANEL_BUMPS = 10  # bumps in the weak-convergence panel
 
 
 @dataclass(frozen=True)
@@ -297,25 +298,23 @@ def gaussian_bump(center: complex, width: float) -> Callable[[complex], float]:
     def f(z: complex) -> float:
         return math.exp(-abs(complex(z) - center) ** 2 / s2)
 
-    f.label = f"bump({center.real:g}{center.imag:+g}i, w={width:g})"  # type: ignore[attr-defined]
     return f
 
 
-def default_bump_panel(model: CurveModel, count: int = 10) -> list:
+def default_bump_panel(model: CurveModel) -> list:
     """Deterministic panel of Gaussian bumps covering the support box of
-    the limit measure: count-4 bumps along the real support, 3 at curve
-    height, one centered far off the support as a zero-mass control."""
+    the limit measure: _PANEL_BUMPS - 4 bumps along the real support, 3 at
+    curve height, one centered far off the support as a zero-mass control."""
     lo, hi = model.ids.support
     width = (hi - lo) / 8.0
     top = max((float(np.max(arc.y)) for arc in model.arcs), default=width)
     panel = []
-    n_real = max(count - 4, 1)
-    for x in np.linspace(lo, hi, n_real):
+    for x in np.linspace(lo, hi, _PANEL_BUMPS - 4):
         panel.append(gaussian_bump(complex(x, 0.0), width))
     for frac in (0.35, 0.7, 1.0):
         panel.append(gaussian_bump(complex(0.5 * (lo + hi), frac * top), width))
     panel.append(gaussian_bump(complex(hi + 6.0 * width, 3.0 * top + 6.0 * width), width))
-    return panel[:count]
+    return panel
 
 
 # -- model serialization --------------------------------------------------------

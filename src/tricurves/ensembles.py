@@ -7,6 +7,12 @@ mode samples the sub/super/diagonal entries directly with free signs; it
 exists for mixed-sign demonstrations and supports only the dense
 eigensolver (no symmetrization, no curve theory).
 
+Distribution kinds
+------------------
+The limit curves see the coefficient law only through E xi, E eta and the
+reference density of states, so a kind is one row of ``_KINDS`` (parameter
+names, domain, inverse CDF, mean), and a new disorder law is one new row.
+
 Random number generation
 ------------------------
 Sampling uses the Philox4x64 counter-based generator (numpy.random.Philox)
@@ -27,7 +33,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,29 +52,59 @@ __all__ = [
     "spec_hash",
 ]
 
-_KINDS = ("constant", "uniform", "two_point", "gaussian", "cauchy", "log_uniform")
 
-# Parameter names per kind, in storage order.
-_PARAM_NAMES = {
-    "constant": ("value",),
-    "uniform": ("a", "b"),
-    "two_point": ("v1", "v2", "prob"),
-    "gaussian": ("mean", "sd"),
-    "cauchy": ("loc", "scale"),
-    "log_uniform": ("a", "b"),
+@dataclass(frozen=True)
+class _Kind:
+    """One distribution kind; its callables take the parameters in order."""
+
+    names: tuple  # parameter names, in storage order
+    domain: Callable[..., bool]
+    domain_text: str  # the domain condition, as its error shows it
+    inverse_cdf: Callable[..., np.ndarray]  # of uniforms in [0, 1)
+    mean: Optional[Callable[..., float]]  # None when E|X| is infinite
+
+
+def _gaussian_inverse_cdf(u, mean, sd):
+    from scipy.special import ndtri
+
+    # ndtri(0) = -inf only from the probability-2^-53 word 0: nudge it inward
+    return mean + sd * ndtri(np.maximum(u, 2.0**-54))
+
+
+def _log_uniform_mean(a, b):
+    # E log u, u ~ Uni[a,b]: (b log b - a log a)/(b - a) - 1.
+    alog = 0.0 if a == 0.0 else a * math.log(a)
+    return (b * math.log(b) - alog) / (b - a) - 1.0
+
+
+_KINDS = {
+    "constant": _Kind(("value",), lambda value: True, "any value",
+                      lambda u, value: np.full_like(u, value), lambda value: value),
+    "uniform": _Kind(("a", "b"), lambda a, b: a < b, "a < b",
+                     lambda u, a, b: a + (b - a) * u, lambda a, b: 0.5 * (a + b)),
+    # value v1 with probability prob, else v2
+    "two_point": _Kind(("v1", "v2", "prob"), lambda v1, v2, prob: 0.0 <= prob <= 1.0, "0 <= prob <= 1",
+                       lambda u, v1, v2, prob: np.where(u < prob, v1, v2),
+                       lambda v1, v2, prob: prob * v1 + (1.0 - prob) * v2),
+    "gaussian": _Kind(("mean", "sd"), lambda mean, sd: sd >= 0.0, "sd >= 0",
+                      _gaussian_inverse_cdf, lambda mean, sd: mean),
+    # admissible for the diagonal field (which only needs a finite
+    # E log(1+|q|)) but rejected for xi/eta
+    "cauchy": _Kind(("loc", "scale"), lambda loc, scale: scale > 0.0, "scale > 0",
+                    lambda u, loc, scale: loc + scale * np.tan(np.pi * (u - 0.5)), None),
+    # log(u), u ~ Uni[a, b]: Uni[a, b] entries in the symmetrization's log
+    # coordinates.  A draw u = 0 (probability zero, only for a = 0) is
+    # clamped to the smallest positive normal double, so no -inf appears.
+    "log_uniform": _Kind(("a", "b"), lambda a, b: 0.0 <= a < b, "b > a >= 0",
+                         lambda u, a, b: np.log(np.maximum(a + (b - a) * u, np.finfo(float).tiny)),
+                         _log_uniform_mean),
 }
 
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """One marginal distribution, identified by kind plus parameters.
-
-    log_uniform(a, b) draws u ~ Uni[a, b] and returns log(u); it expresses
-    "entries drawn from Uni[a,b]" in the log coordinates used by the
-    symmetrization.  A literal draw of u = 0 (probability zero, only
-    possible for a = 0) is clamped to the smallest positive normal double
-    before the log so that no -inf can poison downstream sums.
-    """
+    """One marginal distribution: a kind (the key of a ``_KINDS`` row) and
+    its parameters, in that row's order."""
 
     kind: str
     params: tuple
@@ -76,107 +112,31 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown distribution kind {self.kind!r}")
-        names = _PARAM_NAMES[self.kind]
-        if len(self.params) != len(names):
-            raise ValidationError(
-                f"{self.kind} takes parameters {names}, got {len(self.params)} values"
-            )
+        row = _KINDS[self.kind]
+        if len(self.params) != len(row.names):
+            raise ValidationError(f"{self.kind} takes parameters {row.names}, got {len(self.params)} values")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        p = dict(zip(names, self.params))
-        if self.kind == "uniform" and not p["a"] < p["b"]:
-            raise ValidationError(f"uniform requires a < b, got a={p['a']}, b={p['b']}")
-        if self.kind == "two_point" and not 0.0 <= p["prob"] <= 1.0:
-            raise ValidationError(f"two_point requires 0 <= prob <= 1, got prob={p['prob']}")
-        if self.kind == "gaussian" and not p["sd"] >= 0.0:
-            raise ValidationError(f"gaussian requires sd >= 0, got sd={p['sd']}")
-        if self.kind == "cauchy" and not p["scale"] > 0.0:
-            raise ValidationError(f"cauchy requires scale > 0, got scale={p['scale']}")
-        if self.kind == "log_uniform" and not (0.0 <= p["a"] < p["b"]):
-            raise ValidationError(f"log_uniform requires b > a >= 0, got a={p['a']}, b={p['b']}")
+        if not row.domain(*self.params):
+            raise ValidationError(f"{self.kind} requires {row.domain_text}, got {dict(zip(row.names, self.params))}")
 
-    # -- constructors ----------------------------------------------------
-    @staticmethod
-    def constant(value: float) -> "DistributionSpec":
-        return DistributionSpec("constant", (value,))
-
-    @staticmethod
-    def uniform(a: float, b: float) -> "DistributionSpec":
-        return DistributionSpec("uniform", (a, b))
-
-    @staticmethod
-    def two_point(v1: float, v2: float, prob: float) -> "DistributionSpec":
-        """Takes value v1 with probability prob, else v2."""
-        return DistributionSpec("two_point", (v1, v2, prob))
-
-    @staticmethod
-    def gaussian(mean: float, sd: float) -> "DistributionSpec":
-        return DistributionSpec("gaussian", (mean, sd))
-
-    @staticmethod
-    def cauchy(loc: float, scale: float) -> "DistributionSpec":
-        return DistributionSpec("cauchy", (loc, scale))
-
-    @staticmethod
-    def log_uniform(a: float, b: float) -> "DistributionSpec":
-        return DistributionSpec("log_uniform", (a, b))
-
-    # -- properties ------------------------------------------------------
     @property
     def heavy_tailed(self) -> bool:
-        """True when E|X| is infinite.  Only the Cauchy kind qualifies; it
-        is admissible for the diagonal field (which only needs a finite
-        E log(1+|q|)) but rejected for xi/eta."""
-        return self.kind == "cauchy"
+        """True when E|X| is infinite."""
+        return _KINDS[self.kind].mean is None
 
     @property
     def mean(self) -> float:
-        if self.kind == "constant":
-            return self.params[0]
-        if self.kind == "uniform":
-            a, b = self.params
-            return 0.5 * (a + b)
-        if self.kind == "two_point":
-            v1, v2, prob = self.params
-            return prob * v1 + (1.0 - prob) * v2
-        if self.kind == "gaussian":
-            return self.params[0]
-        if self.kind == "log_uniform":
-            a, b = self.params
-            # E log u, u ~ Uni[a,b]: (b log b - a log a)/(b - a) - 1.
-            alog = 0.0 if a == 0.0 else a * math.log(a)
-            return (b * math.log(b) - alog) / (b - a) - 1.0
-        raise ValidationError(f"{self.kind} distribution has no finite mean")
+        mean = _KINDS[self.kind].mean
+        if mean is None:
+            raise ValidationError(f"{self.kind} distribution has no finite mean")
+        return mean(*self.params)
 
-    # -- sampling --------------------------------------------------------
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         """Inverse-CDF transform of uniforms in [0, 1)."""
-        if self.kind == "constant":
-            return np.full_like(u, self.params[0])
-        if self.kind == "uniform":
-            a, b = self.params
-            return a + (b - a) * u
-        if self.kind == "two_point":
-            v1, v2, prob = self.params
-            return np.where(u < prob, v1, v2)
-        if self.kind == "gaussian":
-            from scipy.special import ndtri
-
-            mean, sd = self.params
-            # ndtri(0) = -inf would only arise from the probability-2^-53
-            # word 0; nudge into the open interval.
-            return mean + sd * ndtri(np.maximum(u, 2.0**-54))
-        if self.kind == "cauchy":
-            loc, scale = self.params
-            return loc + scale * np.tan(np.pi * (u - 0.5))
-        if self.kind == "log_uniform":
-            a, b = self.params
-            v = a + (b - a) * u
-            return np.log(np.maximum(v, np.finfo(float).tiny))
-        raise AssertionError(self.kind)
+        return _KINDS[self.kind].inverse_cdf(u, *self.params)
 
     def label(self) -> str:
-        names = _PARAM_NAMES[self.kind]
-        inner = ", ".join(f"{k}={v:g}" for k, v in zip(names, self.params))
+        inner = ", ".join(f"{k}={v:g}" for k, v in zip(_KINDS[self.kind].names, self.params))
         return f"{self.kind}({inner})"
 
 
@@ -184,10 +144,11 @@ class DistributionSpec:
 class EnsembleSpec:
     """Full sampling specification for the triple sequence.
 
-    mode "iid" draws independent triples; "constant" requires all three
-    marginals to be constants; "periodic" repeats the fixed table of
+    mode "iid" draws independent triples from the three marginals (fixed
+    values: constant-kind marginals); "periodic" repeats the fixed table of
     (xi, eta, q) triples and ignores the marginals.  raw=True switches the
-    three fields to direct sub-/super-/diagonal entries (signs free).
+    fields to direct sub-/super-/diagonal entries (signs free), as in
+    ``EnsembleSpec(sub, sup, diag, seed=s, raw=True)``.
     """
 
     xi: Optional[DistributionSpec]
@@ -199,8 +160,11 @@ class EnsembleSpec:
     raw: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("iid", "constant", "periodic"):
-            raise ValidationError(f"unknown ensemble mode {self.mode!r}")
+        if self.mode not in ("iid", "periodic"):
+            raise ValidationError(
+                f"unknown ensemble mode {self.mode!r}; the modes are iid and periodic "
+                "(for fixed values use mode = iid with kind = constant marginals)"
+            )
         if self.seed is None or int(self.seed) < 0:
             raise ValidationError("seed must be a nonnegative integer")
         object.__setattr__(self, "seed", int(self.seed))
@@ -217,39 +181,16 @@ class EnsembleSpec:
             for name in ("xi", "eta", "q"):
                 if getattr(self, name) is None:
                     raise ValidationError(f"{self.mode} mode requires distribution {name!r}")
-            if self.mode == "constant":
-                for name in ("xi", "eta", "q"):
-                    if getattr(self, name).kind != "constant":
-                        raise ValidationError("constant mode requires constant marginals")
-
-    # -- constructors ----------------------------------------------------
-    @staticmethod
-    def constants(xi: float, eta: float, q: float, seed: int = 0) -> "EnsembleSpec":
-        return EnsembleSpec(
-            DistributionSpec.constant(xi),
-            DistributionSpec.constant(eta),
-            DistributionSpec.constant(q),
-            mode="constant",
-            seed=seed,
-        )
 
     @staticmethod
     def periodic(table, seed: int = 0) -> "EnsembleSpec":
         return EnsembleSpec(None, None, None, mode="periodic", seed=seed, table=tuple(table))
 
-    @staticmethod
-    def raw_entries(sub: DistributionSpec, sup: DistributionSpec, diag: DistributionSpec, seed: int = 0) -> "EnsembleSpec":
-        """Mixed-sign demo mode: sample matrix entries directly."""
-        return EnsembleSpec(sub, sup, diag, mode="iid", seed=seed, raw=True)
-
-    def require_log_coordinates(self, operation: str) -> None:
+    def require_light_tails(self, operation: str) -> None:
         if self.raw:
             raise ValidationError(
                 f"{operation} requires log-coordinate ensembles; raw-entry mode supports only the dense spectrum"
             )
-
-    def require_light_tails(self, operation: str) -> None:
-        self.require_log_coordinates(operation)
         if self.mode == "periodic":
             return
         for name in ("xi", "eta"):
@@ -328,7 +269,7 @@ def sample(spec: EnsembleSpec, n: int) -> CoefficientSequence:
         names = ("sub", "sup", "diag") if spec.raw else ("xi", "eta", "q")
         for field, name in enumerate(names):
             dist = (spec.xi, spec.eta, spec.q)[field]
-            if spec.mode == "constant" or dist.kind == "constant":
+            if dist.kind == "constant":
                 fields[name] = np.full(count, dist.params[0])
             else:
                 fields[name] = dist.from_uniform(_uniform_words(4 * spec.seed + field, count))
@@ -375,10 +316,8 @@ def ensemble_to_config(spec: EnsembleSpec) -> str:
     else:
         for name in ("xi", "eta", "q"):
             dist = getattr(spec, name)
-            sec = {"kind": dist.kind}
-            for pname, val in zip(_PARAM_NAMES[dist.kind], dist.params):
-                sec[pname] = f"{val!r}"
-            cp[f"ensemble.{name}"] = sec
+            params = {p: f"{v!r}" for p, v in zip(_KINDS[dist.kind].names, dist.params)}
+            cp[f"ensemble.{name}"] = {"kind": dist.kind, **params}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -433,7 +372,7 @@ def ensemble_from_config(source) -> EnsembleSpec:
         if kind not in _KINDS:
             raise ValidationError(f"[{dsec}] has unknown kind {kind!r}")
         try:
-            params = tuple(float(cp[dsec][p]) for p in _PARAM_NAMES[kind])
+            params = tuple(float(cp[dsec][p]) for p in _KINDS[kind].names)
         except KeyError as exc:
             raise ValidationError(f"[{dsec}] missing parameter {exc.args[0]!r} for kind {kind}") from exc
         dists[name] = DistributionSpec(kind, params)

@@ -67,6 +67,7 @@ __all__ = [
 _FMT = "%.17g"
 _IDS = os.path.join("ids", "ids_cache.txt")
 _MODEL = os.path.join("curve", "curve_model.txt")
+_ARC_BINS = 12  # arc-length bins per arc in the compare stage's histogram
 
 
 class _Run:
@@ -360,7 +361,7 @@ def _real_histogram_error(eigs: np.ndarray, model: CurveModel, tol: float) -> fl
     return worst
 
 
-def _arc_histogram_error(nonreal: np.ndarray, model: CurveModel, n: int, bins_per_arc: int = 12) -> float:
+def _arc_histogram_error(nonreal: np.ndarray, model: CurveModel, n: int) -> float:
     """Eigenvalues per arc-length bin (folded to the upper sheet, counted
     over both) against twice the density integral of the bin."""
     if not model.arcs or nonreal.size == 0:
@@ -372,9 +373,9 @@ def _arc_histogram_error(nonreal: np.ndarray, model: CurveModel, n: int, bins_pe
         pts = arc.points()
         dl = np.abs(np.diff(pts))
         cum = np.concatenate(([0.0], np.cumsum(dl)))
-        edges = np.linspace(0.0, cum[-1], bins_per_arc + 1)
+        edges = np.linspace(0.0, cum[-1], _ARC_BINS + 1)
         seg_mass = 0.5 * (arc.rho[:-1] + arc.rho[1:]) * dl
-        for b in range(bins_per_arc):
+        for b in range(_ARC_BINS):
             inside = (cum[:-1] >= edges[b]) & (cum[:-1] < edges[b + 1])
             pred = 2.0 * float(np.sum(seg_mass[inside]))
             mid = np.interp(0.5 * (edges[b] + edges[b + 1]), cum, np.arange(cum.size))

@@ -188,9 +188,7 @@ def phi_dy_many(ids: IdsEstimate, zs: np.ndarray) -> tuple:
 class LyapunovEstimate:
     z: complex
     gamma_hat: float
-    n_used: int
     stderr: float
-    method: str  # "transfer" | "thouless"
     real_axis_caveat: bool = False
 
 
@@ -222,9 +220,7 @@ def lyapunov_transfer(spec: EnsembleSpec, n: int, reps: int, z):
         LyapunovEstimate(
             z=complex(zi),
             gamma_hat=float(np.mean(g)),
-            n_used=n,
             stderr=float(np.std(g, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
-            method="transfer",
             real_axis_caveat=(zi.imag == 0.0),
         )
         for zi, g in zip(zs, gammas)

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .curves import CurveModel, default_bump_panel, limit_measure_integral
 from .eigensolvers import characteristic_residual, resolvent_corners, spectrum
 from .ensembles import EnsembleSpec, mean_log_coupling, realization
-from .errors import VerificationFailure
+from .errors import ValidationError, VerificationFailure
 from .operators import build, closed_product, eigenvector_slopes, transfer_products
 from .spectral import IdsEstimate, lyapunov_thouless, lyapunov_transfer
 
@@ -51,33 +51,32 @@ class CheckResult:
 # _PANEL_STRIDE * r (seed + 7919 r), apart from those the other checks use.
 _PANEL_STRIDE = 7919
 
+# The sizes and budgets of the checks that no config key sets.
+_RANK2_REALIZATIONS, _RANK2_N, _RANK2_Z_COUNT, _RANK2_TOL = 20, 30, 10, 1e-6
+_BOUNDS_COUNT, _BOUNDS_N, _BOUNDS_SLACK = 100, 60, 1e-9
+_RECTANGLE_GRID_POINTS = 13  # per side of the grid that verifies a rectangle's margin
+
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 8) + stream))
 
 
-def check_rank2_identity(
-    spec: EnsembleSpec,
-    realizations: int = 20,
-    n: int = 30,
-    z_count: int = 10,
-    tol: float = 1e-6,
-) -> CheckResult:
+def check_rank2_identity(spec: EnsembleSpec) -> CheckResult:
     """|log|det(J - z)| - log|d| - log|det(H - z)|| over random non-real z;
     the transfer products of one realization run as one kernel call."""
     rng = _rng(spec.seed, 1)
     worst = 0.0
-    for r in range(realizations):
-        bundle = build(realization(spec, n, r))
+    for r in range(_RANK2_REALIZATIONS):
+        bundle = build(realization(spec, _RANK2_N, r))
         lo, hi = bundle.gershgorin()
         zs = []
-        for _ in range(z_count):
+        for _ in range(_RANK2_Z_COUNT):
             x = rng.uniform(lo, hi)
             y = rng.uniform(0.2, 2.0) * (1 if rng.uniform() < 0.5 else -1)
             zs.append(complex(x, y))
-        for z, state in zip(zs, transfer_products([bundle] * z_count, zs)):
+        for z, state in zip(zs, transfer_products([bundle] * _RANK2_Z_COUNT, zs)):
             worst = max(worst, characteristic_residual(bundle, resolvent_corners(bundle, z, state)))
-    return CheckResult("rank2-determinant-identity", worst < tol, worst, tol)
+    return CheckResult("rank2-determinant-identity", worst < _RANK2_TOL, worst, _RANK2_TOL)
 
 
 def check_thouless_residual(
@@ -100,12 +99,7 @@ def check_thouless_residual(
     return CheckResult("thouless-residual", worst < tol, worst, tol, "; ".join(details))
 
 
-def check_transfer_eigenvector_bounds(
-    spec: EnsembleSpec,
-    count: int = 100,
-    n: int = 60,
-    slack: float = 1e-9,
-) -> CheckResult:
+def check_transfer_eigenvector_bounds(spec: EnsembleSpec) -> CheckResult:
     """Fixed-point eigenvector bounds for the transfer product and its
     boundary-closed variant, for Im z in [0.1, 2]:
 
@@ -115,9 +109,10 @@ def check_transfer_eigenvector_bounds(
     measured is the worst violation (negative slack); bounds hold when it
     stays above -slack.
     """
+    n = _BOUNDS_N
     rng = _rng(spec.seed, 2)
     bundles, zs = [], []
-    for trial in range(count):
+    for trial in range(_BOUNDS_COUNT):
         bundle = build(realization(spec, n, trial))
         lo, hi = bundle.gershgorin()
         bundles.append(bundle)
@@ -134,7 +129,7 @@ def check_transfer_eigenvector_bounds(
         worst = min(worst, (-bundle.beta * z.imag / cn) - ub.imag)
         worst = min(worst, (c0 / z.imag) - abs(vb))
         worst = min(worst, vb.imag)
-    return CheckResult("transfer-eigenvector-bounds", worst > -slack, worst, -slack)
+    return CheckResult("transfer-eigenvector-bounds", worst > -_BOUNDS_SLACK, worst, -_BOUNDS_SLACK)
 
 
 @dataclass(frozen=True)
@@ -154,9 +149,9 @@ class Rectangle:
         )
         return int(np.sum(inside))
 
-    def grid(self, points: int = 13) -> np.ndarray:
-        xs = np.linspace(self.x_lo, self.x_hi, points)
-        ys = np.linspace(self.y_lo, self.y_hi, points)
+    def grid(self) -> np.ndarray:
+        xs = np.linspace(self.x_lo, self.x_hi, _RECTANGLE_GRID_POINTS)
+        ys = np.linspace(self.y_lo, self.y_hi, _RECTANGLE_GRID_POINTS)
         gx, gy = np.meshgrid(xs, ys)
         return (gx + 1j * gy).ravel()
 
@@ -225,20 +220,16 @@ def check_exclusion(
     )
 
 
-def check_weak_convergence(
-    spec: EnsembleSpec,
-    model: CurveModel,
-    sizes: Sequence[int],
-    bumps: Optional[list] = None,
-    reps: int = 8,
-) -> tuple:
+def check_weak_convergence(spec: EnsembleSpec, model: CurveModel, sizes: Sequence[int], reps: int) -> tuple:
     """Max panel error |mean_i f(z_i) - predicted integral| per size,
     averaged over reps realizations (per-realization panels at sizes this
     large sit at the fluctuation floor; the average tracks the systematic
     finite-size drift).  Passes when the error decreases monotonically
-    along the size list.  Returns (CheckResult, table), one row per size."""
-    if bumps is None:
-        bumps = default_bump_panel(model)
+    along the size list, which must hold at least two strictly ascending
+    sizes.  Returns (CheckResult, table), one row per size."""
+    if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValidationError(f"the panel needs at least two ascending sizes, without repeats, got {list(sizes)}")
+    bumps = default_bump_panel(model)
     predicted = np.array([limit_measure_integral(model, f) for f in bumps])
     table = []
     errs = []

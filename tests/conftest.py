@@ -10,9 +10,9 @@ from tricurves.spectral import phi_dy_many
 def fig1a_spec(seed=501):
     """All entries Uni[0,1] (stochastically symmetric; real spectrum)."""
     return EnsembleSpec(
-        DistributionSpec.log_uniform(0, 1),
-        DistributionSpec.log_uniform(0, 1),
-        DistributionSpec.uniform(0, 1),
+        DistributionSpec("log_uniform", (0, 1)),
+        DistributionSpec("log_uniform", (0, 1)),
+        DistributionSpec("uniform", (0, 1)),
         seed=seed,
     )
 
@@ -20,26 +20,16 @@ def fig1a_spec(seed=501):
 def fig1b_spec(seed=2024):
     """Sub-diagonal and diagonal Uni[0,1], super-diagonal Uni[1/2, 3/2]."""
     return EnsembleSpec(
-        DistributionSpec.log_uniform(0, 1),
-        DistributionSpec.log_uniform(0.5, 1.5),
-        DistributionSpec.uniform(0, 1),
+        DistributionSpec("log_uniform", (0, 1)),
+        DistributionSpec("log_uniform", (0.5, 1.5)),
+        DistributionSpec("uniform", (0, 1)),
         seed=seed,
     )
 
 
 def free_spec(seed=11):
     """Constant couplings c = 1, zero diagonal (closed-form reference)."""
-    return EnsembleSpec.constants(0.0, 0.0, 0.0, seed=seed)
-
-
-def generic_spec(seed=7):
-    """Mildly asymmetric ensemble used for random-bundle checks."""
-    return EnsembleSpec(
-        DistributionSpec.log_uniform(0, 1),
-        DistributionSpec.log_uniform(0.5, 1.5),
-        DistributionSpec.uniform(0, 1),
-        seed=seed,
-    )
+    return EnsembleSpec(*[DistributionSpec("constant", (0.0,))] * 3, seed=seed)
 
 
 # -- oracles ----------------------------------------------------------------------

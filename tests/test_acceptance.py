@@ -81,8 +81,9 @@ def fig1b_model(fig1b_ids_hq):
 
 def test_criterion_01_rank2_identity():
     with criterion(1, "rank2-determinant-identity", 10.0) as c:
-        res = check_rank2_identity(fig1b_spec(), realizations=20, n=30, z_count=10, tol=1e-6)
+        res = check_rank2_identity(fig1b_spec())
         c.note(f"worst={res.measured:.2e} < 1e-6")
+        assert res.budget == 1e-6
         assert res.passed
 
 
@@ -94,11 +95,12 @@ def test_criterion_02_eigensolver_oracle():
             n = int(rng.integers(2, 9))
             seed = int(rng.integers(0, 2**31))
             if trial % 3 == 0:  # mixed-sign raw mode every third draw
-                spec = EnsembleSpec.raw_entries(
-                    DistributionSpec.uniform(-0.5, 0.5),
-                    DistributionSpec.uniform(-0.5, 0.5),
-                    DistributionSpec.uniform(0, 1),
+                spec = EnsembleSpec(
+                    DistributionSpec("uniform", (-0.5, 0.5)),
+                    DistributionSpec("uniform", (-0.5, 0.5)),
+                    DistributionSpec("uniform", (0, 1)),
                     seed=seed,
+                    raw=True,
                 )
             else:
                 spec = fig1b_spec(seed=seed)
@@ -118,7 +120,7 @@ def test_criterion_03_circulant_exactness():
         worst_bc = 0.0
         for xi, eta, q in ((0.0, 0.0, 0.0), (-0.4, 0.3, 0.7), (0.2, 0.2, -1.1)):
             for n in (4, 8, 64):
-                spec = EnsembleSpec.constants(xi, eta, q, seed=1)
+                spec = EnsembleSpec(*(DistributionSpec("constant", (v,)) for v in (xi, eta, q)), seed=1)
                 bundle = build(sample(spec, n))
                 omega = np.exp(2j * np.pi * np.arange(n) / n)
                 exact = q - math.exp(eta) * omega - math.exp(xi) / omega
@@ -211,9 +213,9 @@ def test_criterion_08_weak_convergence():
         # arc ends relaxes slowly, so the finite-size signal dominates the
         # averaging noise at these sizes
         spec = EnsembleSpec(
-            DistributionSpec.gaussian(0.0, 1.0),
-            DistributionSpec.gaussian(0.8, 1.0),
-            DistributionSpec.uniform(0.0, 1.0),
+            DistributionSpec("gaussian", (0.0, 1.0)),
+            DistributionSpec("gaussian", (0.8, 1.0)),
+            DistributionSpec("uniform", (0.0, 1.0)),
             seed=2024,
         )
         ids = estimate_ids(spec, 100_000, 16, grid_points=4096)
@@ -255,8 +257,9 @@ def test_criterion_08_weak_convergence():
 
 def test_criterion_09_fixed_point_bounds():
     with criterion(9, "transfer-eigenvector-bounds", 30.0) as c:
-        res = check_transfer_eigenvector_bounds(fig1b_spec(), count=100, n=60, slack=1e-9)
+        res = check_transfer_eigenvector_bounds(fig1b_spec())
         c.note(f"worst slack={res.measured:.2e} >= -1e-9 over 100 (realization, z)")
+        assert res.budget == -1e-9
         assert res.passed
 
 
@@ -266,9 +269,9 @@ def test_criterion_10_phase_transition():
         # problem fixed while |g| = t sweeps through the critical couplings
         def binary(t):
             return EnsembleSpec(
-                DistributionSpec.constant(-t),
-                DistributionSpec.constant(t),
-                DistributionSpec.two_point(0.0, 1.5, 0.5),
+                DistributionSpec("constant", (-t,)),
+                DistributionSpec("constant", (t,)),
+                DistributionSpec("two_point", (0.0, 1.5, 0.5)),
                 seed=5,
             )
 

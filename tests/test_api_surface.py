@@ -1,14 +1,17 @@
-"""Every public module-level function and class of the package has a
+"""Every public module-level function and class of the package, and every
+public method, property and staticmethod of its public classes, has a
 caller in the package or in the benchmark.
 
-A name counts as referenced where it appears as a ``Name`` or an
-``Attribute`` in ``src/`` or ``perfbench/``, outside its own definition.
+A module-level name counts as referenced where it appears as a ``Name`` or
+an ``Attribute`` in ``src/`` or ``perfbench/``, outside its own definition;
+a method, property or staticmethod where it appears as an ``Attribute``.
 Strings (``__all__`` entries) and import statements (the re-exports of
 ``__init__.py``) are not references.  Code that only the tests call
 belongs in the tests, as an oracle.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,6 +31,10 @@ def _referenced(node: ast.AST) -> set:
     }
 
 
+def _attributes(node: ast.AST) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def test_every_public_definition_has_a_caller():
     nodes = _top_level_nodes()
     references = [(node, _referenced(node)) for _, node in nodes]
@@ -38,5 +45,16 @@ def test_every_public_definition_has_a_caller():
         and isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
         and not any(node.name in names for other, names in references if other is not node)
+    ]
+    # a method's own body does not count as its caller
+    attributes = sum((_attributes(node) for _, node in nodes), Counter())
+    unreferenced += [
+        f"{path.stem}.{cls.name}.{method.name}"
+        for path, cls in nodes
+        if path.parent.name == "tricurves" and isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        and not method.name.startswith("_")
+        and not attributes[method.name] > _attributes(method)[method.name]
     ]
     assert unreferenced == [], f"public names that nothing in src/ or perfbench/ uses: {unreferenced}"

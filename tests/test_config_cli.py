@@ -8,7 +8,7 @@ import pytest
 from tricurves import pipeline
 from tricurves.cli import main
 from tricurves.config import ExperimentConfig, RunManifest, config_hash, config_to_text, load_config
-from tricurves.ensembles import EnsembleSpec
+from tricurves.ensembles import DistributionSpec, EnsembleSpec
 from tricurves.errors import ValidationError
 from tricurves.spectral import load_ids
 
@@ -42,7 +42,7 @@ grid_points = 512
 # deterministic constant-coefficient ensemble: every stage is noise-free
 VERIFY_CFG = """
 [ensemble]
-mode = constant
+mode = iid
 seed = 7
 [ensemble.xi]
 kind = constant
@@ -206,7 +206,7 @@ def test_every_key_is_read_and_hashed(tmp_path, f):
 
 
 def test_config_validation():
-    spec = EnsembleSpec.constants(0, 0, 0, seed=1)
+    spec = EnsembleSpec(*[DistributionSpec("constant", (0.0,))] * 3, seed=1)
     with pytest.raises(ValidationError, match="ascending"):
         ExperimentConfig(ensemble=spec, sizes=(100, 50))
     with pytest.raises(ValidationError, match="positive"):
@@ -243,10 +243,11 @@ def test_missing_config_exits_2(tmp_path, capsys):
         lambda text: text + "\n[verify]\npanel_sizes = 500\n",  # a panel with nothing to compare
         lambda text: text + "\n[verify]\npanel_sizes = 200 200\n",  # the error cannot fall
         lambda text: text.replace("sizes = 64 96", "sizes = 300 300"),  # one (n, rep) solved twice
+        lambda text: VERIFY_CFG.replace("mode = iid", "mode = constant"),  # a removed mode
     ],
     ids=["unknown-key", "deleted-field", "unknown-section", "bad-value", "duplicate-section",
          "panel-reps-0-one-size", "panel-reps-0-two-sizes", "empty-panel-sizes", "empty-thouless-points",
-         "one-panel-size", "repeated-panel-size", "repeated-run-size"],
+         "one-panel-size", "repeated-panel-size", "repeated-run-size", "mode-constant"],
 )
 def test_bad_config_exits_2(tmp_path, capsys, edit):
     cfg_path = write_cfg(tmp_path, edit(BASE))

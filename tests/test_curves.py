@@ -62,16 +62,16 @@ def bisection_heights(ids, mean_log_c, abs_g, xs, y_hi):
 
 def drifted_free_spec(g0: float, seed=0) -> EnsembleSpec:
     """xi = -g0, eta = +g0: couplings stay at c = 1, zero diagonal."""
-    return EnsembleSpec.constants(-g0, g0, 0.0, seed=seed)
+    return EnsembleSpec(*(DistributionSpec("constant", (v,)) for v in (-g0, g0, 0.0)), seed=seed)
 
 
 def two_point_spec(t: float, seed=5) -> EnsembleSpec:
     """Binary diagonal disorder with tunable drift t; c = 1 for every t,
     so a single reference measure serves all drift values."""
     return EnsembleSpec(
-        DistributionSpec.constant(-t),
-        DistributionSpec.constant(t),
-        DistributionSpec.two_point(0.0, 1.5, 0.5),
+        DistributionSpec("constant", (-t,)),
+        DistributionSpec("constant", (t,)),
+        DistributionSpec("two_point", (0.0, 1.5, 0.5)),
         seed=seed,
     )
 
@@ -84,8 +84,8 @@ def binary_ids():
 # -- coupling ---------------------------------------------------------------------
 
 def test_coupling_g_trivial_cases():
-    assert coupling_g(EnsembleSpec.constants(0.7, 0.7, 0.0, seed=1)) == 0.0
-    assert coupling_g(EnsembleSpec.constants(0.0, 1.0, 0.0, seed=1)) == 0.5
+    assert coupling_g(EnsembleSpec(*(DistributionSpec("constant", (v,)) for v in (0.7, 0.7, 0.0)), seed=1)) == 0.0
+    assert coupling_g(EnsembleSpec(*(DistributionSpec("constant", (v,)) for v in (0.0, 1.0, 0.0)), seed=1)) == 0.5
 
 
 def test_coupling_g_fig1b_value():
@@ -103,15 +103,19 @@ def test_coupling_g_fig1b_value():
 
 def test_coupling_rejects_heavy_and_raw():
     heavy = EnsembleSpec(
-        DistributionSpec.cauchy(0, 1),
-        DistributionSpec.constant(0),
-        DistributionSpec.constant(0),
+        DistributionSpec("cauchy", (0, 1)),
+        DistributionSpec("constant", (0,)),
+        DistributionSpec("constant", (0,)),
         seed=1,
     )
     with pytest.raises(ValidationError):
         coupling_g(heavy)
-    raw = EnsembleSpec.raw_entries(
-        DistributionSpec.uniform(-1, 1), DistributionSpec.uniform(-1, 1), DistributionSpec.uniform(0, 1), seed=1
+    raw = EnsembleSpec(
+        DistributionSpec("uniform", (-1, 1)),
+        DistributionSpec("uniform", (-1, 1)),
+        DistributionSpec("uniform", (0, 1)),
+        seed=1,
+        raw=True,
     )
     with pytest.raises(ValidationError):
         coupling_g(raw)
@@ -345,6 +349,17 @@ def test_bump_panel_and_poly_cutoff(fig1b_ids):
         assert 0.0 <= limit_measure_integral(model, f) <= 1.0
     p = poly_cutoff(2, 0, 3.0)
     assert p(2.0) == pytest.approx(4.0 * math.exp(-4.0 / 18.0))
+
+
+def test_weak_convergence_needs_two_ascending_sizes(fig1b_ids):
+    from tricurves.verify import check_weak_convergence
+
+    spec = fig1b_spec()
+    model = trace_curve(fig1b_ids, coupling_g(spec), mean_log_c=mean_log_coupling(spec))
+    # one size has nothing to compare with; a repeated size cannot fall
+    for sizes in ([200], [200, 200]):
+        with pytest.raises(ValidationError, match="ascending"):
+            check_weak_convergence(spec, model, sizes, reps=1)
 
 
 # -- serialization ---------------------------------------------------------------

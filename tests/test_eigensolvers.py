@@ -29,7 +29,6 @@ from conftest import (
     fig1a_spec,
     fig1b_spec,
     free_spec,
-    generic_spec,
     multiset_distance,
     symmetric_spectrum,
     trace_defect,
@@ -114,14 +113,14 @@ def test_free_jacobi_three_sites():
 
 
 def test_counts_at_gershgorin_bounds():
-    b = build(sample(generic_spec(seed=5), 40))
+    b = build(sample(fig1b_spec(seed=5), 40))
     lo, hi = b.gershgorin()
     assert eigencount(b, lo - 1e-9) == 0
     assert eigencount(b, hi + 1e-9) == 40
 
 
 def test_counts_monotone_in_lambda():
-    b = build(sample(generic_spec(seed=6), 60))
+    b = build(sample(fig1b_spec(seed=6), 60))
     lams = np.linspace(*b.gershgorin(), 300)
     counts = symmetric_eigencounts([b], lams)[0]
     assert np.all(np.diff(counts) >= 0)
@@ -144,12 +143,12 @@ def test_batched_counts_equal_per_bundle_counts():
     # would count below lam = -1e-9
     n = 301
     huge = EnsembleSpec(
-        DistributionSpec.uniform(340.0, 350.0),
-        DistributionSpec.uniform(340.0, 350.0),
-        DistributionSpec.uniform(-1, 1),
+        DistributionSpec("uniform", (340.0, 350.0)),
+        DistributionSpec("uniform", (340.0, 350.0)),
+        DistributionSpec("uniform", (-1, 1)),
         seed=4,
     )
-    bundles = [build(sample(spec, n)) for spec in (free_spec(), generic_spec(seed=3), huge, fig1b_spec(seed=9))]
+    bundles = [build(sample(spec, n)) for spec in (free_spec(), fig1b_spec(seed=3), huge, fig1b_spec(seed=9))]
     lams = np.concatenate([np.linspace(-3.0, 3.0, 257), [-1e-5, -1e-7, -1e-9, 0.0, 1e-9, -1e150, 1e150]])
     batched = symmetric_eigencounts(bundles, lams)
     assert batched.shape == (len(bundles), lams.shape[0])
@@ -229,9 +228,9 @@ def test_blocked_counts_keep_each_pivot_floor(sturm_steps):
     # [-3, 3]); at lam = +-1e150 they coalesce
     n = 8195
     huge = EnsembleSpec(
-        DistributionSpec.uniform(340.0, 350.0),
-        DistributionSpec.uniform(340.0, 350.0),
-        DistributionSpec.uniform(-1, 1),
+        DistributionSpec("uniform", (340.0, 350.0)),
+        DistributionSpec("uniform", (340.0, 350.0)),
+        DistributionSpec("uniform", (-1, 1)),
         seed=4,
     )
     bundles = [build(realization(huge, n, r)) for r in range(2)]
@@ -254,7 +253,7 @@ def test_counts_of_tiny_matrices_match_stepwise_oracle(n):
 
 
 def test_eigencounts_need_a_shared_n():
-    bundles = [build(sample(generic_spec(seed=3), n)) for n in (30, 31)]
+    bundles = [build(sample(fig1b_spec(seed=3), n)) for n in (30, 31)]
     with pytest.raises(ValidationError, match="share one n"):
         symmetric_eigencounts(bundles, [0.0])
 
@@ -277,7 +276,7 @@ def test_single_site_spectrum():
 
 
 def test_bisection_matches_dense_qr():
-    b = build(sample(generic_spec(seed=12), 40))
+    b = build(sample(fig1b_spec(seed=12), 40))
     dense = np.sort(np.linalg.eigvalsh(dense_reference(b)))
     lams = np.concatenate([dense - 1e-9, dense + 1e-9])
     expect = np.concatenate([np.arange(40), np.arange(1, 41)])
@@ -285,7 +284,7 @@ def test_bisection_matches_dense_qr():
 
 
 def test_spectrum_consistent_with_counts():
-    b = build(sample(generic_spec(seed=13), 30))
+    b = build(sample(fig1b_spec(seed=13), 30))
     evs = symmetric_spectrum(b)
     assert np.all(np.diff(evs) >= 0)
     for lam in np.linspace(evs[0] - 0.5, evs[-1] + 0.5, 17):
@@ -309,11 +308,12 @@ def test_small_matrices_match_charpoly_roots():
     for trial in range(10):
         n = int(rng.integers(2, 9))
         seed = int(rng.integers(0, 2**31))
-        spec = generic_spec(seed=seed) if trial % 2 == 0 else EnsembleSpec.raw_entries(
-            DistributionSpec.uniform(-0.5, 0.5),
-            DistributionSpec.uniform(-0.5, 0.5),
-            DistributionSpec.uniform(0, 1),
+        spec = fig1b_spec(seed=seed) if trial % 2 == 0 else EnsembleSpec(
+            DistributionSpec("uniform", (-0.5, 0.5)),
+            DistributionSpec("uniform", (-0.5, 0.5)),
+            DistributionSpec("uniform", (0, 1)),
             seed=seed,
+            raw=True,
         )
         bundle = build(sample(spec, n))
         res = spectrum(bundle)
@@ -337,9 +337,9 @@ def test_similarity_preserves_spectrum():
     # the corner entries scale like exp(|g| n), so sizes are chosen to keep
     # the transformed matrix within double range of the 1e-8 tolerance
     mild = EnsembleSpec(
-        DistributionSpec.uniform(-0.1, 0.1),
-        DistributionSpec.uniform(-0.1, 0.1),
-        DistributionSpec.uniform(0.0, 0.5),
+        DistributionSpec("uniform", (-0.1, 0.1)),
+        DistributionSpec("uniform", (-0.1, 0.1)),
+        DistributionSpec("uniform", (0.0, 0.5)),
         seed=3,
     )
     cases = [(mild, 60), (fig1b_spec(seed=4), 24), (fig1b_spec(seed=5), 24)]
@@ -362,9 +362,9 @@ def test_transfer_eigenvector_bounds_quick(monkeypatch):
         return kernel(c, q, z)
 
     monkeypatch.setattr(operators, "transfer_product_scaled", counting_kernel)
-    res = check_transfer_eigenvector_bounds(fig1b_spec(), count=15, n=40)
+    res = check_transfer_eigenvector_bounds(fig1b_spec())
     assert res.passed
-    assert lanes == [15]  # one product per trial, all in one kernel call
+    assert lanes == [100]  # one product per trial, all in one kernel call
 
 
 def test_spectrum_computes_no_determinant(monkeypatch):
@@ -388,7 +388,7 @@ def test_spectrum_probe_residual_large_n():
 
 def test_resolvent_single_site():
     # corner formula on the smallest bundle the builder accepts: n = 2
-    spec = EnsembleSpec.constants(0.0, 0.0, 1.5, seed=0)
+    spec = EnsembleSpec(*(DistributionSpec("constant", (v,)) for v in (0.0, 0.0, 1.5)), seed=0)
     b = build(sample(spec, 2))
     z = 0.3 + 0.4j
     rc = corners(b, z)
@@ -399,7 +399,7 @@ def test_resolvent_single_site():
 
 
 def test_resolvent_against_dense_inverse():
-    b = build(sample(generic_spec(seed=17), 20))
+    b = build(sample(fig1b_spec(seed=17), 20))
     rng = np.random.Generator(np.random.Philox(key=18))
     for _ in range(5):
         z = complex(rng.uniform(-2, 3), rng.uniform(0.1, 2.0) * (1 if rng.uniform() < 0.5 else -1))
@@ -413,7 +413,7 @@ def test_resolvent_against_dense_inverse():
 def test_herglotz_property():
     rng = np.random.Generator(np.random.Philox(key=19))
     for trial in range(100):
-        b = build(sample(generic_spec(seed=trial), 25))
+        b = build(sample(fig1b_spec(seed=trial), 25))
         z = complex(rng.uniform(-2, 3), rng.uniform(0.05, 2.5))
         rc = corners(b, z)
         assert rc.g11.imag > 0
@@ -425,7 +425,7 @@ def test_herglotz_property():
 def test_corner_product_identity():
     # G_1n * det(H - z) = prod of couplings, exactly by construction; check
     # in log modulus against independently accumulated values
-    b = build(sample(generic_spec(seed=23), 50))
+    b = build(sample(fig1b_spec(seed=23), 50))
     z = 0.4 + 0.9j
     rc = corners(b, z)
     lhs = rc.log_g1n.real + rc.log_det.real
@@ -434,7 +434,7 @@ def test_corner_product_identity():
 
 
 def test_singular_resolvent_raises():
-    spec = EnsembleSpec.constants(0.0, 0.0, 0.0, seed=0)
+    spec = free_spec(seed=0)
     b = build(sample(spec, 5))
     evs = symmetric_spectrum(b)
     assert min(abs(evs)) < 1e-12  # 0 is an eigenvalue for odd free chains
@@ -448,7 +448,7 @@ def test_rank2_trivial_when_corners_vanish():
     # hypothetical zero perturbation: force log|a|, log|b| to -inf via raw arrays
     from dataclasses import replace
 
-    b = build(sample(generic_spec(seed=29), 12))
+    b = build(sample(fig1b_spec(seed=29), 12))
     b0 = replace(b, log_abs_a=-math.inf, log_abs_b=-math.inf)
     d = rank2_det(b0, corners(b0, 0.5 + 0.5j))
     assert cmath.exp(d) == pytest.approx(1.0)
@@ -492,15 +492,15 @@ def test_rank2_check_makes_one_kernel_call_per_realization(monkeypatch):
         return kernel(c, q, z)
 
     monkeypatch.setattr(operators, "transfer_product_scaled", counting_kernel)
-    res = verify.check_rank2_identity(spec, realizations=4, n=30, z_count=6)
-    assert lanes == [6, 6, 6, 6]
+    res = verify.check_rank2_identity(spec)
+    assert lanes == [10] * 20
     # oracle: the same z draws, one unbatched product per z
     rng = verify._rng(spec.seed, 1)
     worst = 0.0
-    for r in range(4):
-        b = build(realization(spec, 30, r))
+    for r in range(verify._RANK2_REALIZATIONS):
+        b = build(realization(spec, verify._RANK2_N, r))
         lo, hi = b.gershgorin()
-        for _ in range(6):
+        for _ in range(verify._RANK2_Z_COUNT):
             x = rng.uniform(lo, hi)
             y = rng.uniform(0.2, 2.0) * (1 if rng.uniform() < 0.5 else -1)
             worst = max(worst, characteristic_residual(b, corners(b, complex(x, y))))
@@ -563,7 +563,7 @@ def test_fourth_term_sector_lower_bound():
 
 
 def test_log_det_reference_matches_dense():
-    b = build(sample(generic_spec(seed=41), 35))
+    b = build(sample(fig1b_spec(seed=41), 35))
     z = -0.3 + 1.2j
     mine = log_det_reference(b, z)
     sign, logdet = np.linalg.slogdet(dense_reference(b).astype(complex) - z * np.eye(35))
@@ -574,7 +574,7 @@ def test_overflow_range_matches_dense():
     # n = 1500 at z = 5 + 5i: log|det(H - z)| is about 2861, far beyond the
     # double range, so only the complex logarithms carry the values
     n = 1500
-    b = build(sample(generic_spec(seed=43), n))
+    b = build(sample(fig1b_spec(seed=43), n))
     z = 5.0 + 5.0j
     h = dense_reference(b).astype(complex) - z * np.eye(n)
     sign, logdet = np.linalg.slogdet(h)

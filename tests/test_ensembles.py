@@ -1,4 +1,5 @@
 import configparser
+import hashlib
 import math
 
 import numpy as np
@@ -17,9 +18,9 @@ from tricurves.ensembles import ensemble_from_config, ensemble_to_config, spec_h
 
 def iid_spec(seed=0, xi=None, eta=None, q=None):
     return EnsembleSpec(
-        xi or DistributionSpec.log_uniform(0, 1),
-        eta or DistributionSpec.log_uniform(0.5, 1.5),
-        q or DistributionSpec.uniform(0, 1),
+        xi or DistributionSpec("log_uniform", (0, 1)),
+        eta or DistributionSpec("log_uniform", (0.5, 1.5)),
+        q or DistributionSpec("uniform", (0, 1)),
         seed=seed,
     )
 
@@ -28,46 +29,38 @@ def iid_spec(seed=0, xi=None, eta=None, q=None):
 
 def test_invalid_parameters_name_the_field():
     with pytest.raises(ValidationError, match="a < b"):
-        DistributionSpec.uniform(2.0, 1.0)
+        DistributionSpec("uniform", (2.0, 1.0))
     with pytest.raises(ValidationError, match="prob"):
-        DistributionSpec.two_point(0, 1, 1.5)
+        DistributionSpec("two_point", (0, 1, 1.5))
     with pytest.raises(ValidationError, match="sd"):
-        DistributionSpec.gaussian(0.0, -1.0)
+        DistributionSpec("gaussian", (0.0, -1.0))
     with pytest.raises(ValidationError, match="b > a >= 0"):
-        DistributionSpec.log_uniform(-0.5, 1.0)
+        DistributionSpec("log_uniform", (-0.5, 1.0))
     with pytest.raises(ValidationError, match="seed"):
-        EnsembleSpec.constants(0, 0, 0, seed=-3)
-
-
-def test_constant_mode_requires_constants():
-    with pytest.raises(ValidationError, match="constant"):
-        EnsembleSpec(
-            DistributionSpec.uniform(0, 1),
-            DistributionSpec.constant(0),
-            DistributionSpec.constant(0),
-            mode="constant",
-        )
+        iid_spec(seed=-3)
+    with pytest.raises(ValidationError, match="mode = iid with kind = constant marginals"):
+        EnsembleSpec(*[DistributionSpec("constant", (0.0,))] * 3, mode="constant")
 
 
 def test_cauchy_admitted_only_for_q():
-    spec = iid_spec(q=DistributionSpec.cauchy(0.0, 1.0))
+    spec = iid_spec(q=DistributionSpec("cauchy", (0.0, 1.0)))
     spec.require_light_tails("op")  # q may be heavy tailed
     bad = EnsembleSpec(
-        DistributionSpec.cauchy(0.0, 1.0),
-        DistributionSpec.constant(0.0),
-        DistributionSpec.constant(0.0),
+        DistributionSpec("cauchy", (0.0, 1.0)),
+        DistributionSpec("constant", (0.0,)),
+        DistributionSpec("constant", (0.0,)),
         seed=1,
     )
     with pytest.raises(ValidationError, match="heavy tailed"):
         bad.require_light_tails("op")
     with pytest.raises(ValidationError, match="no finite mean"):
-        DistributionSpec.cauchy(0.0, 1.0).mean
+        DistributionSpec("cauchy", (0.0, 1.0)).mean
 
 
 # -- sampling ------------------------------------------------------------------
 
 def test_constant_spec_all_zero():
-    seq = sample(EnsembleSpec.constants(0.0, 0.0, 0.0, seed=5), 4)
+    seq = sample(EnsembleSpec(*[DistributionSpec("constant", (0.0,))] * 3, seed=5), 4)
     for arr in (seq.xi, seq.eta, seq.q):
         assert arr.shape == (5,)
         assert np.all(arr == 0.0)
@@ -130,11 +123,12 @@ def test_periodic_mode_tiles_table():
 
 
 def test_raw_mode_samples_entries_directly():
-    spec = EnsembleSpec.raw_entries(
-        DistributionSpec.uniform(-0.5, 0.5),
-        DistributionSpec.uniform(-0.5, 0.5),
-        DistributionSpec.uniform(0, 1),
+    spec = EnsembleSpec(
+        DistributionSpec("uniform", (-0.5, 0.5)),
+        DistributionSpec("uniform", (-0.5, 0.5)),
+        DistributionSpec("uniform", (0, 1)),
         seed=4,
+        raw=True,
     )
     seq = sample(spec, 30)
     assert seq.raw
@@ -145,31 +139,62 @@ def test_raw_mode_samples_entries_directly():
 
 def test_log_uniform_never_minus_inf():
     # force the u = 0 word through the clamp
-    d = DistributionSpec.log_uniform(0.0, 1.0)
+    d = DistributionSpec("log_uniform", (0.0, 1.0))
     vals = d.from_uniform(np.array([0.0, 0.5, 1.0 - 2**-53]))
     assert np.all(np.isfinite(vals))
     assert vals[0] == math.log(np.finfo(float).tiny)
 
 
 def test_gaussian_sampling_moments():
-    spec = iid_spec(seed=8, xi=DistributionSpec.gaussian(2.0, 0.5))
+    spec = iid_spec(seed=8, xi=DistributionSpec("gaussian", (2.0, 0.5)))
     seq = sample(spec, 100_000)
     assert np.mean(seq.xi) == pytest.approx(2.0, abs=0.02)
     assert np.std(seq.xi) == pytest.approx(0.5, abs=0.02)
 
 
 def test_two_point_sampling_frequencies():
-    spec = iid_spec(seed=8, q=DistributionSpec.two_point(0.0, 1.0, 0.25))
+    spec = iid_spec(seed=8, q=DistributionSpec("two_point", (0.0, 1.0, 0.25)))
     seq = sample(spec, 100_000)
     assert set(np.unique(seq.q)) == {0.0, 1.0}
     assert np.mean(seq.q == 0.0) == pytest.approx(0.25, abs=0.01)
+
+
+_PIN_U = np.array([0.0, 2.0**-53, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0 - 2.0**-53])
+
+
+@pytest.mark.parametrize(
+    "kind, params, digest, mean",
+    [
+        ("constant", (0.3,), "0ad39b2b680e20169833cee4e9fe6593140a8f9f132435b8acf760425e6be265", "0.3"),
+        ("uniform", (-0.3, 1.7), "91b0fa934b6fe70236a95bc9e78be1dfba67ec024ef56bbdfd5d6f77b7ff8693", "0.7"),
+        ("two_point", (0.1, 1.5, 0.3), "379761a7e5a4dcda170afe73f3b2f21fbf31eeb5416de70886f55b9bf0a691f5",
+         "1.0799999999999998"),
+        ("gaussian", (0.8, 1.3), "78f186df7e3b0695fd4ac281ca556446f62ef1326711372cca2a769ff9b1e74c", "0.8"),
+        ("cauchy", (0.1, 0.2), "f2d05bb0dddb1c8598ed519ac29f1165e4722af74b3e9f5b2373d720cb44a90c", None),
+        ("log_uniform", (0.0, 1.0), "ac0d801dcc7774c11f26fe5ef0747bf7ca5327e39de2510ee8143ab4ca5b04a2", "-1.0"),
+        ("log_uniform", (0.5, 1.5), "40eb113f4d6e59fdcb0ceb8993f036bb206632eed990a089c08301802a1c8eda",
+         "-0.045228747557780835"),
+    ],
+)
+def test_every_kind_pins_its_values_and_mean(kind, params, digest, mean):
+    # exact bytes of the inverse CDF on uniforms that include both ends of
+    # [0, 1), and the exact mean (None: E|X| is infinite); pinned on a
+    # little-endian machine with numpy 2.4 / scipy 1.17
+    d = DistributionSpec(kind, params)
+    assert hashlib.sha256(d.from_uniform(_PIN_U).tobytes()).hexdigest() == digest
+    assert d.heavy_tailed == (mean is None)
+    if mean is None:
+        with pytest.raises(ValidationError, match="no finite mean"):
+            d.mean
+    else:
+        assert repr(d.mean) == mean
 
 
 # -- means ---------------------------------------------------------------------
 
 def test_log_uniform_mean_matches_integral():
     # E log u over Uni[0,1] is -1; Monte Carlo at n=1e5 within 0.02
-    d = DistributionSpec.log_uniform(0, 1)
+    d = DistributionSpec("log_uniform", (0, 1))
     assert d.mean == pytest.approx(-1.0)
     seq = sample(iid_spec(seed=3, xi=d), 100_000)
     assert np.mean(seq.xi[:-1]) == pytest.approx(-1.0, abs=0.02)
@@ -203,11 +228,12 @@ def test_config_round_trip_iid():
 def test_config_round_trip_periodic_and_raw():
     per = EnsembleSpec.periodic([(0.1, 0.2, 0.3), (0.4, 0.5, 0.6)], seed=9)
     assert ensemble_from_config(ensemble_to_config(per)) == per
-    raw = EnsembleSpec.raw_entries(
-        DistributionSpec.uniform(-0.5, 0.5),
-        DistributionSpec.uniform(-0.5, 0.5),
-        DistributionSpec.uniform(0, 1),
+    raw = EnsembleSpec(
+        DistributionSpec("uniform", (-0.5, 0.5)),
+        DistributionSpec("uniform", (-0.5, 0.5)),
+        DistributionSpec("uniform", (0, 1)),
         seed=4,
+        raw=True,
     )
     assert ensemble_from_config(ensemble_to_config(raw)) == raw
 

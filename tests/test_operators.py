@@ -15,7 +15,7 @@ from tricurves.operators import (
 )
 from tricurves._kernels import transfer_product_scaled
 
-from conftest import dense_perturbed, fig1b_spec, free_spec, generic_spec
+from conftest import dense_perturbed, fig1b_spec, free_spec
 
 
 def one_step_matrix(bundle, k, z):
@@ -81,7 +81,7 @@ def test_circulant_constant_bundle():
 def test_weights_closed_form_constant_drift():
     # xi = 0, eta = 2*g0: w_k = e^{-g0 k}, log|a_n| per the corner formula
     g0 = 0.35
-    spec = EnsembleSpec.constants(0.0, 2 * g0, 0.0, seed=0)
+    spec = EnsembleSpec(*(DistributionSpec("constant", (v,)) for v in (0.0, 2 * g0, 0.0)), seed=0)
     n = 40
     b = build(sample(spec, n))
     ks = np.arange(n + 2)
@@ -94,7 +94,7 @@ def test_weights_closed_form_constant_drift():
 
 
 def test_similarity_identity_elementwise():
-    b = build(sample(generic_spec(seed=50), 50))
+    b = build(sample(fig1b_spec(seed=50), 50))
     w = np.diag(np.exp(b.log_w[1:51]))
     lhs = np.linalg.inv(w) @ b.dense() @ w
     rhs = dense_perturbed(b)
@@ -108,7 +108,7 @@ def test_build_rejects_too_short():
 
 
 def test_weight_overflow_reports_log():
-    spec = EnsembleSpec.constants(0.0, 4.0, 0.0, seed=0)  # w_k = e^{-2k}
+    spec = EnsembleSpec(*(DistributionSpec("constant", (v,)) for v in (0.0, 4.0, 0.0)), seed=0)  # w_k = e^{-2k}
     b = build(sample(spec, 400))
     # the weights and corners leave the double range; their logs are exact
     assert b.log_w[-1] == pytest.approx(-802.0)
@@ -120,11 +120,12 @@ def test_weight_overflow_reports_log():
 
 
 def test_raw_bundle_rejects_symmetrization():
-    spec = EnsembleSpec.raw_entries(
-        DistributionSpec.uniform(-0.5, 0.5),
-        DistributionSpec.uniform(-0.5, 0.5),
-        DistributionSpec.uniform(0, 1),
+    spec = EnsembleSpec(
+        DistributionSpec("uniform", (-0.5, 0.5)),
+        DistributionSpec("uniform", (-0.5, 0.5)),
+        DistributionSpec("uniform", (0, 1)),
         seed=4,
+        raw=True,
     )
     b = build(sample(spec, 20))
     assert b.raw
@@ -150,7 +151,7 @@ def test_rotation_period_four():
 
 
 def test_transfer_state_norm_invariant():
-    b = build(sample(generic_spec(seed=3), 30))
+    b = build(sample(fig1b_spec(seed=3), 30))
     state = identity_state()
     for k in range(1, 31):
         state = transfer_step(state, k, 0.7 + 0.3j, b)
@@ -158,7 +159,7 @@ def test_transfer_state_norm_invariant():
 
 
 def test_kernel_equals_stepwise_product():
-    b = build(sample(generic_spec(seed=9), 64))
+    b = build(sample(fig1b_spec(seed=9), 64))
     z = -0.4 + 0.8j
     state = identity_state()
     for k in range(1, 65):
@@ -180,7 +181,7 @@ def test_kernel_lanes_equal_stepwise_product(n):
     # one call whose lanes mix ensembles, realizations and z (both half
     # planes and the real axis); n covers perfect squares, a short last
     # block and products shorter than one block
-    specs = (generic_spec(seed=n), fig1b_spec(seed=n + 1), free_spec(), generic_spec(seed=n + 2))
+    specs = (fig1b_spec(seed=n), fig1b_spec(seed=n + 1), free_spec(), fig1b_spec(seed=n + 2))
     bundles = [build(sample(spec, n)) for spec in specs]
     zs = [-0.4 + 0.8j, 1.3 - 0.2j, 2.5 + 0.0j, 0.5 - 1.5j]
     for b, z, fast in zip(bundles, zs, transfer_products(bundles, zs)):
@@ -195,7 +196,7 @@ def test_kernel_lane_ignores_other_lanes():
     z = 0.7 + 0.9j
     alone = transfer_product_scaled(mine.c, mine.seq.q, z)
     assert alone[0].shape == (1,) and alone[1].shape == (1, 2, 2)  # one lane
-    others = [build(sample(generic_spec(seed=s), n)) for s in range(5)]
+    others = [build(sample(fig1b_spec(seed=s), n)) for s in range(5)]
     for company, their_zs in (
         (others[:1], [1j]),
         (others[:1], [-3.0 + 1e8j]),
@@ -211,7 +212,7 @@ def test_kernel_lane_ignores_other_lanes():
 
 
 def test_renormalized_equals_naive_product():
-    b = build(sample(generic_spec(seed=4), 20))
+    b = build(sample(fig1b_spec(seed=4), 20))
     z = 0.9 - 0.6j
     naive = np.eye(2, dtype=complex)
     for k in range(1, 21):
@@ -227,9 +228,9 @@ def test_det_identity_high_precision():
     # loses ~2 gamma n digits to cancellation, so the check uses a low-drift
     # ensemble and z near the spectrum where the growth rate is small.
     spec = EnsembleSpec(
-        DistributionSpec.uniform(-0.1, 0.1),
-        DistributionSpec.uniform(-0.1, 0.1),
-        DistributionSpec.uniform(0.0, 0.5),
+        DistributionSpec("uniform", (-0.1, 0.1)),
+        DistributionSpec("uniform", (-0.1, 0.1)),
+        DistributionSpec("uniform", (0.0, 0.5)),
         seed=7,
     )
     b = build(sample(spec, 30))
@@ -249,7 +250,7 @@ def test_det_identity_high_precision():
 
 def test_boundary_matrix_symmetric_case_is_plain_product():
     # xi = eta pointwise makes beta = 1, so B S = S
-    spec = EnsembleSpec.constants(0.3, 0.3, 0.25, seed=0)
+    spec = EnsembleSpec(*(DistributionSpec("constant", (v,)) for v in (0.3, 0.3, 0.25)), seed=0)
     b = build(sample(spec, 12))
     assert b.beta == pytest.approx(1.0)
     z = 0.2 + 0.4j

@@ -15,7 +15,7 @@ from tricurves import (
 )
 from tricurves.spectral import load_ids, phi_dy_many, phi_many, save_ids
 
-from conftest import fig1b_spec, free_spec, generic_spec, stieltjes, stieltjes_per_cell, symmetric_spectrum
+from conftest import fig1b_spec, free_spec, stieltjes, stieltjes_per_cell, symmetric_spectrum
 
 
 def phi(ids, z) -> float:
@@ -61,9 +61,9 @@ def test_ids_rejects_small_n_and_bad_grid():
 
 def test_ids_rejects_heavy_tailed_couplings():
     bad = EnsembleSpec(
-        DistributionSpec.cauchy(0, 1),
-        DistributionSpec.constant(0.0),
-        DistributionSpec.uniform(0, 1),
+        DistributionSpec("cauchy", (0, 1)),
+        DistributionSpec("constant", (0.0,)),
+        DistributionSpec("uniform", (0, 1)),
         seed=1,
     )
     with pytest.raises(ValidationError, match="heavy tailed"):
@@ -72,9 +72,9 @@ def test_ids_rejects_heavy_tailed_couplings():
 
 def test_ids_cauchy_diagonal_allowed():
     spec = EnsembleSpec(
-        DistributionSpec.constant(0.0),
-        DistributionSpec.constant(0.0),
-        DistributionSpec.cauchy(0.0, 0.2),
+        DistributionSpec("constant", (0.0,)),
+        DistributionSpec("constant", (0.0,)),
+        DistributionSpec("cauchy", (0.0, 0.2)),
         seed=5,
     )
     ids = estimate_ids(spec, 300, 1)
@@ -269,7 +269,7 @@ def test_transfer_free_closed_form():
 
 def test_transfer_det_lower_bound():
     # ||S||^2 >= |det S| forces gamma_n >= (1/2n) log(c_0/c_n)
-    spec = generic_spec(seed=61)
+    spec = fig1b_spec(seed=61)
     from tricurves.ensembles import sample as _sample
 
     n = 5000

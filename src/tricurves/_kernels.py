@@ -6,9 +6,12 @@ over (realization x shift) lanes; when the lanes are few and n is long it
 is also vectorized over blocks of the k-range, which start from a guessed
 pivot and are made exact where their pivots coalesce with the true ones,
 bit for bit.  The transfer product is vectorized over lanes (one product
-each) and, within every lane, over about sqrt(n) blocks of the k-range:
-all (lane, block) products advance together, one k-step per vector
-operation, and each lane then folds its block products in order.
+each) and, within every lane, over blocks of at most 16 steps of the
+k-range: all (lane, block) products advance together, one k-step per
+vector step, and then fold pairwise, one tree level per vector step, so
+a product of n steps costs about 16 + log2(n / 16) vector steps.
+Long products and many lanes run in passes of a bounded number of
+(lane, block) products.
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ _STURM_MIN_BLOCK = 2048
 # First step at which the fix-up pass compares its pivots with pass 1's;
 # later checkpoints double it.
 _STURM_FIRST_CHECKPOINT = 32
+# Longest transfer block: a call costs one vector step per step of a
+# block plus one per level of the pairwise fold, about log2(n / 16).
+_TRANSFER_BLOCK = 16
+# Most (lane, block) products the transfer kernel holds at once: more
+# lanes run in chunks, and more blocks in passes over aligned runs.
+_TRANSFER_WIDTH = 1 << 14
 
 
 def sturm_counts(diag: np.ndarray, off: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -181,54 +190,112 @@ def transfer_product_scaled(c: np.ndarray, q: np.ndarray, z):
     products, returned as log_scale (L,) and M (L, 2, 2); a (n+1,) or
     scalar argument is shared by all lanes.
 
-    Blocks: the k-range 1..n is cut into blocks of ceil(sqrt(n)) steps.
-    Every (lane, block) product A_k ... A_first advances one step per
-    vector operation and is renormalized to unit column-sum norm after
-    every step; each lane then multiplies its block products in k order,
-    renormalizing after every fold.  The working set is O(L sqrt(n)), and
-    a lane's result does not depend on what the other lanes hold.
+    Blocks: the k-range 1..n is cut into blocks of min(16, ceil(sqrt(n)))
+    steps.  Every (lane, block) product A_k ... A_first advances one step
+    per vector step and is renormalized to unit column-sum norm after
+    every step.  The block products are then folded pairwise, one tree
+    level per vector step: at each level every later block is
+    multiplied into the earlier one and the product renormalized, and an
+    odd last block moves up unchanged.
+
+    Passes: at most _TRANSFER_WIDTH (lane, block) products are held at
+    once.  Lanes run in chunks, and the blocks of a chunk in aligned runs
+    of a power of two blocks, each run one subtree of the fold.  The
+    blocking and the fold depend on n only, so a lane's result does not
+    depend on the other lanes of the call.
     """
     c = np.asarray(c, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     c = c.reshape(c.shape[0], -1)
     q = q.reshape(q.shape[0], -1)
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    lanes = np.broadcast_shapes(c.shape[1:], q.shape[1:], z.shape)
+    (lanes,) = np.broadcast_shapes(c.shape[1:], q.shape[1:], z.shape)
     n = c.shape[0] - 1
-    size = math.isqrt(max(n, 1) - 1) + 1  # steps per block, ceil(sqrt(n))
+    size = min(_TRANSFER_BLOCK, math.isqrt(max(n, 1) - 1) + 1)  # ceil(sqrt(n)) for short products
     nblocks = max(1, -(-n // size))
+    chunk = min(lanes, _TRANSFER_WIDTH)
+    run = 1 << ((_TRANSFER_WIDTH // chunk).bit_length() - 1)  # blocks per pass
+    log_scale = np.empty(lanes)
+    mats = np.empty((lanes, 2, 2), dtype=np.complex128)
+    for lo in range(0, lanes, chunk):
+        part = slice(lo, lo + chunk)
+        coeffs = tuple(a[..., part] if a.shape[-1] > 1 else a for a in (c, q, z))
+        log_scale[part], top, bottom = _subtree(coeffs, size, 0, nblocks, run)
+        mats[part] = np.stack([top.T, bottom.T], axis=1)
+    return log_scale, mats
+
+
+def _subtree(coeffs, size, first, stop, run) -> tuple:
+    """(log_scale, top, bottom) of the blocks first..stop-1, one subtree
+    of the pairwise fold of all blocks: the largest power of two below
+    their count folded, the rest folded, and the two multiplied.  Runs of
+    at most `run` blocks are advanced and folded in one pass."""
+    if stop - first <= run:
+        return _fold(*_block_products(coeffs, size, first, stop))
+    half = 1 << ((stop - first - 1).bit_length() - 1)
+    early = _subtree(coeffs, size, first, first + half, run)
+    return _times(_subtree(coeffs, size, first + half, stop, run), early)
+
+
+def _block_products(coeffs, size, first, stop) -> tuple:
+    """(log_scale, top, bottom) of blocks first..stop-1, one product per
+    (block, lane), with the block axis before the lane axis."""
+    c, q, z = coeffs
+    n = c.shape[0] - 1
+    lanes = np.broadcast_shapes(c.shape[1:], q.shape[1:], z.shape)
+    lo, hi = size * first, min(size * stop, n)  # the steps lo+1..hi
     # Block products by rows: top = (m00, m01), bottom = (m10, m11).
-    top = np.zeros((2, nblocks) + lanes, dtype=np.complex128)
+    top = np.zeros((2, stop - first) + lanes, dtype=np.complex128)
     bottom = np.zeros_like(top)
     top[0] = 1.0
     bottom[1] = 1.0
-    log_scale = np.zeros((nblocks,) + lanes)
+    log_scale = np.zeros((stop - first,) + lanes)
     for j in range(size):
-        # step j of every block: k = 1 + j + size * block; a short last
-        # block drops out of the slices once it is complete
-        ck = c[j + 1 :: size]
-        live = ck.shape[0]
-        a = (q[j + 1 :: size] - z) / ck
-        b = -c[j:n:size] / ck
+        # step j of every block: k = lo + 1 + j + size * block; a short
+        # last block drops out of the slices once it is complete
+        inv = 1.0 / c[lo + j + 1 : hi + 1 : size]
+        live = inv.shape[0]
+        a = (q[lo + j + 1 : hi + 1 : size] - z) * inv
+        b = -c[lo + j : hi : size] * inv
         t = top[:, :live]
         u = bottom[:, :live]
         new = a * t + b * u
         colsum = np.abs(new)
         colsum += np.abs(t)
         norm = np.maximum(colsum[0], colsum[1])
-        np.divide(t, norm, out=u)
-        np.divide(new, norm, out=t)
+        scale = 1.0 / norm
+        np.multiply(t, scale, out=u)
+        np.multiply(new, scale, out=t)
         log_scale[:live] += np.log(norm)
-    # fold: M <- P_blk M with the rows of M as (m00, m01) and (m10, m11)
-    m_top, m_bottom = top[:, 0], bottom[:, 0]
-    total = log_scale[0]
-    for blk in range(1, nblocks):
-        (p00, p01), (p10, p11) = top[:, blk], bottom[:, blk]
-        new_top = p00 * m_top + p01 * m_bottom
-        new_bottom = p10 * m_top + p11 * m_bottom
-        colsum = np.abs(new_top)
-        colsum += np.abs(new_bottom)
-        norm = np.maximum(colsum[0], colsum[1])
-        m_top, m_bottom = new_top / norm, new_bottom / norm
-        total = total + (log_scale[blk] + np.log(norm))
-    return total, np.stack([m_top.T, m_bottom.T], axis=1)
+    return log_scale, top, bottom
+
+
+def _fold(log_scale, top, bottom) -> tuple:
+    """Pairwise fold of the block products, in place: at each level
+    P_i <- P_{2i+1} P_{2i}, and an odd last product moves up unchanged."""
+    count = log_scale.shape[0]
+    while count > 1:
+        half, odd = divmod(count, 2)
+        early, late = slice(0, 2 * half, 2), slice(1, 2 * half, 2)
+        log_scale[:half], top[:, :half], bottom[:, :half] = _times(
+            (log_scale[late], top[:, late], bottom[:, late]),
+            (log_scale[early], top[:, early], bottom[:, early]),
+        )
+        if odd:
+            last = count - 1
+            log_scale[half], top[:, half], bottom[:, half] = log_scale[last], top[:, last], bottom[:, last]
+        count = half + odd
+    return log_scale[0], top[:, 0], bottom[:, 0]
+
+
+def _times(later, earlier) -> tuple:
+    """The product later @ earlier of two (log_scale, top, bottom)
+    products, renormalized to unit column-sum norm."""
+    log_later, (p00, p01), (p10, p11) = later
+    log_earlier, m_top, m_bottom = earlier
+    new_top = p00 * m_top + p01 * m_bottom
+    new_bottom = p10 * m_top + p11 * m_bottom
+    colsum = np.abs(new_top)
+    colsum += np.abs(new_bottom)
+    norm = np.maximum(colsum[0], colsum[1])
+    return log_earlier + (log_later + np.log(norm)), new_top / norm, new_bottom / norm

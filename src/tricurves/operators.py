@@ -164,7 +164,7 @@ class TransferState:
 
     The true product is exp(log_scale) * matrix, and the stored matrix has
     unit column-sum norm.  The kernel renormalizes after every step within
-    a block and after every fold of a block product.
+    a block and after every product of the pairwise fold of the blocks.
     """
 
     matrix: np.ndarray
@@ -173,8 +173,8 @@ class TransferState:
 
 def transfer_product(bundle: OperatorBundle, z: complex) -> TransferState:
     """Full product A_n ... A_1, renormalized per step within each block of
-    about sqrt(n) steps and per fold of the block products: one lane of
-    ``_kernels.transfer_product_scaled``."""
+    at most 16 steps and per product of the pairwise fold of the blocks:
+    one lane of ``_kernels.transfer_product_scaled``."""
     return transfer_products([bundle], [z])[0]
 
 

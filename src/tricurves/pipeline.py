@@ -230,15 +230,17 @@ def stage_lyapunov(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
     with run.timed("lyapunov_scan", os.path.join("lyapunov", "lyapunov_scan.csv")) as path:
         rows = ["re,im,gamma_transfer,stderr,gamma_thouless,real_axis_caveat\n"]
         estimates = lyapunov_transfer(cfg.ensemble, cfg.thouless_n, cfg.thouless_reps, cfg.thouless_points)
-        for est in estimates:
-            th = lyapunov_thouless(ids, mlc, est.z)
+        lo, hi = ids.support
+        axis = np.linspace(lo - 0.5, hi + 0.5, 41)
+        # one Thouless call for the probes and the real-axis profile; each
+        # point's value does not depend on the others
+        thouless = lyapunov_thouless(ids, mlc, np.concatenate([[est.z for est in estimates], axis]))
+        for est, th in zip(estimates, thouless):
             rows.append(
                 f"{_FMT % est.z.real},{_FMT % est.z.imag},{_FMT % est.gamma_hat},"
                 f"{_FMT % est.stderr},{_FMT % th},{int(est.real_axis_caveat)}\n"
             )
-        lo, hi = ids.support
-        for x in np.linspace(lo - 0.5, hi + 0.5, 41):
-            th = lyapunov_thouless(ids, mlc, complex(x))
+        for x, th in zip(axis, thouless[len(estimates) :]):
             rows.append(f"{_FMT % x},0,nan,nan,{_FMT % th},1\n")
         artifacts.write(path, run.header(n=cfg.thouless_n, reps=cfg.thouless_reps), rows)
     return run.done()

@@ -8,9 +8,9 @@ import pytest
 from tricurves import pipeline
 from tricurves.cli import main
 from tricurves.config import ExperimentConfig, RunManifest, config_hash, config_to_text, load_config
-from tricurves.ensembles import DistributionSpec, EnsembleSpec
+from tricurves.ensembles import DistributionSpec, EnsembleSpec, mean_log_coupling
 from tricurves.errors import ValidationError
-from tricurves.spectral import load_ids
+from tricurves.spectral import load_ids, lyapunov_thouless
 
 BASE = """
 [ensemble]
@@ -370,6 +370,23 @@ def test_lyapunov_stage(tmp_path):
     assert abs(float(probe[2]) - float(probe[4])) < 0.05  # two routes agree loosely here
     axis_rows = [r for r in rows if r[2] == "nan"]
     assert len(axis_rows) == 41 and all(r[5] == "1" for r in axis_rows)
+
+
+def test_lyapunov_scan_thouless_column_equals_per_point_values(tmp_path):
+    # the stage evaluates all points in one call; each value must equal
+    # the one-point call bit for bit (probes on and off the real axis)
+    cfg_path = write_cfg(
+        tmp_path,
+        BASE + "\n[verify]\nthouless_n = 200\nthouless_reps = 2\nthouless_points = 1+1i 0.5 2-0.5i\n",
+    )
+    out = str(tmp_path / "run")
+    assert main(["lyapunov", "--config", cfg_path, "--out", out]) == 0
+    ids = load_ids(os.path.join(out, "ids", "ids_cache.txt"))
+    mlc = mean_log_coupling(load_config(cfg_path).ensemble)
+    rows = [l.split(",") for l in open(os.path.join(out, "lyapunov", "lyapunov_scan.csv")).read().splitlines()[2:]]
+    assert len(rows) == 3 + 41
+    for re_, im, _, _, thouless, _ in rows:
+        assert float(thouless) == lyapunov_thouless(ids, mlc, complex(float(re_), float(im)))
 
 
 def test_compare_stage_and_budget(tmp_path):

@@ -13,6 +13,7 @@ from tricurves.operators import (
     transfer_product,
     transfer_products,
 )
+from tricurves import _kernels
 from tricurves._kernels import transfer_product_scaled
 
 from conftest import dense_perturbed, fig1b_spec, free_spec
@@ -176,11 +177,12 @@ def stepwise_product(bundle, z):
     return state
 
 
-@pytest.mark.parametrize("n", [2, 3, 16, 17, 64, 1000])
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 48, 64, 81, 1000, 4099])
 def test_kernel_lanes_equal_stepwise_product(n):
     # one call whose lanes mix ensembles, realizations and z (both half
     # planes and the real axis); n covers perfect squares, a short last
-    # block and products shorter than one block
+    # block, products shorter than one block, and block counts that are
+    # odd and not powers of two (7, 9 and 257 blocks at n = 48, 81, 4099)
     specs = (fig1b_spec(seed=n), fig1b_spec(seed=n + 1), free_spec(), fig1b_spec(seed=n + 2))
     bundles = [build(sample(spec, n)) for spec in specs]
     zs = [-0.4 + 0.8j, 1.3 - 0.2j, 2.5 + 0.0j, 0.5 - 1.5j]
@@ -190,25 +192,72 @@ def test_kernel_lanes_equal_stepwise_product(n):
         assert np.max(np.abs(fast.matrix - slow.matrix)) <= 1e-13  # unit column-sum norm
 
 
+def test_kernel_long_lane_equals_stepwise_product():
+    # one lane of 1250 blocks: eleven levels of the pairwise fold
+    b = build(sample(fig1b_spec(seed=20), 20_000))
+    z = 0.3 + 0.6j
+    fast, slow = transfer_product(b, z), stepwise_product(b, z)
+    assert abs(fast.log_scale - slow.log_scale) <= 1e-13 * max(1.0, abs(slow.log_scale))
+    assert np.max(np.abs(fast.matrix - slow.matrix)) <= 1e-13
+
+
 def test_kernel_lane_ignores_other_lanes():
-    n = 50
-    mine = build(sample(fig1b_spec(seed=5), n))
     z = 0.7 + 0.9j
-    alone = transfer_product_scaled(mine.c, mine.seq.q, z)
-    assert alone[0].shape == (1,) and alone[1].shape == (1, 2, 2)  # one lane
-    others = [build(sample(fig1b_spec(seed=s), n)) for s in range(5)]
-    for company, their_zs in (
-        (others[:1], [1j]),
-        (others[:1], [-3.0 + 1e8j]),
-        (others, [0.1, 2j, -1 - 1j, 5.0 + 0.1j, 1e-9j]),
-        (others[2:4], [z, np.conj(z)]),
-    ):
-        for at in (0, len(company)):
-            bundles = company[:at] + [mine] + company[at:]
-            zs = their_zs[:at] + [z] + their_zs[at:]
-            state = transfer_products(bundles, zs)[at]
-            assert state.log_scale == alone[0][0]
-            assert np.array_equal(state.matrix, alone[1][0])
+    # n = 50 runs in one pass; n = 5000 is past the 16-step block cap, and
+    # with 60 lanes its 313 blocks are folded in several passes where one
+    # lane folds them in one
+    for n in (5000, 50):
+        mine = build(sample(fig1b_spec(seed=5), n))
+        alone = transfer_product_scaled(mine.c, mine.seq.q, z)
+        assert alone[0].shape == (1,) and alone[1].shape == (1, 2, 2)  # one lane
+        others = [build(sample(fig1b_spec(seed=s), n)) for s in range(5)]
+        for company, their_zs in (
+            (others[:1], [1j]),
+            (others[:1], [-3.0 + 1e8j]),
+            (others, [0.1, 2j, -1 - 1j, 5.0 + 0.1j, 1e-9j]),
+            (others[2:4], [z, np.conj(z)]),
+            (others * 12, list(np.linspace(-2.0, 2.0, 60) + 0.5j)),
+        ):
+            for at in (0, len(company)):
+                bundles = company[:at] + [mine] + company[at:]
+                zs = their_zs[:at] + [z] + their_zs[at:]
+                state = transfer_products(bundles, zs)[at]
+                assert state.log_scale == alone[0][0]
+                assert np.array_equal(state.matrix, alone[1][0])
+    # n = 50 again, with more lanes than one pass holds: the lanes run in
+    # two chunks, and the first and the last lane sit in different chunks
+    lanes = _kernels._TRANSFER_WIDTH + 3
+    pick = np.arange(lanes) % len(others)
+    c = np.stack([b.c for b in others], axis=1)[:, pick]
+    q = np.stack([b.seq.q for b in others], axis=1)[:, pick]
+    zs = np.linspace(-2.0, 2.0, lanes) + 0.5j
+    for at in (0, lanes - 1):
+        c[:, at], q[:, at], zs[at] = mine.c, mine.seq.q, z
+    log_scales, mats = transfer_product_scaled(c, q, zs)
+    for at in (0, lanes - 1):
+        assert log_scales[at] == alone[0][0]
+        assert np.array_equal(mats[at], alone[1][0])
+
+
+def test_kernel_passes_stay_within_width(monkeypatch):
+    # no pass advances more (lane, block) products than _TRANSFER_WIDTH,
+    # for one long lane, many short lanes and lanes in two chunks
+    passes = []
+    advance = _kernels._block_products
+
+    def recorded(coeffs, size, first, stop):
+        log_scale, top, bottom = advance(coeffs, size, first, stop)
+        passes.append(log_scale.size)
+        return log_scale, top, bottom
+
+    monkeypatch.setattr(_kernels, "_block_products", recorded)
+    width = _kernels._TRANSFER_WIDTH
+    for lanes, n in ((1, 16 * width + 5), (100, 5000), (width + 3, 40)):
+        passes.clear()
+        c = np.ones((n + 1, lanes))
+        transfer_product_scaled(c, np.zeros(n + 1), np.full(lanes, 0.5j))
+        assert max(passes) <= width
+        assert sum(passes) == lanes * -(-n // min(16, math.isqrt(n - 1) + 1))
 
 
 def test_renormalized_equals_naive_product():

@@ -6,9 +6,10 @@ Every artifact is a text file whose first line is its header,
 
 followed by the artifact's body (a column header and rows for the CSVs).
 A stage reuses a cached artifact if and only if that header carries the
-run's config hash, so one key serves samples, spectra and the
-density-of-states cache alike, and every artifact a manifest lists
-embeds the manifest's hash.
+run's config hash, so one key serves samples, spectra (the spectrum
+stage's and the verify stage's), the density-of-states cache and the
+curve model alike, and every artifact a manifest lists embeds the
+manifest's hash.
 
 Writes go to a temporary file next to the target, which replaces the
 target only once it is complete: a write that fails or is interrupted

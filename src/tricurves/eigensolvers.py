@@ -29,6 +29,7 @@ __all__ = [
     "ResolventCorners",
     "symmetric_eigencounts",
     "spectrum",
+    "empirical_integral",
     "resolvent_corners",
     "rank2_det",
 ]
@@ -77,10 +78,11 @@ class SpectrumResult:
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
 
-    def empirical_integral(self, f) -> float:
-        """Mean of f over the eigenvalues: the integral of f against the
-        empirical measure that puts mass 1/n on each eigenvalue."""
-        return float(np.mean([f(complex(z)) for z in self.eigenvalues]).real)
+
+def empirical_integral(eigenvalues: np.ndarray, f) -> float:
+    """Mean of f over the eigenvalues: the integral of f against the
+    empirical measure that puts mass 1/n on each eigenvalue."""
+    return float(np.mean([f(complex(z)) for z in eigenvalues]).real)
 
 
 def spectrum(bundle: OperatorBundle, want_vectors: Optional[bool] = None) -> SpectrumResult:

@@ -2,16 +2,18 @@
 
 Each stage works through one ``_Run``: artifact paths and headers (see
 ``artifacts``), the reuse rule, measured times and the stage's manifest.
-Products -- samples, spectra, their summary, the density-of-states cache
-and the curve model and points -- are pure functions of the config: one
-whose header carries the run's config hash is kept and listed with 0 s,
-any other is built and listed with its measured time.  Reports -- the
-Lyapunov scan and the verify and compare reports -- cross-check the
-prediction and are recomputed on every run.  The IDS cache and the curve
-model are built only when not current and always read back from disk, so
-a cold run and a rerun use the same values.  Spectrum jobs run in a
-bounded thread pool (LAPACK releases the GIL), one file per (n, rep).
-Every stage returns ``(manifest, lines to print, ok)``.
+Products -- samples, spectra, their summary, the density-of-states cache,
+the curve model and points, and the spectra the verify checks read -- are
+pure functions of the config: one whose header carries the run's config
+hash is kept and listed with 0 s, any other is built and listed with its
+measured time.  Reports -- the Lyapunov scan and the verify and compare
+reports -- cross-check the prediction and are recomputed on every run.
+The IDS cache, the curve model and verify's spectra are built only when
+not current and always read back from disk, so a cold run and a rerun
+use the same values.  Dense solves run in a bounded thread pool
+(LAPACK releases the GIL): the spectrum stage's one file per (n, rep)
+and verify's one file per (n, realization).  Every stage returns
+``(manifest, lines to print, ok)``.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ _FMT = "%.17g"
 _IDS = os.path.join("ids", "ids_cache.txt")
 _MODEL = os.path.join("curve", "curve_model.txt")
 _ARC_BINS = 12  # arc-length bins per arc in the compare stage's histogram
+# The weak-convergence panel's realization r is the ensemble's realization
+# _PANEL_STRIDE * r (seed + 7919 r), apart from those the other checks use.
+_PANEL_STRIDE = 7919
 
 
 class _Run:
@@ -121,6 +126,10 @@ def _spectrum_csv_path(n: int, rep: int) -> str:
     return os.path.join("spectra", f"spectrum_n{n}_rep{rep}.csv")
 
 
+def _verify_spectrum_path(n: int, r: int) -> str:
+    return os.path.join("verify", f"spectrum_n{n}_r{r}.csv")
+
+
 def _read_spectrum(path: str) -> np.ndarray:
     data = np.loadtxt(path, delimiter=",", skiprows=2)
     return data[:, 0] + 1j * data[:, 1]
@@ -143,11 +152,21 @@ def stage_sample(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
     return run.done()
 
 
-def _write_spectrum(run: _Run, n: int, rep: int, path: str) -> None:
-    res = spectrum(build(realization(run.cfg.ensemble, n, rep)))
+def _write_spectrum(run: _Run, n: int, r: int, key: str, path: str, **solve) -> None:
+    """Dense spectrum of realization r at size n; the header names r as
+    ``key``, and ``solve`` holds ``spectrum``'s options."""
+    res = spectrum(build(realization(run.cfg.ensemble, n, r)), **solve)
     rows = (f"{_FMT % z.real},{_FMT % z.imag}\n" for z in res.eigenvalues)
-    artifacts.write(path, run.header(n=n, rep=rep, method=res.method, residual=f"{res.residual:.3e}"),
+    artifacts.write(path, run.header(n=n, **{key: r}, method=res.method, residual=f"{res.residual:.3e}"),
                     ["re,im\n", *rows])
+
+
+def _build_pooled(run: _Run, products: list, jobs: int) -> None:
+    """Applies the reuse rule to each (name, rel, write) product in a
+    bounded thread pool (LAPACK releases the GIL); a current product
+    solves nothing."""
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        list(pool.map(lambda product: run.product(*product), products))
 
 
 def _write_summary(run: _Run, path: str) -> None:
@@ -163,13 +182,8 @@ def _write_summary(run: _Run, path: str) -> None:
 def stage_spectrum(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
     """Eigenvalue CSVs per (n, rep) plus a non-real count summary."""
     run = _Run(cfg, out_dir, "spectrum")
-
-    def job(pair):
-        n, rep = pair
-        run.product(f"spectrum_n{n}_rep{rep}", _spectrum_csv_path(n, rep), partial(_write_spectrum, run, n, rep))
-
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        list(pool.map(job, _pairs(cfg)))  # a job whose spectrum is current solves nothing
+    _build_pooled(run, [(f"spectrum_n{n}_rep{rep}", _spectrum_csv_path(n, rep),
+                         partial(_write_spectrum, run, n, rep, "rep")) for n, rep in _pairs(cfg)], jobs)
     run.product("summary", os.path.join("spectra", "summary.csv"), partial(_write_summary, run))
     _write_plot_template(out_dir)  # template is config-independent, not a manifest artifact
     return run.done()
@@ -257,10 +271,27 @@ def stage_curve(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
     return run.done()
 
 
+def _verify_spectra(run: _Run, keys: list, jobs: int) -> dict:
+    """(n, r) -> eigenvalues of realization r at size n.  Each is a
+    product under ``verify/``, solved for eigenvalues only in the pool
+    when not current, and always read back from disk."""
+    keys = list(dict.fromkeys(keys))  # a key that two checks share is solved once
+    _build_pooled(run, [(f"spectrum_n{n}_r{r}", _verify_spectrum_path(n, r),
+                         partial(_write_spectrum, run, n, r, "r", want_vectors=False)) for n, r in keys], jobs)
+    return {key: _read_spectrum(run.path(_verify_spectrum_path(*key))) for key in keys}
+
+
 def stage_verify(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
-    """Full invariant battery against its budgets; ok iff every check passed."""
+    """Full invariant battery against its budgets; ok iff every check passed.
+
+    The exclusion and panel eigenvalues are products (``_verify_spectra``),
+    so a rerun with the same config solves nothing; the checks themselves
+    and the report are recomputed on every run."""
     run = _Run(cfg, out_dir, "verify")
     model = _model(run)
+    exclusion = [(cfg.exclusion_n, r) for r in range(cfg.exclusion_reps)] if model.arcs else []
+    panel = [[(n, _PANEL_STRIDE * r) for r in range(cfg.panel_reps)] for n in cfg.panel_sizes]
+    eigs = _verify_spectra(run, exclusion + [key for keys in panel for key in keys], jobs)
     with run.timed("verify_report", "verify_report.txt") as path:
         results = [
             check_rank2_identity(cfg.ensemble),
@@ -270,8 +301,8 @@ def stage_verify(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
             check_transfer_eigenvector_bounds(cfg.ensemble),
         ]
         if model.arcs:
-            results.append(check_exclusion(cfg.ensemble, model, cfg.rect_margin, cfg.exclusion_n, cfg.exclusion_reps))
-        panel_check, table = check_weak_convergence(cfg.ensemble, model, cfg.panel_sizes, reps=cfg.panel_reps)
+            results.append(check_exclusion(model, cfg.rect_margin, [eigs[key] for key in exclusion]))
+        panel_check, table = check_weak_convergence(model, [[eigs[key] for key in keys] for keys in panel])
         results.append(panel_check)
         results.append(check_mass(model, cfg.mass_tol))
         lines = [res.line() + "\n" for res in results]

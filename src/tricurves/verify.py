@@ -2,7 +2,9 @@
 
 Each check returns a CheckResult; the CLI verify command runs the full
 battery and fails (exit 4) when any check misses its budget.  The checks
-are deterministic given the ensemble seed.
+are deterministic given the ensemble seed.  The exclusion and panel
+checks count and integrate eigenvalues that the caller solves (the
+verify stage keeps them as products, see ``pipeline``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import CurveModel, default_bump_panel, limit_measure_integral
-from .eigensolvers import characteristic_residual, resolvent_corners, spectrum
+from .eigensolvers import characteristic_residual, empirical_integral, resolvent_corners
 from .ensembles import EnsembleSpec, mean_log_coupling, realization
 from .errors import ValidationError, VerificationFailure
 from .operators import build, closed_product, eigenvector_slopes, transfer_products
@@ -46,10 +48,6 @@ class CheckResult:
         extra = f"  [{self.detail}]" if self.detail else ""
         return f"{status}  {self.name}: measured {self.measured:.4g} vs budget {self.budget:.4g}{extra}"
 
-
-# The weak-convergence panel's realization r is the ensemble's realization
-# _PANEL_STRIDE * r (seed + 7919 r), apart from those the other checks use.
-_PANEL_STRIDE = 7919
 
 # The sizes and budgets of the checks that no config key sets.
 _RANK2_REALIZATIONS, _RANK2_N, _RANK2_Z_COUNT, _RANK2_TOL = 20, 30, 10, 1e-6
@@ -196,49 +194,41 @@ def exclusion_rectangles(model: CurveModel, margin: float) -> tuple:
     return k1, k2
 
 
-def check_exclusion(
-    spec: EnsembleSpec,
-    model: CurveModel,
-    margin: float,
-    n: int,
-    reps: int,
-) -> CheckResult:
+def check_exclusion(model: CurveModel, margin: float, spectra: Sequence[np.ndarray]) -> CheckResult:
     """No eigenvalues inside margin-verified rectangles of the exterior
-    (off-axis) and interior domains."""
+    (off-axis) and interior domains, over the spectra of one size (one
+    array per realization)."""
     k1, k2 = exclusion_rectangles(model, margin)
-    offenders = 0
-    for r in range(reps):
-        result = spectrum(build(realization(spec, n, r)))
-        offenders += k1.count_inside(result.eigenvalues)
-        offenders += k2.count_inside(result.eigenvalues)
+    offenders = sum(k1.count_inside(eigs) + k2.count_inside(eigs) for eigs in spectra)
     return CheckResult(
         "eigenvalue-exclusion",
         offenders == 0,
         float(offenders),
         0.5,
-        f"K1={k1}, K2={k2}, n={n}, reps={reps}",
+        f"K1={k1}, K2={k2}, n={len(spectra[0])}, reps={len(spectra)}",
     )
 
 
-def check_weak_convergence(spec: EnsembleSpec, model: CurveModel, sizes: Sequence[int], reps: int) -> tuple:
+def check_weak_convergence(model: CurveModel, panel: Sequence[Sequence[np.ndarray]]) -> tuple:
     """Max panel error |mean_i f(z_i) - predicted integral| per size,
-    averaged over reps realizations (per-realization panels at sizes this
-    large sit at the fluctuation floor; the average tracks the systematic
-    finite-size drift).  Passes when the error decreases monotonically
-    along the size list, which must hold at least two strictly ascending
-    sizes.  Returns (CheckResult, table), one row per size."""
+    averaged over the realizations of that size (per-realization panels
+    at sizes this large sit at the fluctuation floor; the average tracks
+    the systematic finite-size drift).  ``panel`` holds one list of
+    eigenvalue arrays per size, and the sizes must be at least two,
+    strictly ascending.  Passes when the error decreases monotonically
+    along the sizes.  Returns (CheckResult, table), one row per size."""
+    sizes = [len(spectra[0]) for spectra in panel]
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValidationError(f"the panel needs at least two ascending sizes, without repeats, got {list(sizes)}")
+        raise ValidationError(f"the panel needs at least two ascending sizes, without repeats, got {sizes}")
     bumps = default_bump_panel(model)
     predicted = np.array([limit_measure_integral(model, f) for f in bumps])
     table = []
     errs = []
-    for n in sizes:
+    for n, spectra in zip(sizes, panel):
         empirical = np.zeros(len(bumps))
-        for r in range(reps):
-            result = spectrum(build(realization(spec, n, _PANEL_STRIDE * r)), want_vectors=False)
-            empirical += [result.empirical_integral(f) for f in bumps]
-        empirical /= reps
+        for eigs in spectra:
+            empirical += [empirical_integral(eigs, f) for f in bumps]
+        empirical /= len(spectra)
         err = float(np.max(np.abs(empirical - predicted)))
         errs.append(err)
         table.append((n, err, empirical, predicted))

@@ -26,6 +26,8 @@ from tricurves import (
     trace_curve,
 )
 from tricurves.curves import gaussian_bump, limit_measure_integral
+from tricurves.eigensolvers import empirical_integral
+from tricurves.ensembles import realization
 from tricurves.pipeline import distance_to_arcs
 from tricurves.spectral import phi_dy_many, phi_many
 from tricurves.verify import (
@@ -202,7 +204,8 @@ def test_criterion_06_figure_reproduction(fig1b_model):
 
 def test_criterion_07_exclusion_rectangles(fig1b_model):
     with criterion(7, "eigenvalue-exclusion", 600.0) as c:
-        res = check_exclusion(fig1b_spec(), fig1b_model, margin=0.1, n=2001, reps=5)
+        spectra = [spectrum(build(realization(fig1b_spec(), 2001, r))).eigenvalues for r in range(5)]
+        res = check_exclusion(fig1b_model, margin=0.1, spectra=spectra)
         c.note(f"offenders={int(res.measured)} in {res.detail}")
         assert res.passed
 
@@ -245,7 +248,7 @@ def test_criterion_08_weak_convergence():
             for r in range(reps):
                 res = spectrum(build(sample(replace(spec, seed=spec.seed + 7919 * r), n)),
                                want_vectors=False)
-                emp += [res.empirical_integral(f) for f in bumps]
+                emp += [empirical_integral(res.eigenvalues, f) for f in bumps]
             emp /= reps
             errs.append(float(np.max(np.abs(emp - predicted))))
         c.note(

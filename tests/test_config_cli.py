@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from tricurves import pipeline
+from tricurves import artifacts, pipeline, verify
 from tricurves.cli import main
 from tricurves.config import ExperimentConfig, RunManifest, config_hash, config_to_text, load_config
 from tricurves.ensembles import DistributionSpec, EnsembleSpec, mean_log_coupling
@@ -500,6 +500,74 @@ def test_verify_in_a_fresh_directory_leaves_the_curve_model(tmp_path):
     for name in ("curve_model.txt", "curve_points.csv"):
         with open(os.path.join(out, "curve", name), "rb") as a, open(os.path.join(other, "curve", name), "rb") as b:
             assert a.read() == b.read()
+
+
+def _verify_files(out):
+    """Relative path -> bytes of verify_report.txt and every verify/ file."""
+    rels = ["verify_report.txt"] + [os.path.join("verify", name) for name in sorted(os.listdir(os.path.join(out, "verify")))]
+    return {rel: open(os.path.join(out, rel), "rb").read() for rel in rels}
+
+
+def _verify_spectra_listed(out):
+    """(path, seconds) of each spectrum the verify manifest lists; the manifest validates."""
+    manifest = RunManifest.read(os.path.join(out, "manifest_verify.txt"))
+    manifest.validate(out)
+    return [(rel, manifest.walltimes[name]) for name, rel in manifest.artifacts.items()
+            if rel.startswith("verify" + os.sep)]
+
+
+def test_verify_rerun_solves_nothing(tmp_path, monkeypatch):
+    cfg_path = write_cfg(tmp_path, SMALL_VERIFY)
+    out = str(tmp_path / "run")
+    assert main(["verify", "--config", cfg_path, "--out", out]) == 0
+    report = open(os.path.join(out, "verify_report.txt"), "rb").read()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the rerun solved an eigenproblem")
+
+    monkeypatch.setattr(pipeline, "spectrum", no_solve)
+    monkeypatch.setattr(verify, "spectrum", no_solve, raising=False)
+    assert main(["verify", "--config", cfg_path, "--out", out]) == 0
+    assert open(os.path.join(out, "verify_report.txt"), "rb").read() == report
+    listed = _verify_spectra_listed(out)
+    # exclusion n = 101, r = 0; panel n = 50 and 200 at r = 0 and 7919
+    assert sorted(rel for rel, _ in listed) == sorted(
+        os.path.join("verify", f"spectrum_n{n}_r{r}.csv") for n, r in ((101, 0), (50, 0), (50, 7919), (200, 0), (200, 7919))
+    )
+    assert {seconds for _, seconds in listed} == {0.0}
+
+
+def test_verify_spectra_are_keyed_on_the_config(tmp_path):
+    cfg_path = write_cfg(tmp_path, SMALL_VERIFY)
+    out = str(tmp_path / "run")
+    assert main(["verify", "--config", cfg_path, "--out", out, "--jobs", "1"]) == 0
+    first = _verify_files(out)
+    # a file from another config is rebuilt, not read
+    stale = os.path.join(out, "verify", "spectrum_n200_r0.csv")
+    with open(stale, "w") as fh:
+        fh.write("# config_hash=0000000000000000 seed=2024 n=200 r=0\nre,im\n" + "0,0\n" * 200)
+    assert main(["verify", "--config", cfg_path, "--out", out]) == 0
+    assert _verify_files(out) == first
+    # --jobs does not change a byte
+    pooled = str(tmp_path / "pooled")
+    assert main(["verify", "--config", cfg_path, "--out", pooled, "--jobs", "2"]) == 0
+    assert _verify_files(pooled) == first
+    # changing exclusion_n, panel_sizes or the seed rebuilds every file the run lists
+    for text, seed, solves in (
+        (SMALL_VERIFY.replace("exclusion_n = 101", "exclusion_n = 200"), 2024, 4),  # (200, 0) is solved once
+        (SMALL_VERIFY.replace("panel_sizes = 50 200", "panel_sizes = 60 200"), 2024, 5),
+        (SMALL_VERIFY, 2025, 5),
+    ):
+        cfg_path = write_cfg(tmp_path, text, name="edited.ini")
+        stamps = {name: _stamp(os.path.join(out, "verify", name)) for name in os.listdir(os.path.join(out, "verify"))}
+        assert main(["verify", "--config", cfg_path, "--out", out, "--seed-override", str(seed)]) == 0
+        cfg = load_config(cfg_path).with_seed(seed)
+        listed = _verify_spectra_listed(out)
+        assert len(listed) == solves
+        for rel, _ in listed:
+            path = os.path.join(out, rel)
+            assert artifacts.read_header(path)["config_hash"] == config_hash(cfg)
+            assert _stamp(path) != stamps.get(os.path.basename(rel))
 
 
 def test_manifest_uses_the_artifact_header_and_rejects_malformed_files(tmp_path):

@@ -359,7 +359,7 @@ def test_weak_convergence_needs_two_ascending_sizes(fig1b_ids):
     # one size has nothing to compare with; a repeated size cannot fall
     for sizes in ([200], [200, 200]):
         with pytest.raises(ValidationError, match="ascending"):
-            check_weak_convergence(spec, model, sizes, reps=1)
+            check_weak_convergence(model, [[np.zeros(n, complex)] for n in sizes])
 
 
 # -- serialization ---------------------------------------------------------------

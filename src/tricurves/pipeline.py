@@ -70,6 +70,7 @@ _FMT = "%.17g"
 _IDS = os.path.join("ids", "ids_cache.txt")
 _MODEL = os.path.join("curve", "curve_model.txt")
 _ARC_BINS = 12  # arc-length bins per arc in the compare stage's histogram
+_SEGMENT_RUN = 32  # consecutive curve segments that distance_to_arcs bounds by one box
 # The weak-convergence panel's realization r is the ensemble's realization
 # _PANEL_STRIDE * r (seed + 7919 r), apart from those the other checks use.
 _PANEL_STRIDE = 7919
@@ -318,26 +319,58 @@ def stage_verify(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
 
 # -- compare -------------------------------------------------------------------
 
-def _point_segment_distance(p: np.ndarray, a: complex, b: complex) -> np.ndarray:
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return np.abs(p - a)
-    t = np.clip(((p - a) * np.conj(ab)).real / denom, 0.0, 1.0)
-    return np.abs(p - (a + t * ab))
-
-
 def distance_to_arcs(points: np.ndarray, model: CurveModel) -> np.ndarray:
-    """Distance from each complex point to the traced curve (both sheets)."""
+    """Distance from each complex point to the traced curve (both sheets).
+
+    The lower sheet mirrors the upper one, so each point is folded into the
+    upper half-plane and measured to the upper sheet.  Each point is first
+    bounded by the segment of each arc that spans its real part; then each
+    run of ``_SEGMENT_RUN`` consecutive segments is evaluated, vectorized,
+    only for the points whose bound reaches the run's bounding box.  No
+    segment that could be nearer is skipped, so the result is exactly the
+    minimum over every segment of the clamped point-segment distance.
+    Memory is O(points); the result has the shape of ``points``."""
     points = np.asarray(points, complex)
     if not model.arcs:
         return np.full(points.shape, np.inf)
-    best = np.full(points.shape, np.inf)
-    for arc in model.arcs:
-        for sheet in (arc.points(), np.conj(arc.points())):
-            for a, b in zip(sheet[:-1], sheet[1:]):
-                best = np.minimum(best, _point_segment_distance(points, a, b))
-    return best
+    qx = points.real.ravel()
+    qy = np.abs(points.imag).ravel()
+    q = qx + 1j * qy
+    sheets = [arc.points() for arc in model.arcs]
+    a = np.concatenate([p[:-1] for p in sheets])
+    b = np.concatenate([p[1:] for p in sheets])
+    ab = b - a
+    # the squared length as abs() of a complex scalar rounds it (np.abs of a
+    # complex array may differ in the last bit); a zero-length segment gets
+    # t = 0, the distance to its start
+    den = np.hypot(ab.real, ab.imag) ** 2
+    den[den == 0.0] = 1.0
+
+    def nearest(qs, s):
+        """Per row, the least distance from qs (a column) to the segments s."""
+        t = np.clip(((qs - a[s]) * np.conj(ab[s])).real / den[s], 0.0, 1.0)
+        return np.abs(qs - (a[s] + t * ab[s])).min(axis=1)
+
+    best = np.full(q.shape, np.inf)
+    start = 0
+    for p in sheets:
+        s = start + np.clip(np.searchsorted(p.real, qx, "right") - 1, 0, p.size - 2)
+        best = np.minimum(best, nearest(q[:, None], s[:, None]))
+        start += p.size - 1
+    runs = np.arange(0, a.size, _SEGMENT_RUN)
+    x_lo = np.minimum.reduceat(np.minimum(a.real, b.real), runs)
+    x_hi = np.maximum.reduceat(np.maximum(a.real, b.real), runs)
+    y_lo = np.minimum.reduceat(np.minimum(a.imag, b.imag), runs)
+    y_hi = np.maximum.reduceat(np.maximum(a.imag, b.imag), runs)
+    for r, lo in enumerate(runs):
+        gap = np.hypot(np.maximum(np.maximum(x_lo[r] - qx, qx - x_hi[r]), 0.0),
+                       np.maximum(np.maximum(y_lo[r] - qy, qy - y_hi[r]), 0.0))
+        # skip only boxes farther than the bound by more than rounding
+        reach = np.flatnonzero(gap <= best * (1.0 + 1e-12))
+        if reach.size:
+            segs = np.arange(lo, min(lo + _SEGMENT_RUN, a.size))
+            best[reach] = np.minimum(best[reach], nearest(q[reach, None], segs))
+    return best.reshape(points.shape)
 
 
 def stage_compare(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
@@ -415,45 +448,57 @@ def _arc_histogram_error(nonreal: np.ndarray, model: CurveModel, n: int) -> floa
             centers.append(pts[int(round(mid))])
             bins.append(pred)
     centers = np.asarray(centers)
-    counts = np.zeros(len(bins))
-    for z in folded:
-        counts[int(np.argmin(np.abs(centers - z)))] += 1.0
-    emp = counts / n
+    # argmin takes the first of equal distances: a tie goes to the lower bin
+    nearest = np.argmin(np.abs(folded[:, None] - centers), axis=1)
+    emp = np.bincount(nearest, minlength=centers.size) / n
     return float(np.max(np.abs(emp - np.asarray(bins))))
 
 
 _PLOT_TEMPLATE = '''"""Plot helper template (not part of the package).
 
-Reads the CSV artifacts written next to this file.  Adapt freely; any
-plotting engine works, matplotlib shown.
+Reads the CSV artifacts written next to this file: the spectra that
+spectra/summary.csv lists, which are exactly the current config's
+(n, rep) files, and the curve points.  Adapt freely; any plotting
+engine works, matplotlib shown.
 """
 import csv
 import sys
 from pathlib import Path
 
-import matplotlib.pyplot as plt
 
-out = Path(sys.argv[1] if len(sys.argv) > 1 else ".")
-fig, ax = plt.subplots()
-for path in sorted(out.glob("spectra/spectrum_*.csv")):
+def read_rows(path):
+    """The data rows of an artifact CSV, keyed by its column header."""
     with open(path) as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")][1:]
-    xs = [float(r[0]) for r in rows]
-    ys = [float(r[1]) for r in rows]
-    ax.plot(xs, ys, ".", ms=2, alpha=0.6, label=path.stem)
-curve = out / "curve" / "curve_points.csv"
-if curve.exists():
-    with open(curve) as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")][1:]
-    xs = [float(r[1]) for r in rows]
-    ys = [float(r[2]) for r in rows]
-    ax.plot(xs, ys, "k-", lw=1)
-    ax.plot(xs, [-y for y in ys], "k-", lw=1)
-ax.set_xlabel("Re z")
-ax.set_ylabel("Im z")
-ax.legend(fontsize=6)
-fig.savefig(out / "spectrum_plot.png", dpi=160)
-print("wrote", out / "spectrum_plot.png")
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
+def spectrum_paths(out):
+    """The current spectra: the path column of spectra/summary.csv."""
+    summary = out / "spectra" / "summary.csv"
+    return [out / row["path"] for row in read_rows(summary)] if summary.exists() else []
+
+
+if __name__ == "__main__":
+    import matplotlib.pyplot as plt
+
+    out = Path(sys.argv[1] if len(sys.argv) > 1 else ".")
+    fig, ax = plt.subplots()
+    for path in spectrum_paths(out):
+        rows = read_rows(path)
+        ax.plot([float(r["re"]) for r in rows], [float(r["im"]) for r in rows], ".", ms=2, alpha=0.6,
+                label=path.stem)
+    curve = out / "curve" / "curve_points.csv"
+    if curve.exists():
+        rows = read_rows(curve)
+        xs = [float(r["x"]) for r in rows]
+        ys = [float(r["y"]) for r in rows]
+        ax.plot(xs, ys, "k-", lw=1)
+        ax.plot(xs, [-y for y in ys], "k-", lw=1)
+    ax.set_xlabel("Re z")
+    ax.set_ylabel("Im z")
+    ax.legend(fontsize=6)
+    fig.savefig(out / "spectrum_plot.png", dpi=160)
+    print("wrote", out / "spectrum_plot.png")
 '''
 
 

@@ -97,6 +97,56 @@ def conjugation_defect(eigenvalues) -> float:
     return multiset_distance(eigenvalues, np.conj(eigenvalues))
 
 
+def distance_to_arcs_loop(points, model) -> np.ndarray:
+    """Oracle: distance from each point to the curve, visiting every
+    segment of both sheets with the clamped point-segment formula."""
+    points = np.asarray(points, complex)
+    best = np.full(points.shape, np.inf)
+    for arc in model.arcs:
+        for sheet in (arc.points(), np.conj(arc.points())):
+            for a, b in zip(sheet[:-1], sheet[1:]):
+                ab = b - a
+                denom = abs(ab) ** 2
+                if denom == 0.0:
+                    d = np.abs(points - a)
+                else:
+                    t = np.clip(((points - a) * np.conj(ab)).real / denom, 0.0, 1.0)
+                    d = np.abs(points - (a + t * ab))
+                best = np.minimum(best, d)
+    return best
+
+
+def arc_bins(model, bins=12):
+    """Oracle: for each of ``bins`` equal arc-length bins of every arc, its
+    centre vertex and twice the trapezoidal density integral over it."""
+    centers, predicted = [], []
+    for arc in model.arcs:
+        pts = arc.points()
+        dl = np.abs(np.diff(pts))
+        cum = np.concatenate(([0.0], np.cumsum(dl)))
+        edges = np.linspace(0.0, cum[-1], bins + 1)
+        seg_mass = 0.5 * (arc.rho[:-1] + arc.rho[1:]) * dl
+        for b in range(bins):
+            inside = (cum[:-1] >= edges[b]) & (cum[:-1] < edges[b + 1])
+            predicted.append(2.0 * float(np.sum(seg_mass[inside])))
+            mid = np.interp(0.5 * (edges[b] + edges[b + 1]), cum, np.arange(cum.size))
+            centers.append(pts[int(round(mid))])
+    return np.asarray(centers), np.asarray(predicted)
+
+
+def arc_histogram_error_loop(nonreal, model, n) -> float:
+    """Oracle: each eigenvalue, folded to the upper sheet, counted one at a
+    time in the bin of its nearest centre (the first, on a tie); the
+    largest gap between count / n and the predicted bin mass."""
+    if not model.arcs or len(nonreal) == 0:
+        return 0.0
+    centers, predicted = arc_bins(model)
+    counts = np.zeros(centers.size)
+    for z in np.real(nonreal) + 1j * np.abs(np.imag(nonreal)):
+        counts[int(np.argmin(np.abs(centers - z)))] += 1.0
+    return float(np.max(np.abs(counts / n - predicted)))
+
+
 def stieltjes_per_cell(ids, zs):
     """Oracle: the Stieltjes transform at any non-real z, each cell adding
     s_i [log(g_{i+1} - z) - log(g_i - z)] on the principal branch."""

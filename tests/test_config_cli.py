@@ -1,6 +1,7 @@
 import configparser
 import dataclasses
 import os
+import runpy
 
 import numpy as np
 import pytest
@@ -416,6 +417,31 @@ def test_compare_requires_matching_hash(tmp_path):
     assert main(["curve", "--config", cfg_path, "--out", out]) == 0
     other = write_cfg(tmp_path, BASE.replace("seed = 2024", "seed = 1"), name="other.ini")
     assert main(["compare", "--config", other, "--out", out]) == 2
+
+
+def test_compare_report_is_deterministic(tmp_path):
+    # the same bytes from a cold run and a rerun, and with one or two jobs
+    cfg_path = write_cfg(tmp_path, BASE.replace("sizes = 64 96", "sizes = 201"))
+    reports = []
+    for jobs in ("1", "2"):
+        out = str(tmp_path / f"jobs{jobs}")
+        for stage in ("spectrum", "curve", "compare", "compare"):
+            assert main([stage, "--config", cfg_path, "--out", out, "--jobs", jobs]) == 0
+            if stage == "compare":
+                reports.append(open(os.path.join(out, "compare_report.csv"), "rb").read())
+    assert reports[0] == reports[1] == reports[2] == reports[3]
+
+
+def test_plot_template_reads_only_the_current_spectra(tmp_path):
+    # shrinking the sizes leaves the n = 96 spectra on disk, listed by no
+    # manifest; the template must plot only what summary.csv lists
+    out = tmp_path / "run"
+    small = write_cfg(tmp_path, BASE.replace("sizes = 64 96", "sizes = 64"), name="small.ini")
+    for cfg_path in (write_cfg(tmp_path, BASE), small):
+        assert main(["spectrum", "--config", cfg_path, "--out", str(out)]) == 0
+    assert (out / "spectra" / "spectrum_n96_rep0.csv").exists()
+    template = runpy.run_path(str(out / "plot_template.py"), run_name="plot_template")
+    assert template["spectrum_paths"](out) == [out / "spectra" / f"spectrum_n64_rep{rep}.csv" for rep in (0, 1)]
 
 
 def test_spectrum_circulant_exact_csv(tmp_path):

@@ -19,6 +19,7 @@ and verify's one file per (n, realization).  Every stage returns
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -502,8 +503,21 @@ if __name__ == "__main__":
 '''
 
 
+# sha256 of every plot_template.py an earlier version wrote; add the
+# current one here when _PLOT_TEMPLATE changes.
+_EARLIER_PLOT_TEMPLATES = frozenset({
+    "3fa47c55912c487b4be4ec326468dfdaaf69bb1fd96e00c6cc87530e97553a55",  # globbed spectra/spectrum_*.csv
+})
+
+
 def _write_plot_template(out_dir: str) -> None:
+    """Write the template when it is missing or when the file is a
+    template an earlier version wrote; a file with any other bytes (the
+    current template, or one the user edited) is left alone."""
     path = os.path.join(out_dir, "plot_template.py")
-    if not os.path.exists(path):
-        with artifacts.atomic_write(path) as fh:
-            fh.write(_PLOT_TEMPLATE)
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            if hashlib.sha256(fh.read()).hexdigest() not in _EARLIER_PLOT_TEMPLATES:
+                return
+    with artifacts.atomic_write(path) as fh:
+        fh.write(_PLOT_TEMPLATE)

@@ -11,6 +11,12 @@ per-cell primitives, so no singular quadrature is ever needed -- in
 particular Phi(x + i0) on the real axis is computed in closed form per
 cell via the primitive t log|t| - t.
 
+The evaluators take their points in fixed blocks of rows, each holding
+a private budget of grid nodes over the grid size (32 points at 1024
+nodes), so their working set is O(block x grid) however many points a
+call passes.  A point's value does not depend on the other points of its
+block or call, so the blocks change no bit of the result.
+
 The Lyapunov exponent is estimated two ways: directly from renormalized
 transfer-matrix products (column-sum norm), and through the Thouless
 route gamma(z) = Phi(z) - E log c_0, which is the one used on the real
@@ -118,6 +124,27 @@ def estimate_ids(spec: EnsembleSpec, n: int, reps: int, grid_points: int = 2048)
 
 # -- potential and Stieltjes transform ---------------------------------------
 
+# Rows (points) per block of the potential evaluators: _BLOCK_NODES over
+# the grid size, at least one, so each temporary holds at most this many
+# nodes (32 rows, 256 KiB of float64, at 1024 nodes).
+_BLOCK_NODES = 1 << 15
+
+
+def _row_blocks(ids: IdsEstimate, count: int):
+    """Slices of consecutive rows, a fixed number per block, over range(count)."""
+    step = max(1, _BLOCK_NODES // ids.grid.shape[0])
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
+
+
+def _real_primitive(ids: IdsEstimate, xs: np.ndarray) -> np.ndarray:
+    """F(lam) = t log|t| - t (0 at t = 0) at every grid node for each
+    real x, one row per x, with t = lam - x."""
+    t = ids.grid[None, :] - xs[:, None]
+    r = np.abs(t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(r == 0.0, 0.0, t * np.log(r) - t)
+
+
 def _complex_primitive(ids: IdsEstimate, zs: np.ndarray) -> tuple:
     """(F, log|t - iy|, atan(t/y)) at every grid node for each non-real
     z, one row per z, with t = lam - x and the primitive
@@ -148,20 +175,19 @@ def phi_many(ids: IdsEstimate, zs: np.ndarray) -> np.ndarray:
     F(lam) = t log(t^2+y^2)/2 - t + y atan(t/y) for y != 0.
     F is evaluated once per grid node and differenced along the grid,
     and each z's value does not depend on the other points of the call.
+    The real and the non-real points are evaluated in fixed blocks of
+    rows (see _row_blocks), so the working set is O(block x grid) for
+    any number of points.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     dens = ids.cell_density
     out = np.empty(zs.shape[0], dtype=float)
-    real_rows = zs.imag == 0.0
-    if np.any(real_rows):
-        t = ids.grid[None, :] - zs.real[real_rows, None]
-        r = np.abs(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.where(r == 0.0, 0.0, t * np.log(r) - t)
-        out[real_rows] = _cell_sums(f, dens)
-    if not np.all(real_rows):
-        f, _, _ = _complex_primitive(ids, zs[~real_rows])
-        out[~real_rows] = _cell_sums(f, dens)
+    real = np.flatnonzero(zs.imag == 0.0)
+    nonreal = np.flatnonzero(zs.imag != 0.0)
+    for block in _row_blocks(ids, real.shape[0]):
+        out[real[block]] = _cell_sums(_real_primitive(ids, zs.real[real[block]]), dens)
+    for block in _row_blocks(ids, nonreal.shape[0]):
+        out[nonreal[block]] = _cell_sums(_complex_primitive(ids, zs[nonreal[block]])[0], dens)
     return out
 
 
@@ -173,13 +199,20 @@ def phi_dy_many(ids: IdsEstimate, zs: np.ndarray) -> tuple:
     imaginary part (arg(lambda - z) and atan(t/y) differ by a constant
     for each z), so dPhi/dy = Im m.  The two parts of m are summed as
     separate real sums: a complex sum would reorder the sum of Im m, the
-    slope of the curve-height sweeps."""
+    slope of the curve-height sweeps.  Points are evaluated in fixed
+    blocks of rows, as in phi_many, so the working set is
+    O(block x grid)."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     if np.any(zs.imag <= 0.0):
         raise ValidationError("phi_dy_many needs Im z > 0")
     dens = ids.cell_density
-    f, half_log, atan = _complex_primitive(ids, zs)
-    return _cell_sums(f, dens), _cell_sums(half_log, dens) + 1j * _cell_sums(atan, dens)
+    phi = np.empty(zs.shape[0], dtype=float)
+    m = np.empty(zs.shape[0], dtype=complex)
+    for block in _row_blocks(ids, zs.shape[0]):
+        f, half_log, atan = _complex_primitive(ids, zs[block])
+        phi[block] = _cell_sums(f, dens)
+        m[block] = _cell_sums(half_log, dens) + 1j * _cell_sums(atan, dens)
+    return phi, m
 
 
 # -- Lyapunov exponent --------------------------------------------------------

@@ -155,6 +155,46 @@ def stieltjes_per_cell(ids, zs):
     return np.diff(logs, axis=1) @ ids.cell_density
 
 
+def _complex_primitive_oneshot(ids, zs):
+    """(F, log|t - iy|, atan(t/y)) at every grid node for all non-real
+    zs at once, one row per point."""
+    y = zs.imag[:, None]
+    t = ids.grid[None, :] - zs.real[:, None]
+    half_log = 0.5 * np.log(t * t + y * y)
+    atan = np.arctan(t / y)
+    return t * half_log - t + y * atan, half_log, atan
+
+
+def _cell_sums_oneshot(f, dens):
+    return np.einsum("ij,j->i", np.diff(f, axis=1), dens)
+
+
+def phi_many_oneshot(ids, zs):
+    """Oracle: phi_many as one (points x grid) evaluation of all the real
+    points and one of all the non-real points."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    dens = ids.cell_density
+    out = np.empty(zs.shape[0])
+    real_rows = zs.imag == 0.0
+    if np.any(real_rows):
+        t = ids.grid[None, :] - zs.real[real_rows, None]
+        r = np.abs(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = np.where(r == 0.0, 0.0, t * np.log(r) - t)
+        out[real_rows] = _cell_sums_oneshot(f, dens)
+    if not np.all(real_rows):
+        out[~real_rows] = _cell_sums_oneshot(_complex_primitive_oneshot(ids, zs[~real_rows])[0], dens)
+    return out
+
+
+def phi_dy_many_oneshot(ids, zs):
+    """Oracle: phi_dy_many as one (points x grid) evaluation (Im z > 0)."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    dens = ids.cell_density
+    f, half_log, atan = _complex_primitive_oneshot(ids, zs)
+    return _cell_sums_oneshot(f, dens), _cell_sums_oneshot(half_log, dens) + 1j * _cell_sums_oneshot(atan, dens)
+
+
 def stieltjes(ids, z) -> complex:
     """The Stieltjes transform at one z with Im z > 0, from phi_dy_many."""
     return complex(phi_dy_many(ids, [z])[1][0])

@@ -444,6 +444,56 @@ def test_plot_template_reads_only_the_current_spectra(tmp_path):
     assert template["spectrum_paths"](out) == [out / "spectra" / f"spectrum_n64_rep{rep}.csv" for rep in (0, 1)]
 
 
+# plot_template.py as versions before the summary-driven template wrote it
+GLOB_PLOT_TEMPLATE = '''"""Plot helper template (not part of the package).
+
+Reads the CSV artifacts written next to this file.  Adapt freely; any
+plotting engine works, matplotlib shown.
+"""
+import csv
+import sys
+from pathlib import Path
+
+import matplotlib.pyplot as plt
+
+out = Path(sys.argv[1] if len(sys.argv) > 1 else ".")
+fig, ax = plt.subplots()
+for path in sorted(out.glob("spectra/spectrum_*.csv")):
+    with open(path) as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")][1:]
+    xs = [float(r[0]) for r in rows]
+    ys = [float(r[1]) for r in rows]
+    ax.plot(xs, ys, ".", ms=2, alpha=0.6, label=path.stem)
+curve = out / "curve" / "curve_points.csv"
+if curve.exists():
+    with open(curve) as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")][1:]
+    xs = [float(r[1]) for r in rows]
+    ys = [float(r[2]) for r in rows]
+    ax.plot(xs, ys, "k-", lw=1)
+    ax.plot(xs, [-y for y in ys], "k-", lw=1)
+ax.set_xlabel("Re z")
+ax.set_ylabel("Im z")
+ax.legend(fontsize=6)
+fig.savefig(out / "spectrum_plot.png", dpi=160)
+print("wrote", out / "spectrum_plot.png")
+'''
+
+
+@pytest.mark.parametrize("stage", ["spectrum", "curve"])
+def test_plot_template_replaces_only_an_earlier_unedited_template(tmp_path, stage):
+    # an earlier version's template is replaced by the current one; a
+    # template with any other bytes (an edited one) is left as it is
+    cfg_path = write_cfg(tmp_path, BASE)
+    edited = GLOB_PLOT_TEMPLATE.replace('dpi=160', 'dpi=300')
+    for name, text, expected in (("old", GLOB_PLOT_TEMPLATE, pipeline._PLOT_TEMPLATE), ("edited", edited, edited)):
+        out = tmp_path / name
+        out.mkdir()
+        (out / "plot_template.py").write_bytes(text.encode())
+        assert main([stage, "--config", cfg_path, "--out", str(out)]) == 0
+        assert (out / "plot_template.py").read_bytes() == expected.encode(), name
+
+
 def test_spectrum_circulant_exact_csv(tmp_path):
     cfg_text = VERIFY_CFG.replace("sizes = 96", "sizes = 4").replace("value = -0.5", "value = 0.0").replace(
         "value = 0.5", "value = 0.0"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,18 @@ from tricurves import (
     lyapunov_transfer,
     mean_log_coupling,
 )
+from tricurves import spectral
 from tricurves.spectral import load_ids, phi_dy_many, phi_many, save_ids
 
-from conftest import fig1b_spec, free_spec, stieltjes, stieltjes_per_cell, symmetric_spectrum
+from conftest import (
+    fig1b_spec,
+    free_spec,
+    phi_dy_many_oneshot,
+    phi_many_oneshot,
+    stieltjes,
+    stieltjes_per_cell,
+    symmetric_spectrum,
+)
 
 
 def phi(ids, z) -> float:
@@ -239,6 +249,49 @@ def test_cell_sums_do_not_depend_on_the_batch(fig1b_ids):
             assert np.array_equal(evaluate(zs[lo : i + 5])[..., i - lo], full[..., i]), (name, i)
 
 
+@pytest.fixture(scope="module", params=[1024, 4096], ids=lambda nodes: f"grid{nodes}")
+def blocked_ids(request):
+    return estimate_ids(fig1b_spec(), 2000, 1, grid_points=request.param)
+
+
+def test_blocked_evaluators_equal_the_one_shot_oracles(blocked_ids):
+    # around and across the block boundaries, whose row count differs
+    # between the grids: real rows, non-real rows and the two mixed
+    rows = spectral._BLOCK_NODES // blocked_ids.grid.shape[0]
+    assert rows >= 2
+    rng = np.random.Generator(np.random.Philox(key=66))
+    for count in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
+        real = rng.uniform(-3.0, 4.0, count).astype(complex)
+        real[::4] = blocked_ids.grid[rng.integers(0, blocked_ids.grid.shape[0], real[::4].shape[0])]
+        upper = rng.uniform(-3.0, 4.0, count) + 1j * rng.uniform(0.01, 2.5, count)
+        both = np.where(rng.uniform(size=count) < 0.5, upper, np.conj(upper))
+        mixed = np.where(np.arange(count) % 3 == 0, real, both)
+        for zs in (real, both, mixed):
+            assert np.array_equal(phi_many(blocked_ids, zs), phi_many_oneshot(blocked_ids, zs)), count
+        for got, want in zip(phi_dy_many(blocked_ids, upper), phi_dy_many_oneshot(blocked_ids, upper)):
+            assert np.array_equal(got, want), count
+
+
+def test_evaluators_of_no_points_return_empty_arrays(fig1b_ids):
+    assert phi_many(fig1b_ids, []).shape == (0,)
+    phi, m = phi_dy_many(fig1b_ids, np.empty(0, dtype=complex))
+    assert phi.shape == m.shape == (0,) and m.dtype == complex
+
+
+def test_phi_dy_working_set_is_one_block(fig1b_ids):
+    # 4096 points on 2048 nodes: one-shot, each (points x grid) float64
+    # temporary alone is 64 MiB
+    rng = np.random.Generator(np.random.Philox(key=67))
+    zs = rng.uniform(-3.0, 4.0, 4096) + 1j * rng.uniform(0.01, 2.5, 4096)
+    tracemalloc.start()
+    try:
+        phi_dy_many(fig1b_ids, zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_stieltjes_rejects_real_z(fig1b_ids):
     with pytest.raises(ValidationError, match="Im z > 0"):
         phi_dy_many(fig1b_ids, [0.5 + 0.5j, 1.0])
@@ -317,6 +370,27 @@ def test_thouless_formula_random(fig1b_ids):
         th = lyapunov_thouless(fig1b_ids, mlc, z)
         tr = lyapunov_transfer(spec, 100_000, 4, z)
         assert abs(th - tr.gamma_hat) < 0.02
+
+
+def test_thouless_residual_check_equals_per_point_calls(fig1b_ids):
+    # one array call of the Thouless route over the probes (upper, lower
+    # half-plane and a real point) gives the per-point values bit for bit
+    from tricurves.verify import check_thouless_residual
+
+    spec = fig1b_spec()
+    mlc = mean_log_coupling(spec)
+    points = [1 + 1j, 2 - 0.5j, 0.4 + 0j, -0.5 + 0.75j]
+    res = check_thouless_residual(spec, fig1b_ids, points, 2000, 2, 0.05)
+    gaps = [
+        abs(transfer.gamma_hat - lyapunov_thouless(fig1b_ids, mlc, complex(z)))
+        for z, transfer in zip(points, lyapunov_transfer(spec, 2000, 2, points))
+    ]
+    assert res.measured == max(gaps)
+    assert res.detail == "; ".join(f"z={z}: {gap:.4g}" for z, gap in zip(points, gaps))
+    assert np.array_equal(
+        lyapunov_thouless(fig1b_ids, mlc, np.array(points)),
+        [lyapunov_thouless(fig1b_ids, mlc, complex(z)) for z in points],
+    )
 
 
 def test_gamma_nonnegative_everywhere(fig1b_ids):

@@ -1,15 +1,16 @@
-"""Run artifacts on disk: one header format, atomic writes, one reuse rule.
+"""Run artifacts on disk: one header format, one table layout, atomic
+writes, one reuse rule.
 
 Every artifact is a text file whose first line is its header,
 
     # config_hash=<h> seed=<s> [key=value ...]
 
-followed by the artifact's body (a column header and rows for the CSVs).
-A stage reuses a cached artifact if and only if that header carries the
-run's config hash, so one key serves samples, spectra (the spectrum
-stage's and the verify stage's), the density-of-states cache and the
-curve model alike, and every artifact a manifest lists embeds the
-manifest's hash.
+Every artifact but the verify report is a table: the header, a column
+line and comma-separated rows, with ints as decimals, floats as ``%.17g``
+(which reads back bit for bit) and strings as they are.  A stage reuses
+a cached artifact if and only if its header carries the run's config
+hash (and any other field the caller names), so one rule serves every
+product, and every artifact a manifest lists embeds the manifest's hash.
 
 Writes go to a temporary file next to the target, which replaces the
 target only once it is complete: a write that fails or is interrupted
@@ -21,6 +22,10 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
+
+import numpy as np
+
+from .errors import ValidationError
 
 
 @contextlib.contextmanager
@@ -46,6 +51,41 @@ def write(path, header: dict, body) -> None:
         fh.writelines(body)
 
 
+def cells(values) -> list:
+    """One column's values as the table layout writes them."""
+    values = np.asarray(values)
+    fmt = "%d" if values.dtype.kind in "biu" else "%s" if values.dtype.kind in "US" else "%.17g"
+    return [fmt % v for v in values.tolist()]
+
+
+def write_table(path, header: dict, columns: dict) -> None:
+    """Atomically write ``header`` and the table ``columns`` (name ->
+    values); a value that fails to format inside the write leaves no file."""
+
+    def body():
+        yield ",".join(columns) + "\n"
+        yield from (",".join(row) + "\n" for row in zip(*map(cells, columns.values())))
+
+    write(path, header, body())
+
+
+def read_table(path, columns: dict) -> tuple:
+    """(header fields, name -> array) of the table whose column line names
+    ``columns`` (name -> float, int or str) in order, else ValidationError."""
+    with open(path) as fh:
+        header = _parse_header(fh.readline())
+        line = fh.readline().rstrip("\n")
+        rows = fh.readlines()
+    if line != ",".join(columns):
+        raise ValidationError(f"{path}: column line {line!r}, expected {','.join(columns)!r}")
+    dtype = [(name, object if kind is str else kind) for name, kind in columns.items()]
+    try:  # loadtxt warns on no rows
+        data = np.loadtxt(rows, dtype, comments=None, delimiter=",", ndmin=1) if rows else np.empty(0, dtype)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: malformed row: {exc}") from exc
+    return header, {name: np.ascontiguousarray(data[name]) for name in columns}
+
+
 def _parse_header(line: str) -> dict:
     if not line.startswith("#"):
         return {}
@@ -58,13 +98,7 @@ def read_header(path) -> dict:
         return _parse_header(fh.readline())
 
 
-def read(path) -> tuple:
-    """(header fields, body lines) of an artifact."""
-    with open(path) as fh:
-        header = _parse_header(fh.readline())
-        return header, fh.readlines()
-
-
-def is_current(path, config_hash: str) -> bool:
-    """The reuse rule: the artifact exists and its header carries config_hash."""
-    return os.path.exists(path) and read_header(path).get("config_hash") == config_hash
+def is_current(path, config_hash: str, **expected) -> bool:
+    """The reuse rule: the artifact exists and its header carries
+    config_hash and every ``expected`` field."""
+    return os.path.exists(path) and dict(expected, config_hash=config_hash).items() <= read_header(path).items()

@@ -155,9 +155,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
 @dataclass
 class RunManifest:
     """The artifacts one command listed, with the measured wall time of
-    each (0 for a reused product).  On disk it is an artifact like the
+    each (0 for a reused product).  On disk it is a table like the
     others: the header ``# config_hash=<h> tool_version=<v>``, then
-    ``name,path,seconds`` rows."""
+    ``name,path,seconds`` rows (seconds with three decimals)."""
 
     config_hash: str
     tool_version: str
@@ -169,22 +169,19 @@ class RunManifest:
         self.walltimes[name] = seconds
 
     def write(self, path: str) -> None:
-        header = {"config_hash": self.config_hash, "tool_version": self.tool_version}
-        rows = [f"{name},{self.artifacts[name]},{self.walltimes[name]:.3f}\n" for name in sorted(self.artifacts)]
-        artifacts.write(path, header, ["name,path,seconds\n", *rows])
+        names = sorted(self.artifacts)
+        artifacts.write_table(path, {"config_hash": self.config_hash, "tool_version": self.tool_version},
+                              {"name": names, "path": [self.artifacts[name] for name in names],
+                               "seconds": [f"{self.walltimes[name]:.3f}" for name in names]})
 
     @staticmethod
     def read(path: str) -> "RunManifest":
-        header, body = artifacts.read(path)
-        if set(header) != {"config_hash", "tool_version"} or body[:1] != ["name,path,seconds\n"]:
+        header, table = artifacts.read_table(path, {"name": str, "path": str, "seconds": float})
+        if set(header) != {"config_hash", "tool_version"}:
             raise ValidationError(f"{path} is not a run manifest")
         manifest = RunManifest(header["config_hash"], header["tool_version"])
-        for line in body[1:]:
-            try:
-                name, rel, seconds = line.rstrip("\n").split(",")
-                manifest.add(name, rel, float(seconds))
-            except ValueError as exc:
-                raise ValidationError(f"{path}: malformed manifest row {line!r}") from exc
+        for row in zip(table["name"], table["path"], table["seconds"].tolist()):
+            manifest.add(*row)
         return manifest
 
     def validate(self, base_dir: str) -> None:

@@ -10,6 +10,8 @@ slope.  The real part Sigma is the part of the support of dN where
 the log-potential exceeds max(E xi, E eta), and the linear density along
 the curve is |Stieltjes transform| / 2 pi.  Arcs are stored as polylines
 of the upper half plane; the lower halves are implied by conjugation.
+On disk the model is one table of arc vertices, with everything else in
+its header (see ``save_curve_model``); with no arcs it has no rows.
 """
 
 from __future__ import annotations
@@ -320,50 +322,35 @@ def default_bump_panel(model: CurveModel) -> list:
 # -- model serialization --------------------------------------------------------
 
 def save_curve_model(model: CurveModel, path, **header) -> None:
-    """The model as diff-able text: the artifact header (``header`` first,
-    then the model's scalars) and one row per sigma interval, isolated
-    real point and arc vertex."""
-    rows = [f"sigma {float(lo)!r} {float(hi)!r}\n" for lo, hi in model.sigma]
-    rows += [f"realpoint {float(xp)!r}\n" for xp in model.real_points]
-    for i, arc in enumerate(model.arcs):
-        rows += [f"arc {i} {float(x)!r} {float(y)!r} {float(r)!r}\n" for x, y, r in zip(arc.x, arc.y, arc.rho)]
-    artifacts.write(
-        path,
-        dict(header, g=repr(float(model.g)), threshold=repr(float(model.threshold)),
-             mean_log_c=repr(float(model.mean_log_c)), curve_tol=repr(float(model.curve_tol)),
-             ids_hash=model.ids.source_hash),
-        rows,
-    )
+    """The model as one table: ``header``, the model's scalars, IDS hash,
+    sigma and real points, then one "arc,x,y,rho" row per arc vertex."""
+    g, threshold, mass, mean_log_c, curve_tol = artifacts.cells(
+        [model.g, model.threshold, model.total_mass(), model.mean_log_c, model.curve_tol])
+    header = dict(header, g=g, threshold=threshold, mass=mass, mean_log_c=mean_log_c, curve_tol=curve_tol,
+                  ids_hash=model.ids.source_hash, sigma=",".join(artifacts.cells(np.ravel(model.sigma))),
+                  real_points=",".join(artifacts.cells(model.real_points)))
+    arcs = model.arcs
+    artifacts.write_table(path, header, {
+        "arc": np.repeat(np.arange(len(arcs)), [arc.x.size for arc in arcs]),
+        **{c: np.concatenate([getattr(arc, c) for arc in arcs] or [[]]) for c in ("x", "y", "rho")}})
 
 
-def load_curve_model(model_path, ids: IdsEstimate) -> CurveModel:
-    header, body = artifacts.read(model_path)
-    if "g" not in header:
-        raise ValidationError(f"{model_path} is not a curve model file")
-    if header["ids_hash"] != ids.source_hash:
-        raise ValidationError("curve model and ids estimate come from different ensembles")
-    sigma = []
-    real_points = []
-    arc_rows: dict = {}
-    for line in body:
-        parts = line.split()
-        if parts[0] == "sigma":
-            sigma.append((float(parts[1]), float(parts[2])))
-        elif parts[0] == "realpoint":
-            real_points.append(float(parts[1]))
-        elif parts[0] == "arc":
-            arc_rows.setdefault(int(parts[1]), []).append(tuple(float(p) for p in parts[2:]))
-    arcs = []
-    for i in sorted(arc_rows):
-        rows = np.asarray(arc_rows[i])
-        arcs.append(Arc(x=rows[:, 0].copy(), y=rows[:, 1].copy(), rho=rows[:, 2].copy()))
+def load_curve_model(path, ids: IdsEstimate) -> CurveModel:
+    """The model ``save_curve_model`` wrote, on the density of states
+    ``ids``; the caller checks that the file's ids_hash is ids'."""
+    header, table = artifacts.read_table(path, {"arc": int, "x": float, "y": float, "rho": float})
+    if "sigma" not in header:
+        raise ValidationError(f"{path} is not a curve model file")
+    ends = np.flatnonzero(np.diff(table["arc"])) + 1  # each arc's rows are consecutive
+    arcs = [Arc(*cols) for cols in zip(*(np.split(table[c], ends) for c in ("x", "y", "rho"))) if cols[0].size]
+    sigma, real_points = ([float(v) for v in header[key].split(",") if v] for key in ("sigma", "real_points"))
     return CurveModel(
         g=float(header["g"]),
         threshold=float(header["threshold"]),
         mean_log_c=float(header["mean_log_c"]),
         arcs=tuple(arcs),
         real_points=tuple(real_points),
-        sigma=tuple(sigma),
+        sigma=tuple(zip(sigma[0::2], sigma[1::2])),
         ids=ids,
         curve_tol=float(header["curve_tol"]),
     )

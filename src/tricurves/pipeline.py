@@ -1,18 +1,20 @@
 """Stage runners behind the CLI: config-driven, cached, reproducible.
 
-Each stage works through one ``_Run``: artifact paths and headers (see
-``artifacts``), the reuse rule, measured times and the stage's manifest.
-Products -- samples, spectra, their summary, the density-of-states cache,
-the curve model and points, and the spectra the verify checks read -- are
-pure functions of the config: one whose header carries the run's config
-hash is kept and listed with 0 s, any other is built and listed with its
+Each stage works through one ``_Run``: artifact paths and headers, the
+reuse rule, measured times and the stage's manifest; every table goes
+through ``artifacts.write_table`` and ``read_table``.
+Products -- samples, spectra, their summary, the density-of-states cache
+``ids/ids.csv``, the curve ``curve/curve_points.csv`` and the spectra the
+verify checks read -- are pure functions of the config: one whose header
+carries the run's config hash (the curve also the loaded IDS's hash) is
+kept and listed with 0 s, any other is built and listed with its
 measured time.  Reports -- the Lyapunov scan and the verify and compare
 reports -- cross-check the prediction and are recomputed on every run.
-The IDS cache, the curve model and verify's spectra are built only when
-not current and always read back from disk, so a cold run and a rerun
-use the same values.  Dense solves run in a bounded thread pool
-(LAPACK releases the GIL): the spectrum stage's one file per (n, rep)
-and verify's one file per (n, realization).  Every stage returns
+The IDS cache, the curve and verify's spectra are built only when not
+current and always read back from disk, so a cold run and a rerun use
+the same values.  Dense solves run in a bounded thread pool (LAPACK
+releases the GIL): the spectrum stage's one file per (n, rep) and
+verify's one file per (n, realization).  Every stage returns
 ``(manifest, lines to print, ok)``.
 """
 
@@ -67,9 +69,8 @@ __all__ = [
     "stage_compare",
 ]
 
-_FMT = "%.17g"
-_IDS = os.path.join("ids", "ids_cache.txt")
-_MODEL = os.path.join("curve", "curve_model.txt")
+_IDS = os.path.join("ids", "ids.csv")
+_CURVE = os.path.join("curve", "curve_points.csv")
 _ARC_BINS = 12  # arc-length bins per arc in the compare stage's histogram
 _SEGMENT_RUN = 32  # consecutive curve segments that distance_to_arcs bounds by one box
 # The weak-convergence panel's realization r is the ensemble's realization
@@ -93,9 +94,6 @@ class _Run:
     def header(self, **extra) -> dict:
         return {"config_hash": self.manifest.config_hash, "seed": self.cfg.ensemble.seed, **extra}
 
-    def is_current(self, rel: str) -> bool:
-        return artifacts.is_current(self.path(rel), self.manifest.config_hash)
-
     @contextlib.contextmanager
     def timed(self, name: str, rel: str):
         """Yields the path to write ``rel`` to; lists it with the block's measured time."""
@@ -104,10 +102,11 @@ class _Run:
         yield self.path(rel)
         self.manifest.add(name, rel, time.perf_counter() - t0)
 
-    def product(self, name: str, rel: str, write) -> None:
+    def product(self, name: str, rel: str, write, **expected) -> None:
         """The reuse rule: keep ``rel`` when current (listed with 0 s),
-        otherwise ``write(path)`` builds it."""
-        if self.is_current(rel):
+        with the ``expected`` header fields too; otherwise ``write(path)``
+        builds it."""
+        if artifacts.is_current(self.path(rel), self.manifest.config_hash, **expected):
             self.manifest.add(name, rel, 0.0)
             return
         with self.timed(name, rel) as path:
@@ -132,17 +131,16 @@ def _verify_spectrum_path(n: int, r: int) -> str:
     return os.path.join("verify", f"spectrum_n{n}_r{r}.csv")
 
 
-def _read_spectrum(path: str) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=2)
-    return data[:, 0] + 1j * data[:, 1]
+def _eigenvalues(path: str) -> np.ndarray:
+    _, table = artifacts.read_table(path, {"re": float, "im": float})
+    return table["re"] + 1j * table["im"]
 
 
 def _write_sample(run: _Run, n: int, rep: int, path: str) -> None:
     seq = realization(run.cfg.ensemble, n, rep)
     cols = ("sub", "sup", "diag") if seq.raw else ("xi", "eta", "q")
-    arrays = [getattr(seq, c) for c in cols]
-    rows = (f"{k}," + ",".join(_FMT % a[k] for a in arrays) + "\n" for k in range(n + 1))
-    artifacts.write(path, run.header(n=n, rep=rep), ["k," + ",".join(cols) + "\n", *rows])
+    artifacts.write_table(path, run.header(n=n, rep=rep),
+                          {"k": np.arange(n + 1), **{c: getattr(seq, c) for c in cols}})
 
 
 def stage_sample(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
@@ -158,9 +156,8 @@ def _write_spectrum(run: _Run, n: int, r: int, key: str, path: str, **solve) -> 
     """Dense spectrum of realization r at size n; the header names r as
     ``key``, and ``solve`` holds ``spectrum``'s options."""
     res = spectrum(build(realization(run.cfg.ensemble, n, r)), **solve)
-    rows = (f"{_FMT % z.real},{_FMT % z.imag}\n" for z in res.eigenvalues)
-    artifacts.write(path, run.header(n=n, **{key: r}, method=res.method, residual=f"{res.residual:.3e}"),
-                    ["re,im\n", *rows])
+    artifacts.write_table(path, run.header(n=n, **{key: r}, method=res.method, residual=f"{res.residual:.3e}"),
+                          {"re": res.eigenvalues.real, "im": res.eigenvalues.imag})
 
 
 def _build_pooled(run: _Run, products: list, jobs: int) -> None:
@@ -173,12 +170,11 @@ def _build_pooled(run: _Run, products: list, jobs: int) -> None:
 
 def _write_summary(run: _Run, path: str) -> None:
     """Non-real counts per (n, rep), read back from the spectrum artifacts."""
-    rows = ["n,rep,nonreal_count,nonreal_fraction,path\n"]
-    for n, rep in _pairs(run.cfg):
-        rel = _spectrum_csv_path(n, rep)
-        nonreal = int(np.sum(np.abs(_read_spectrum(run.path(rel)).imag) > run.cfg.nonreal_tol))
-        rows.append(f"{n},{rep},{nonreal},{_FMT % (nonreal / n)},{rel}\n")
-    artifacts.write(path, run.header(nonreal_tol=run.cfg.nonreal_tol), rows)
+    n, rep = np.array(_pairs(run.cfg)).T
+    rels = [_spectrum_csv_path(*pair) for pair in zip(n, rep)]
+    nonreal = np.array([np.sum(np.abs(_eigenvalues(run.path(rel)).imag) > run.cfg.nonreal_tol) for rel in rels])
+    artifacts.write_table(path, run.header(nonreal_tol=run.cfg.nonreal_tol),
+                          {"n": n, "rep": rep, "nonreal_count": nonreal, "nonreal_fraction": nonreal / n, "path": rels})
 
 
 def stage_spectrum(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
@@ -205,29 +201,19 @@ def _ids(run: _Run):
 
 
 def _model(run: _Run) -> CurveModel:
-    """The curve model and its points CSV, each built only when it is not
-    current; the model is always loaded from disk.  The one caller of
-    ``trace_curve``."""
+    """The curve model, built only when it is not current (for this
+    config and the loaded IDS) and always loaded from disk.  The one
+    caller of ``trace_curve``."""
     cfg = run.cfg
     ids = _ids(run)
 
-    def write_model(path):
+    def write(path):
         model = trace_curve(ids, coupling_g(cfg.ensemble), mean_log_c=mean_log_coupling(cfg.ensemble),
                             x_points=cfg.curve_x_points, curve_tol=cfg.curve_tol)
         save_curve_model(model, path, **run.header())
 
-    run.product("curve_model", _MODEL, write_model)
-    model = load_curve_model(run.path(_MODEL), ids)
-
-    def write_points(path):
-        rows = ["arc,x,y,rho\n"]
-        for i, arc in enumerate(model.arcs):
-            rows += [f"{i},{_FMT % x},{_FMT % y},{_FMT % r}\n" for x, y, r in zip(arc.x, arc.y, arc.rho)]
-        artifacts.write(path, run.header(g=_FMT % model.g, threshold=_FMT % model.threshold,
-                                         mass=_FMT % model.total_mass()), rows)
-
-    run.product("curve_points", os.path.join("curve", "curve_points.csv"), write_points)
-    return model
+    run.product("curve_model", _CURVE, write, ids_hash=ids.source_hash)
+    return load_curve_model(run.path(_CURVE), ids)
 
 
 def stage_ids(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
@@ -244,21 +230,21 @@ def stage_lyapunov(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
     ids = _ids(run)
     mlc = mean_log_coupling(cfg.ensemble)
     with run.timed("lyapunov_scan", os.path.join("lyapunov", "lyapunov_scan.csv")) as path:
-        rows = ["re,im,gamma_transfer,stderr,gamma_thouless,real_axis_caveat\n"]
         estimates = lyapunov_transfer(cfg.ensemble, cfg.thouless_n, cfg.thouless_reps, cfg.thouless_points)
         lo, hi = ids.support
         axis = np.linspace(lo - 0.5, hi + 0.5, 41)
         # one Thouless call for the probes and the real-axis profile; each
         # point's value does not depend on the others
-        thouless = lyapunov_thouless(ids, mlc, np.concatenate([[est.z for est in estimates], axis]))
-        for est, th in zip(estimates, thouless):
-            rows.append(
-                f"{_FMT % est.z.real},{_FMT % est.z.imag},{_FMT % est.gamma_hat},"
-                f"{_FMT % est.stderr},{_FMT % th},{int(est.real_axis_caveat)}\n"
-            )
-        for x, th in zip(axis, thouless[len(estimates) :]):
-            rows.append(f"{_FMT % x},0,nan,nan,{_FMT % th},1\n")
-        artifacts.write(path, run.header(n=cfg.thouless_n, reps=cfg.thouless_reps), rows)
+        z = np.concatenate([[est.z for est in estimates], axis])
+        # the real-axis profile has no transfer estimate and always the caveat
+        none = [np.nan] * axis.size
+        artifacts.write_table(path, run.header(n=cfg.thouless_n, reps=cfg.thouless_reps), {
+            "re": z.real, "im": z.imag,
+            "gamma_transfer": [est.gamma_hat for est in estimates] + none,
+            "stderr": [est.stderr for est in estimates] + none,
+            "gamma_thouless": lyapunov_thouless(ids, mlc, z),
+            "real_axis_caveat": [est.real_axis_caveat for est in estimates] + [True] * axis.size,
+        })
     return run.done()
 
 
@@ -280,7 +266,7 @@ def _verify_spectra(run: _Run, keys: list, jobs: int) -> dict:
     keys = list(dict.fromkeys(keys))  # a key that two checks share is solved once
     _build_pooled(run, [(f"spectrum_n{n}_r{r}", _verify_spectrum_path(n, r),
                          partial(_write_spectrum, run, n, r, "r", want_vectors=False)) for n, r in keys], jobs)
-    return {key: _read_spectrum(run.path(_verify_spectrum_path(*key))) for key in keys}
+    return {key: _eigenvalues(run.path(_verify_spectrum_path(*key))) for key in keys}
 
 
 def stage_verify(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
@@ -311,9 +297,9 @@ def stage_verify(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
         lines += [
             "\n# weak-convergence panel (per test function)\n",
             "n," + ",".join(f"f{i}" for i in range(len(table[0][2]))) + "\n",
-            "predicted," + ",".join(_FMT % v for v in table[0][3]) + "\n",
+            "predicted," + ",".join(artifacts.cells(table[0][3])) + "\n",
         ]
-        lines += [f"{n}," + ",".join(_FMT % v for v in empirical) + "\n" for n, err, empirical, _ in table]
+        lines += [f"{n}," + ",".join(artifacts.cells(empirical)) + "\n" for n, err, empirical, _ in table]
         artifacts.write(path, run.header(), lines)
     return run.done([res.line() for res in results], all(res.passed for res in results))
 
@@ -380,14 +366,14 @@ def stage_compare(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
     budget.  Needs the spectrum stage's artifacts."""
     run = _Run(cfg, out_dir, "compare")
     for n, rep in _pairs(cfg):
-        if not run.is_current(_spectrum_csv_path(n, rep)):
+        if not artifacts.is_current(run.path(_spectrum_csv_path(n, rep)), run.manifest.config_hash):
             raise ValidationError(f"spectrum artifact {run.path(_spectrum_csv_path(n, rep))} "
                                   "missing or from a different config")
     model = _model(run)
     with run.timed("compare_report", "compare_report.csv") as path:
         rows = []
         for n, rep in _pairs(cfg):
-            eigs = _read_spectrum(run.path(_spectrum_csv_path(n, rep)))
+            eigs = _eigenvalues(run.path(_spectrum_csv_path(n, rep)))
             nonreal = eigs[np.abs(eigs.imag) > cfg.nonreal_tol]
             if nonreal.size:
                 d_curve = distance_to_arcs(nonreal, model)
@@ -399,13 +385,9 @@ def stage_compare(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
             arc_hist_err = _arc_histogram_error(nonreal, model, n)
             rows.append((n, rep, nonreal.size / n, haus_curve, haus_curve_or_axis,
                          real_mass_err, arc_hist_err))
-        artifacts.write(
-            path,
-            run.header(hausdorff_budget=cfg.hausdorff_budget),
-            ["n,rep,nonreal_fraction,hausdorff_to_curve,hausdorff_to_curve_or_axis,"
-             "real_hist_max_err,arc_hist_max_err\n"]
-            + [f"{row[0]},{row[1]}," + ",".join(_FMT % v for v in row[2:]) + "\n" for row in rows],
-        )
+        artifacts.write_table(path, run.header(hausdorff_budget=cfg.hausdorff_budget), dict(zip(
+            ("n", "rep", "nonreal_fraction", "hausdorff_to_curve", "hausdorff_to_curve_or_axis",
+             "real_hist_max_err", "arc_hist_max_err"), zip(*rows))))
     lines = [
         f"n={n} rep={rep}: nonreal {frac:.3f}, dist-to-curve {d_curve:.4g}, "
         f"dist-to-curve-or-axis {d_both:.4g}, real-hist {r_err:.4g}, arc-hist {a_err:.4g}"

@@ -22,6 +22,8 @@ transfer-matrix products (column-sum norm), and through the Thouless
 route gamma(z) = Phi(z) - E log c_0, which is the one used on the real
 axis where pathwise transfer estimates are unreliable (transfer estimates
 at real z carry a warning flag).
+The density-of-states cache is a table of "lambda,N" rows, with the
+estimate's metadata in its header (see ``save_ids``).
 """
 
 from __future__ import annotations
@@ -272,25 +274,20 @@ def lyapunov_thouless(ids: IdsEstimate, mean_log_c: float, z) -> float:
 # -- cache file ----------------------------------------------------------------
 
 def save_ids(ids: IdsEstimate, path, **header) -> None:
-    """Cache as diff-able text: the artifact header (``header`` first,
-    then the estimate's metadata) and "lambda N" rows."""
-    lo, hi = ids.support
-    artifacts.write(
-        path,
-        dict(header, n_used=ids.n_used, realizations_used=ids.realizations_used,
-             support=f"{float(lo)!r},{float(hi)!r}", source_hash=ids.source_hash),
-        (f"{float(lam)!r} {float(val)!r}\n" for lam, val in zip(ids.grid, ids.values)),
-    )
+    """The cache as a table: the artifact header (``header`` first, then
+    the estimate's metadata) and one "lambda,N" row per grid node."""
+    header = dict(header, n_used=ids.n_used, realizations_used=ids.realizations_used,
+                  support=",".join(artifacts.cells(ids.support)), source_hash=ids.source_hash)
+    artifacts.write_table(path, header, {"lambda": ids.grid, "N": ids.values})
 
 
 def load_ids(path) -> IdsEstimate:
-    header, body = artifacts.read(path)
+    header, table = artifacts.read_table(path, {"lambda": float, "N": float})
     if "n_used" not in header:
         raise ValidationError(f"{path} is not an ids cache file")
-    pairs = [line.split() for line in body]
     return IdsEstimate(
-        grid=np.array([float(lam) for lam, _ in pairs]),
-        values=np.array([float(val) for _, val in pairs]),
+        grid=table["lambda"],
+        values=table["N"],
         n_used=int(header["n_used"]),
         realizations_used=int(header["realizations_used"]),
         support=tuple(float(v) for v in header["support"].split(",")),

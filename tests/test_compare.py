@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import arc_bins, arc_histogram_error_loop, distance_to_arcs_loop
+from tricurves.artifacts import read_table
 from tricurves.cli import main
 from tricurves.config import load_config
 from tricurves.curves import Arc, load_curve_model
-from tricurves.pipeline import _arc_histogram_error, _read_spectrum, distance_to_arcs
+from tricurves.pipeline import _arc_histogram_error, distance_to_arcs
 from tricurves.spectral import load_ids
 
 # the config of perfbench's clouds workload: Fig. 1b ensemble, n = 300 and
@@ -42,6 +43,11 @@ grid_points = 1024
 """
 
 
+def _eigenvalues(path):
+    _, table = read_table(path, {"re": float, "im": float})
+    return table["re"] + 1j * table["im"]
+
+
 @pytest.fixture(scope="module")
 def clouds(tmp_path_factory):
     """(curve model, [(n, eigenvalues)]) of the clouds workload's spectra."""
@@ -50,9 +56,9 @@ def clouds(tmp_path_factory):
     cfg_path.write_text(CLOUDS)
     for stage in ("spectrum", "curve"):
         assert main([stage, "--config", str(cfg_path), "--out", str(out), "--jobs", "2"]) == 0
-    model = load_curve_model(out / "curve" / "curve_model.txt", load_ids(out / "ids" / "ids_cache.txt"))
+    model = load_curve_model(out / "curve" / "curve_points.csv", load_ids(out / "ids" / "ids.csv"))
     cfg = load_config(str(cfg_path))
-    spectra = [(n, _read_spectrum(os.path.join(out, "spectra", f"spectrum_n{n}_rep{rep}.csv")))
+    spectra = [(n, _eigenvalues(os.path.join(out, "spectra", f"spectrum_n{n}_rep{rep}.csv")))
                for n in cfg.sizes for rep in range(cfg.reps)]
     return model, spectra
 

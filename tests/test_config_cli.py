@@ -2,6 +2,7 @@ import configparser
 import dataclasses
 import os
 import runpy
+import shutil
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tricurves import artifacts, pipeline, verify
 from tricurves.cli import main
 from tricurves.config import ExperimentConfig, RunManifest, config_hash, config_to_text, load_config
 from tricurves.ensembles import DistributionSpec, EnsembleSpec, mean_log_coupling
+from tricurves.curves import load_curve_model
 from tricurves.errors import ValidationError
 from tricurves.spectral import load_ids, lyapunov_thouless
 
@@ -314,7 +316,7 @@ def test_curve_rerun_keeps_its_artifacts(tmp_path):
     cfg_path = write_cfg(tmp_path, BASE)
     out = str(tmp_path / "run")
     assert main(["curve", "--config", cfg_path, "--out", out]) == 0
-    paths = [os.path.join(out, "curve", name) for name in ("curve_model.txt", "curve_points.csv")]
+    paths = [os.path.join(out, "curve", "curve_points.csv")]
     before = [_stamp(p) for p in paths]
     assert main(["curve", "--config", cfg_path, "--out", out]) == 0
     assert [_stamp(p) for p in paths] == before
@@ -327,7 +329,7 @@ def test_curve_height_stall_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: curve height solve stalled: worst residual" in err
     assert "(tol 1e-18) after 110 sweeps" in err
-    assert not os.path.exists(tmp_path / "run" / "curve" / "curve_model.txt")
+    assert not os.path.exists(tmp_path / "run" / "curve" / "curve_points.csv")
 
 
 def test_curve_stage_deterministic_bytes(tmp_path):
@@ -337,12 +339,12 @@ def test_curve_stage_deterministic_bytes(tmp_path):
     for out in (out_a, out_b):
         assert main(["ids", "--config", cfg_path, "--out", out]) == 0
         assert main(["curve", "--config", cfg_path, "--out", out]) == 0
-    bytes_a = open(os.path.join(out_a, "curve", "curve_model.txt"), "rb").read()
-    bytes_b = open(os.path.join(out_b, "curve", "curve_model.txt"), "rb").read()
+    bytes_a = open(os.path.join(out_a, "curve", "curve_points.csv"), "rb").read()
+    bytes_b = open(os.path.join(out_b, "curve", "curve_points.csv"), "rb").read()
     assert bytes_a == bytes_b
     # re-running in place is also byte-stable
     assert main(["curve", "--config", cfg_path, "--out", out_a]) == 0
-    assert open(os.path.join(out_a, "curve", "curve_model.txt"), "rb").read() == bytes_a
+    assert open(os.path.join(out_a, "curve", "curve_points.csv"), "rb").read() == bytes_a
 
 
 def test_seed_override_produces_different_spectra(tmp_path):
@@ -382,7 +384,7 @@ def test_lyapunov_scan_thouless_column_equals_per_point_values(tmp_path):
     )
     out = str(tmp_path / "run")
     assert main(["lyapunov", "--config", cfg_path, "--out", out]) == 0
-    ids = load_ids(os.path.join(out, "ids", "ids_cache.txt"))
+    ids = load_ids(os.path.join(out, "ids", "ids.csv"))
     mlc = mean_log_coupling(load_config(cfg_path).ensemble)
     rows = [l.split(",") for l in open(os.path.join(out, "lyapunov", "lyapunov_scan.csv")).read().splitlines()[2:]]
     assert len(rows) == 3 + 41
@@ -525,7 +527,7 @@ def test_verify_command_green_and_red(tmp_path):
 def test_ids_cache_is_rebuilt_when_the_config_changes(tmp_path):
     small = BASE.replace("n = 400", "n = 200").replace("grid_points = 512", "grid_points = 256")
     out = str(tmp_path / "run")
-    path = os.path.join(out, "ids", "ids_cache.txt")
+    path = os.path.join(out, "ids", "ids.csv")
     assert main(["ids", "--config", write_cfg(tmp_path, small, name="small.ini"), "--out", out]) == 0
     cfg_path = write_cfg(tmp_path, BASE)
     assert main(["ids", "--config", cfg_path, "--out", out]) == 0
@@ -568,14 +570,14 @@ def test_verify_in_a_fresh_directory_leaves_the_curve_model(tmp_path):
     out = str(tmp_path / "run")
     assert main(["verify", "--config", cfg_path, "--out", out]) == 0
     manifest = RunManifest.read(os.path.join(out, "manifest_verify.txt"))
-    assert manifest.artifacts["curve_model"] == os.path.join("curve", "curve_model.txt")
+    assert manifest.artifacts["curve_model"] == os.path.join("curve", "curve_points.csv")
     manifest.validate(out)
     # the same model the curve stage writes for this config
     other = str(tmp_path / "curve_only")
     assert main(["curve", "--config", cfg_path, "--out", other]) == 0
-    for name in ("curve_model.txt", "curve_points.csv"):
-        with open(os.path.join(out, "curve", name), "rb") as a, open(os.path.join(other, "curve", name), "rb") as b:
-            assert a.read() == b.read()
+    rel = os.path.join("curve", "curve_points.csv")
+    with open(os.path.join(out, rel), "rb") as a, open(os.path.join(other, rel), "rb") as b:
+        assert a.read() == b.read()
 
 
 def _verify_files(out):
@@ -655,8 +657,8 @@ def test_manifest_uses_the_artifact_header_and_rejects_malformed_files(tmp_path)
     assert lines[0] == f"# config_hash={config_hash(load_config(cfg_path))} tool_version=0.1.0"
     assert lines[1] == "name,path,seconds"
     name, rel, seconds = lines[2].split(",")
-    assert (name, rel) == ("ids", os.path.join("ids", "ids_cache.txt")) and float(seconds) > 0.0
-    for broken in ("# run-manifest v1\n", lines[0] + "\nname,path,seconds\nids,ids/ids_cache.txt\n"):
+    assert (name, rel) == ("ids", os.path.join("ids", "ids.csv")) and float(seconds) > 0.0
+    for broken in ("# run-manifest v1\n", lines[0] + "\nname,path,seconds\nids,ids/ids.csv\n"):
         with open(path, "w") as fh:
             fh.write(broken)
         with pytest.raises(ValidationError):
@@ -666,8 +668,7 @@ def test_manifest_uses_the_artifact_header_and_rejects_malformed_files(tmp_path)
 class _FailingValue:
     """Stands in for an eigenvalue; formatting it fails like a full disk."""
 
-    @property
-    def real(self):
+    def __float__(self):
         raise OSError(28, "No space left on device")
 
 
@@ -678,7 +679,7 @@ def test_failed_write_leaves_no_artifact_and_the_rerun_rebuilds_it(tmp_path, mon
 
     def spectrum_that_fails_mid_write(bundle):
         res = solve(bundle)
-        values = np.array([*res.eigenvalues[:5], _FailingValue()], dtype=object)
+        values = np.array([*res.eigenvalues[:5].real, _FailingValue()], dtype=object)
         return dataclasses.replace(res, eigenvalues=values)
 
     monkeypatch.setattr(pipeline, "spectrum", spectrum_that_fails_mid_write)
@@ -690,3 +691,108 @@ def test_failed_write_leaves_no_artifact_and_the_rerun_rebuilds_it(tmp_path, mon
     lines = open(os.path.join(out, "spectra", "spectrum_n64_rep0.csv")).read().splitlines()
     assert lines[1] == "re,im"
     assert len(lines) == 2 + 64
+
+
+# -- tables: malformed products, earlier layouts, one format ---------------------------
+
+@pytest.fixture(scope="module")
+def spectra_and_curve(tmp_path_factory):
+    """(config path, directory) after spectrum and curve ran with BASE."""
+    base = tmp_path_factory.mktemp("tables")
+    cfg_path = write_cfg(base, BASE)
+    for stage in ("spectrum", "curve"):
+        assert main([stage, "--config", cfg_path, "--out", str(base / "run")]) == 0
+    return cfg_path, base / "run"
+
+
+@pytest.mark.parametrize("rel, stage", [
+    (os.path.join("spectra", "spectrum_n64_rep0.csv"), "compare"),
+    (os.path.join("ids", "ids.csv"), "curve"),
+    (os.path.join("curve", "curve_points.csv"), "curve"),
+])
+def test_a_malformed_row_in_a_current_product_exits_2(tmp_path, capsys, spectra_and_curve, rel, stage):
+    cfg_path, run = spectra_and_curve
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    with open(out / rel, "a") as fh:  # the header stays current
+        fh.write("0.5,oops\n")
+    assert main([stage, "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"validation error: {out / rel}: malformed row" in capsys.readouterr().err
+
+
+def _write_pre_table_files(new, old):
+    """ids/ids_cache.txt, curve/curve_model.txt and curve/curve_points.csv
+    in ``old`` as versions before the table layout wrote them, with the
+    values of the tables in ``new``."""
+    for sub in ("ids", "curve"):
+        os.makedirs(os.path.join(old, sub))
+    head, ids = artifacts.read_table(os.path.join(new, "ids", "ids.csv"), {"lambda": float, "N": float})
+    artifacts.write(os.path.join(old, "ids", "ids_cache.txt"), head,
+                    [f"{lam!r} {val!r}\n" for lam, val in zip(ids["lambda"].tolist(), ids["N"].tolist())])
+    with open(os.path.join(new, "curve", "curve_points.csv")) as fh:
+        head, body = artifacts.read_header(fh.name), fh.readlines()[1:]
+    keys = ("config_hash", "seed", "g", "threshold")
+    artifacts.write(os.path.join(old, "curve", "curve_points.csv"), {k: head[k] for k in keys + ("mass",)}, body)
+    sigma = head["sigma"].split(",")
+    rows = [f"sigma {lo} {hi}\n" for lo, hi in zip(sigma[0::2], sigma[1::2])]
+    rows += [f"realpoint {x}\n" for x in head["real_points"].split(",") if x]
+    rows += ["arc " + line.replace(",", " ") for line in body[1:]]
+    artifacts.write(os.path.join(old, "curve", "curve_model.txt"),
+                    {k: head[k] for k in keys + ("mean_log_c", "curve_tol", "ids_hash")}, rows)
+
+
+def test_a_directory_from_before_the_table_layout_is_rebuilt(tmp_path):
+    cfg_path = write_cfg(tmp_path, BASE)
+    fresh, old = str(tmp_path / "fresh"), str(tmp_path / "old")
+    assert main(["curve", "--config", cfg_path, "--out", fresh]) == 0
+    _write_pre_table_files(fresh, old)
+    # the earlier curve_points.csv carries the current config hash but no ids_hash
+    assert artifacts.is_current(os.path.join(old, "curve", "curve_points.csv"), config_hash(load_config(cfg_path)))
+    assert main(["curve", "--config", cfg_path, "--out", old]) == 0
+    for rel in (os.path.join("ids", "ids.csv"), os.path.join("curve", "curve_points.csv")):
+        with open(os.path.join(fresh, rel), "rb") as a, open(os.path.join(old, rel), "rb") as b:
+            assert a.read() == b.read()
+    # the earlier files are neither read nor removed
+    assert sorted(os.listdir(os.path.join(old, "ids"))) == ["ids.csv", "ids_cache.txt"]
+    assert sorted(os.listdir(os.path.join(old, "curve"))) == ["curve_model.txt", "curve_points.csv"]
+
+
+def test_a_curve_without_arcs_round_trips_through_its_empty_table(tmp_path):
+    # xi and eta with one law give g = 0, so the curve has no arcs; with
+    # constant couplings the matrices are symmetric and compare sees only
+    # real eigenvalues
+    same_law = "kind = constant\nvalue = 0.0"
+    text = (BASE.replace("[ensemble.xi]\nkind = log_uniform\na = 0.0\nb = 1.0", "[ensemble.xi]\n" + same_law)
+            .replace("[ensemble.eta]\nkind = log_uniform\na = 0.5\nb = 1.5", "[ensemble.eta]\n" + same_law))
+    cfg_path = write_cfg(tmp_path, text)
+    out = str(tmp_path / "run")
+    path = os.path.join(out, "curve", "curve_points.csv")
+    assert main(["spectrum", "--config", cfg_path, "--out", out]) == 0
+    assert main(["curve", "--config", cfg_path, "--out", out]) == 0
+    lines = open(path).read().splitlines()
+    assert " g=0 " in lines[0] and lines[1:] == ["arc,x,y,rho"]
+    before = _stamp(path)
+    assert main(["curve", "--config", cfg_path, "--out", out]) == 0
+    assert _stamp(path) == before
+    assert main(["compare", "--config", cfg_path, "--out", out]) == 0
+    model = load_curve_model(path, load_ids(os.path.join(out, "ids", "ids.csv")))
+    assert model.g == 0.0 and model.arcs == () and model.sigma
+
+
+def test_every_listed_artifact_is_a_table(tmp_path):
+    cfg_path = write_cfg(tmp_path, SMALL_VERIFY)
+    out = str(tmp_path / "run")
+    stages = ("sample", "spectrum", "ids", "lyapunov", "curve", "verify", "compare")
+    for stage in stages:
+        assert main([stage, "--config", cfg_path, "--out", out]) == 0
+    rels = {rel for stage in stages
+            for rel in RunManifest.read(os.path.join(out, f"manifest_{stage}.txt")).artifacts.values()}
+    rels.remove("verify_report.txt")  # a report of check lines, not a table
+    assert {rel.split(os.sep)[0] for rel in rels} == {
+        "samples", "spectra", "ids", "lyapunov", "curve", "verify", "compare_report.csv"}
+    for rel in rels:
+        with open(os.path.join(out, rel)) as fh:
+            fh.readline()
+            names = fh.readline().rstrip("\n").split(",")
+        _, table = artifacts.read_table(os.path.join(out, rel), {n: str if n == "path" else float for n in names})
+        assert len({column.size for column in table.values()}) == 1

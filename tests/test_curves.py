@@ -367,7 +367,7 @@ def test_weak_convergence_needs_two_ascending_sizes(fig1b_ids):
 def test_model_round_trip(tmp_path, fig1b_ids):
     spec = fig1b_spec()
     model = trace_curve(fig1b_ids, coupling_g(spec), mean_log_c=mean_log_coupling(spec))
-    path = tmp_path / "model.txt"
+    path = tmp_path / "curve_points.csv"
     save_curve_model(model, path)
     again = load_curve_model(path, fig1b_ids)
     assert again.g == model.g

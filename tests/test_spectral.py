@@ -92,7 +92,7 @@ def test_ids_cauchy_diagonal_allowed():
 
 
 def test_ids_cache_round_trip(tmp_path, fig1b_ids):
-    path = tmp_path / "ids.txt"
+    path = tmp_path / "ids.csv"
     save_ids(fig1b_ids, path)
     again = load_ids(path)
     assert np.allclose(again.grid, fig1b_ids.grid)

@@ -69,13 +69,23 @@ def write_table(path, header: dict, columns: dict) -> None:
     write(path, header, body())
 
 
-def read_table(path, columns: dict) -> tuple:
+def read_table(path, columns: dict, fields: dict | None = None) -> tuple:
     """(header fields, name -> array) of the table whose column line names
-    ``columns`` (name -> float, int or str) in order, else ValidationError."""
+    ``columns`` (name -> float, int or str) in order, else ValidationError.
+    The header must carry the ``fields`` (name -> float, int, str, floats,
+    pair or pairs), which come back converted; the other header fields
+    come back as strings."""
     with open(path) as fh:
         header = _parse_header(fh.readline())
         line = fh.readline().rstrip("\n")
         rows = fh.readlines()
+    for name, kind in (fields or {}).items():
+        if name not in header:
+            raise ValidationError(f"{path}: header field {name} missing")
+        try:
+            header[name] = kind(header[name])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: malformed header field {name}={header[name]}: {exc}") from exc
     if line != ",".join(columns):
         raise ValidationError(f"{path}: column line {line!r}, expected {','.join(columns)!r}")
     dtype = [(name, object if kind is str else kind) for name, kind in columns.items()]
@@ -84,6 +94,27 @@ def read_table(path, columns: dict) -> tuple:
     except ValueError as exc:
         raise ValidationError(f"{path}: malformed row: {exc}") from exc
     return header, {name: np.ascontiguousarray(data[name]) for name in columns}
+
+
+def floats(text: str) -> tuple:
+    """A header field of comma-separated floats, possibly none."""
+    return tuple(float(v) for v in text.split(",") if v)
+
+
+def pairs(text: str) -> tuple:
+    """A header field of comma-separated floats, taken two at a time."""
+    values = floats(text)
+    if len(values) % 2:
+        raise ValueError(f"an odd count of values ({len(values)})")
+    return tuple(zip(values[0::2], values[1::2]))
+
+
+def pair(text: str) -> tuple:
+    """A header field of exactly two comma-separated floats."""
+    values = pairs(text)
+    if len(values) != 1:
+        raise ValueError(f"expected 2 values, got {2 * len(values)}")
+    return values[0]
 
 
 def _parse_header(line: str) -> dict:

@@ -19,24 +19,27 @@ from .errors import NumericalError, ValidationError, VerificationFailure
 from . import pipeline
 
 
+# command -> (stage runner, help)
+_COMMANDS = {
+    "sample": (pipeline.stage_sample, "write coefficient realizations"),
+    "spectrum": (pipeline.stage_spectrum, "dense spectra per (n, rep) plus non-real summary"),
+    "ids": (pipeline.stage_ids, "estimate the integrated density of states"),
+    "lyapunov": (pipeline.stage_lyapunov, "Lyapunov scans (transfer and Thouless routes)"),
+    "curve": (pipeline.stage_curve, "trace the predicted limit curve, support and density"),
+    "verify": (pipeline.stage_verify, "run the invariant battery against budgets"),
+    "compare": (pipeline.stage_compare, "empirical spectra against the predicted limit"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tricurves", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, stage, helptext in (
-        ("sample", pipeline.stage_sample, "write coefficient realizations"),
-        ("spectrum", pipeline.stage_spectrum, "dense spectra per (n, rep) plus non-real summary"),
-        ("ids", pipeline.stage_ids, "estimate the integrated density of states"),
-        ("lyapunov", pipeline.stage_lyapunov, "Lyapunov scans (transfer and Thouless routes)"),
-        ("curve", pipeline.stage_curve, "trace the predicted limit curve, support and density"),
-        ("verify", pipeline.stage_verify, "run the invariant battery against budgets"),
-        ("compare", pipeline.stage_compare, "empirical spectra against the predicted limit"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.set_defaults(stage=stage)
-        p.add_argument("--config", required=True, help="experiment config (INI)")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="worker pool size")
-        p.add_argument("--seed-override", type=int, default=None, help="replace the config seed")
+    parser = argparse.ArgumentParser(prog="tricurves", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="; ".join(f"{name}: {text}" for name, (_, text) in _COMMANDS.items()))
+    parser.add_argument("--config", required=True, help="experiment config (INI)")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--jobs", type=int, default=1, help="worker pool size")
+    parser.add_argument("--seed-override", type=int, default=None, help="replace the config seed")
     return parser
 
 
@@ -47,7 +50,8 @@ def main(argv=None) -> int:
         if args.seed_override is not None:
             cfg = cfg.with_seed(args.seed_override)
         os.makedirs(args.out, exist_ok=True)
-        _, lines, ok = args.stage(cfg, args.out, jobs=args.jobs)
+        stage, _ = _COMMANDS[args.command]
+        _, lines, ok = stage(cfg, args.out, jobs=args.jobs)
         for line in lines:
             print(line)
         if not ok:

@@ -16,6 +16,7 @@ the tool version.
 # No ``from __future__ import annotations`` here: the schema reads each
 # field's type as a class.
 import configparser
+import functools
 import hashlib
 import io
 import os
@@ -79,6 +80,21 @@ class ExperimentConfig:
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, ensemble=replace(self.ensemble, seed=int(seed)))
 
+    @functools.cached_property
+    def canonical_text(self) -> str:
+        """The canonical serialization (schema field order), built once
+        per config: the hashing input, and the list of keys it reads."""
+        cp = configparser.ConfigParser()
+        cp.read_string(ensemble_to_config(self.ensemble))
+        for f in _SCHEMA:
+            section, key = f.metadata["at"]
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp.set(section, key, _encode(f, getattr(self, f.name)))
+        buf = io.StringIO()
+        cp.write(buf)
+        return buf.getvalue()
+
 
 _SCHEMA = tuple(f for f in fields(ExperimentConfig) if f.metadata)
 
@@ -136,16 +152,7 @@ def _reject_unread(cp: configparser.ConfigParser, cfg: ExperimentConfig) -> None
 
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Canonical serialization (schema field order); hashing input."""
-    cp = configparser.ConfigParser()
-    cp.read_string(ensemble_to_config(cfg.ensemble))
-    for f in _SCHEMA:
-        section, key = f.metadata["at"]
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section, key, _encode(f, getattr(cfg, f.name)))
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
+    return cfg.canonical_text
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -12,6 +12,9 @@ the curve is |Stieltjes transform| / 2 pi.  Arcs are stored as polylines
 of the upper half plane; the lower halves are implied by conjugation.
 On disk the model is one table of arc vertices, with everything else in
 its header (see ``save_curve_model``); with no arcs it has no rows.
+Test functions, such as the Gaussian bumps of the weak-convergence
+panel, are array callables: ``limit_measure_integral`` calls one once
+per point set.
 """
 
 from __future__ import annotations
@@ -269,36 +272,42 @@ def real_support_sigma(ids: IdsEstimate, threshold: float) -> tuple:
     return tuple(intervals)
 
 
-def limit_measure_integral(model: CurveModel, f: Callable[[complex], float]) -> float:
+def limit_measure_integral(model: CurveModel, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """integral of f against the predicted limit measure: Stieltjes sums of
     f dN over Sigma plus trapezoidal arc-length quadrature of f rho along
-    every arc and its conjugate."""
+    every arc and its conjugate.  f is an array callable, called once with
+    Sigma's cell midpoints and once with each sheet of each arc; its value
+    is broadcast to the points' shape, so a constant works too."""
+
+    def values(points):
+        return np.broadcast_to(f(points), points.shape)
+
     ids = model.ids
-    total = 0.0
     mids = 0.5 * (ids.grid[:-1] + ids.grid[1:])
-    dn = np.diff(ids.values)
+    inside = np.zeros(mids.shape, dtype=bool)
     for lo, hi in model.sigma:
-        inside = (mids >= lo) & (mids <= hi)
-        if np.any(inside):
-            fvals = np.array([f(complex(x)) for x in mids[inside]])
-            total += float(fvals @ dn[inside])
+        inside |= (mids >= lo) & (mids <= hi)
+    total = float(values(mids[inside].astype(complex)) @ np.diff(ids.values)[inside])
     for arc in model.arcs:
         pts = arc.points()
         for sheet in (pts, np.conj(pts)):
-            fvals = np.array([f(complex(p)) for p in sheet])
+            fvals = values(sheet)
             dl = np.abs(np.diff(sheet))
             total += float(np.sum(0.5 * (fvals[:-1] * arc.rho[:-1] + fvals[1:] * arc.rho[1:]) * dl))
     return total
 
 
 # -- bounded continuous test functions ----------------------------------------
+#
+# A test function is an array callable: it maps an array of complex points
+# to the array of its values there.
 
-def gaussian_bump(center: complex, width: float) -> Callable[[complex], float]:
+def gaussian_bump(center: complex, width: float) -> Callable[[np.ndarray], np.ndarray]:
     center = complex(center)
     s2 = 2.0 * float(width) ** 2
 
-    def f(z: complex) -> float:
-        return math.exp(-abs(complex(z) - center) ** 2 / s2)
+    def f(z):
+        return np.exp(-np.abs(z - center) ** 2 / s2)
 
     return f
 
@@ -321,6 +330,11 @@ def default_bump_panel(model: CurveModel) -> list:
 
 # -- model serialization --------------------------------------------------------
 
+# the header fields of the model file that the model is rebuilt from
+_MODEL_FIELDS = {"g": float, "threshold": float, "mean_log_c": float, "curve_tol": float,
+                 "sigma": artifacts.pairs, "real_points": artifacts.floats}
+
+
 def save_curve_model(model: CurveModel, path, **header) -> None:
     """The model as one table: ``header``, the model's scalars, IDS hash,
     sigma and real points, then one "arc,x,y,rho" row per arc vertex."""
@@ -338,19 +352,7 @@ def save_curve_model(model: CurveModel, path, **header) -> None:
 def load_curve_model(path, ids: IdsEstimate) -> CurveModel:
     """The model ``save_curve_model`` wrote, on the density of states
     ``ids``; the caller checks that the file's ids_hash is ids'."""
-    header, table = artifacts.read_table(path, {"arc": int, "x": float, "y": float, "rho": float})
-    if "sigma" not in header:
-        raise ValidationError(f"{path} is not a curve model file")
+    header, table = artifacts.read_table(path, {"arc": int, "x": float, "y": float, "rho": float}, _MODEL_FIELDS)
     ends = np.flatnonzero(np.diff(table["arc"])) + 1  # each arc's rows are consecutive
     arcs = [Arc(*cols) for cols in zip(*(np.split(table[c], ends) for c in ("x", "y", "rho"))) if cols[0].size]
-    sigma, real_points = ([float(v) for v in header[key].split(",") if v] for key in ("sigma", "real_points"))
-    return CurveModel(
-        g=float(header["g"]),
-        threshold=float(header["threshold"]),
-        mean_log_c=float(header["mean_log_c"]),
-        arcs=tuple(arcs),
-        real_points=tuple(real_points),
-        sigma=tuple(zip(sigma[0::2], sigma[1::2])),
-        ids=ids,
-        curve_tol=float(header["curve_tol"]),
-    )
+    return CurveModel(arcs=tuple(arcs), ids=ids, **{name: header[name] for name in _MODEL_FIELDS})

@@ -8,12 +8,13 @@ shifted QR through numpy; non-convergence is surfaced, never swallowed.
 Resolvent corners, det(H - z) and the rank-2 corner-perturbation
 determinant are read off one renormalized transfer product, which the
 caller supplies, with the values that leave the double range held as
-complex logarithms.
+complex logarithms.  Each takes one z (and gives Python scalars) or an
+array of z with the stack of their transfer products (and gives arrays,
+one value per lane).  Test functions are array callables.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -81,8 +82,10 @@ class SpectrumResult:
 
 def empirical_integral(eigenvalues: np.ndarray, f) -> float:
     """Mean of f over the eigenvalues: the integral of f against the
-    empirical measure that puts mass 1/n on each eigenvalue."""
-    return float(np.mean([f(complex(z)) for z in eigenvalues]).real)
+    empirical measure that puts mass 1/n on each eigenvalue.  f is an
+    array callable, called once with all the eigenvalues."""
+    eigenvalues = np.asarray(eigenvalues, dtype=complex)
+    return float(np.mean(np.broadcast_to(f(eigenvalues), eigenvalues.shape)).real)
 
 
 def spectrum(bundle: OperatorBundle, want_vectors: Optional[bool] = None) -> SpectrumResult:
@@ -139,7 +142,8 @@ def spectrum(bundle: OperatorBundle, want_vectors: Optional[bool] = None) -> Spe
 class ResolventCorners:
     """Corner entries of (H - z)^-1 and det(H - z), read off one transfer
     product.  log_g1n (G_1n = G_n1, the reference is symmetric) and
-    log_det are complex logarithms."""
+    log_det are complex logarithms.  For an array of z (one lane each)
+    every field but n is an array of that shape."""
 
     z: complex
     n: int
@@ -149,62 +153,80 @@ class ResolventCorners:
     log_det: complex
 
 
-def resolvent_corners(bundle: OperatorBundle, z: complex, state: TransferState) -> ResolventCorners:
+def _scalar_or_lanes(value):
+    """A 0-d result as a Python complex, an array of lanes as it is."""
+    return complex(value) if np.ndim(value) == 0 else value
+
+
+def resolvent_corners(bundle: OperatorBundle, z, state: TransferState) -> ResolventCorners:
     """Corner resolvent entries of the symmetric reference and det(H - z),
     from state = transfer_product(bundle, z) (say, one lane of
-    transfer_products).
+    transfer_products), or, for an array of z, from the stack of their
+    lanes (say, a slice of transfer_products).
 
     Requires z off the reference spectrum (use Im z != 0, or a real z in a
     spectral gap); a vanishing determinant raises SingularResolventError.
     """
-    z = complex(z)
-    (m00, m01), (m10, _) = state.matrix
-    if m00 == 0:
-        raise SingularResolventError(f"z={z} is (numerically) an eigenvalue of the reference matrix")
+    z = np.asarray(z, dtype=complex)
+    m = state.matrix
+    m00, m01, m10 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0]
+    singular = m00 == 0
+    if np.any(singular):
+        raise SingularResolventError(
+            f"z={complex(z[singular].flat[0])} is (numerically) an eigenvalue of the reference matrix")
     c = bundle.c
-    log_m00 = cmath.log(m00)
+    log_m00 = np.log(m00)
     return ResolventCorners(
-        z=z,
+        z=_scalar_or_lanes(z),
         n=bundle.n,
-        g11=complex(-m01 / (c[0] * m00)),
-        gnn=complex(m10 / (c[-1] * m00)),
-        log_g1n=-state.log_scale - math.log(c[-1]) - log_m00,
-        log_det=state.log_scale + log_m00 + float(np.sum(np.log(c[1:]))),
+        g11=_scalar_or_lanes(-m01 / (c[0] * m00)),
+        gnn=_scalar_or_lanes(m10 / (c[-1] * m00)),
+        log_g1n=_scalar_or_lanes(-state.log_scale - math.log(c[-1]) - log_m00),
+        log_det=_scalar_or_lanes(state.log_scale + log_m00 + float(np.sum(np.log(c[1:])))),
     )
 
 
-def _log_add(x: complex, y: complex) -> complex:
-    """log(e^x + e^y) for complex logarithms: the larger modulus is
-    factored out first, so no exponential leaves the double range."""
-    if y.real > x.real:
-        x, y = y, x
-    if x.real == -math.inf:
-        return x
-    rest = 1.0 + cmath.exp(y - x)
-    return x + cmath.log(rest) if rest != 0 else complex(-math.inf, 0.0)
+def _log_add(x, y):
+    """log(e^x + e^y) for complex logarithms, per lane: the larger modulus
+    is factored out first, so no exponential leaves the double range."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    swap = y.real > x.real
+    x, y = np.where(swap, y, x), np.where(swap, x, y)
+    # -inf - -inf and log(0) are masked below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = 1.0 + np.exp(y - x)
+        out = x + np.log(rest)
+    out = np.where(rest == 0, complex(-math.inf, 0.0), out)
+    return np.where(x.real == -math.inf, x, out)
 
 
-def rank2_det(bundle: OperatorBundle, corners: ResolventCorners) -> complex:
+def rank2_det(bundle: OperatorBundle, corners: ResolventCorners):
     """Determinant ratio det(J - z) / det(H - z) of the rank-2 corner
     perturbation at z = corners.z, (1 + a G_n1)(1 + b G_1n) - a b G_11 G_nn,
-    as a complex logarithm.
+    as a complex logarithm, one per lane of the corners.
 
     a G_1n and b G_1n are formed from their logarithms, sums of moderate
     terms even when a_n alone would overflow; a_n, b_n < 0 and a b > 0.
     """
     log_d = sum(_log_add(0j, complex(log_abs, math.pi) + corners.log_g1n)  # log(1 + a G_1n) + log(1 + b G_1n)
                 for log_abs in (bundle.log_abs_a, bundle.log_abs_b))
-    cross = corners.g11 * corners.gnn
-    if cross == 0:
-        return log_d
-    return _log_add(log_d, bundle.log_abs_a + bundle.log_abs_b + cmath.log(-cross))
+    with np.errstate(divide="ignore"):  # a zero cross term adds log(1 + 0)
+        log_cross = np.log(-(corners.g11 * corners.gnn))
+    return _scalar_or_lanes(_log_add(log_d, bundle.log_abs_a + bundle.log_abs_b + log_cross))
 
 
-def characteristic_residual(bundle: OperatorBundle, corners: ResolventCorners) -> float:
+def characteristic_residual(bundle: OperatorBundle, corners: ResolventCorners):
     """|det(J - z)| ratio defect against the rank-2 factorization at
     z = corners.z, in log modulus: |log|det(J-z)| - log|d| - log|det(H-z)||;
-    one transfer product serves both factors."""
-    sign, logdet = np.linalg.slogdet(bundle.dense() - corners.z * np.eye(bundle.n))
-    lhs = float(logdet) if sign != 0 else -math.inf
-    rhs = rank2_det(bundle, corners).real + corners.log_det.real
-    return abs(lhs - rhs)
+    one transfer product serves both factors.  For an array of z, one
+    dense matrix serves every J - z, and the log-determinants are taken
+    over their stack."""
+    z = np.asarray(corners.z)
+    shifted = np.broadcast_to(bundle.dense(), z.shape + (bundle.n, bundle.n)).astype(complex)
+    diag = np.arange(bundle.n)
+    shifted[..., diag, diag] -= z[..., None]
+    sign, logdet = np.linalg.slogdet(shifted)
+    lhs = np.where(sign != 0, logdet, -math.inf)
+    rhs = np.real(rank2_det(bundle, corners)) + np.real(corners.log_det)
+    residual = np.abs(lhs - rhs)
+    return float(residual) if residual.ndim == 0 else residual

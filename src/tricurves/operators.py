@@ -153,9 +153,10 @@ def build(seq: CoefficientSequence) -> OperatorBundle:
 
 # -- transfer matrices ------------------------------------------------------
 
-def column_sum_norm(m: np.ndarray) -> float:
-    """max_k sum_j |M_jk| -- the norm used for all transfer products."""
-    return float(np.max(np.sum(np.abs(m), axis=0)))
+def column_sum_norm(m: np.ndarray):
+    """max_k sum_j |M_jk| -- the norm used for all transfer products; one
+    per lane of a stack (L, 2, 2)."""
+    return np.max(np.sum(np.abs(m), axis=-2), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -165,10 +166,17 @@ class TransferState:
     The true product is exp(log_scale) * matrix, and the stored matrix has
     unit column-sum norm.  The kernel renormalizes after every step within
     a block and after every product of the pairwise fold of the blocks.
+
+    A stack of L lanes holds matrix (L, 2, 2) and log_scale (L,): then
+    state[i] is lane i and state[a:b] the stack of lanes a..b-1.
     """
 
     matrix: np.ndarray
     log_scale: float
+
+    def __getitem__(self, lanes) -> "TransferState":
+        log_scale = self.log_scale[lanes]
+        return TransferState(self.matrix[lanes], log_scale if np.ndim(log_scale) else float(log_scale))
 
 
 def transfer_product(bundle: OperatorBundle, z: complex) -> TransferState:
@@ -178,11 +186,11 @@ def transfer_product(bundle: OperatorBundle, z: complex) -> TransferState:
     return transfer_products([bundle], [z])[0]
 
 
-def transfer_products(bundles, zs) -> list:
-    """transfer_product(bundle, z) for each pair of bundles and zs, in one
-    kernel call with one lane per pair; the bundles must share n.  A
-    lane's result does not depend on the other lanes, so each state equals
-    the one-pair call bit for bit."""
+def transfer_products(bundles, zs) -> TransferState:
+    """The stack of transfer_product(bundle, z) over the pairs of bundles
+    and zs, in one kernel call with one lane per pair; the bundles must
+    share n.  A lane's result does not depend on the other lanes, so each
+    lane equals the one-pair call bit for bit."""
     for bundle in bundles:
         bundle._need_log_coords("transfer matrices")
     log_scales, mats = transfer_product_scaled(
@@ -190,16 +198,21 @@ def transfer_products(bundles, zs) -> list:
         np.stack([b.seq.q for b in bundles], axis=1),
         np.asarray(zs, dtype=np.complex128),
     )
-    return [TransferState(m, float(s)) for s, m in zip(log_scales, mats)]
+    return TransferState(mats, log_scales)
 
 
-def closed_product(bundle: OperatorBundle, state: TransferState) -> tuple:
+def closed_product(bundle, state: TransferState) -> tuple:
     """(matrix, log_scale) with exp(log_scale) * matrix = B S_n, for the
     transfer product S_n held in state; B = diag(beta, 1) encodes the
-    periodic closure."""
-    m = np.array([[bundle.beta, 0.0], [0.0, 1.0]]) @ state.matrix
+    periodic closure.  For a stack of lanes, ``bundle`` is a sequence of
+    bundles, one per lane, and the result is stacked too."""
+    stacked = np.ndim(state.log_scale) > 0
+    beta = np.array([b.beta for b in bundle]) if stacked else bundle.beta
+    m = state.matrix.copy()
+    m[..., 0, :] *= np.asarray(beta)[..., None]
     norm = column_sum_norm(m)
-    return m / norm, state.log_scale + math.log(norm)
+    log_norm = np.log(norm) if stacked else math.log(norm)
+    return m / norm[..., None, None], state.log_scale + log_norm
 
 
 def boundary_residual(bundle: OperatorBundle, z: complex) -> float:
@@ -236,19 +249,16 @@ def boundary_residual(bundle: OperatorBundle, z: complex) -> float:
 def eigenvector_slopes(matrix: np.ndarray) -> tuple:
     """Slopes (u, v) of the eigenvectors (u, 1)^T, (v, 1)^T of a 2x2
     matrix, ordered so that Im u <= Im v.  Scale-invariant, so it can be
-    fed the renormalized matrix of a TransferState directly."""
-    (m00, m01), (m10, m11) = matrix
+    fed the renormalized matrix of a TransferState directly.  A stack
+    (L, 2, 2) gives u and v of shape (L,)."""
+    m = np.asarray(matrix)
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     tr = m00 + m11
-    disc = np.sqrt(complex(tr * tr - 4.0 * (m00 * m11 - m01 * m10)))
-    slopes = []
-    for mu in ((tr + disc) / 2.0, (tr - disc) / 2.0):
-        # (mu - m22)/m21 is exact when m21 != 0; fall back to m12/(mu - m11).
-        if abs(m10) >= 1e-300:
-            slopes.append((mu - m11) / m10)
-        else:
-            slopes.append(m01 / (mu - m00))
-    u, v = slopes
-    if u.imag > v.imag:
-        u, v = v, u
-    return u, v
-
+    disc = np.sqrt(np.asarray(tr * tr - 4.0 * (m00 * m11 - m01 * m10), dtype=complex))
+    mu = np.stack([(tr + disc) / 2.0, (tr - disc) / 2.0])
+    # (mu - m22)/m21 is exact when m21 != 0; fall back to m12/(mu - m11);
+    # np.where evaluates both, so the branch not taken may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u, v = np.where(np.abs(m10) >= 1e-300, (mu - m11) / m10, m01 / (mu - m00))
+    swap = u.imag > v.imag
+    return np.where(swap, v, u)[()], np.where(swap, u, v)[()]

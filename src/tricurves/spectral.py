@@ -273,6 +273,10 @@ def lyapunov_thouless(ids: IdsEstimate, mean_log_c: float, z) -> float:
 
 # -- cache file ----------------------------------------------------------------
 
+# the header fields of the cache that the estimate is rebuilt from
+_IDS_FIELDS = {"n_used": int, "realizations_used": int, "support": artifacts.pair, "source_hash": str}
+
+
 def save_ids(ids: IdsEstimate, path, **header) -> None:
     """The cache as a table: the artifact header (``header`` first, then
     the estimate's metadata) and one "lambda,N" row per grid node."""
@@ -282,14 +286,5 @@ def save_ids(ids: IdsEstimate, path, **header) -> None:
 
 
 def load_ids(path) -> IdsEstimate:
-    header, table = artifacts.read_table(path, {"lambda": float, "N": float})
-    if "n_used" not in header:
-        raise ValidationError(f"{path} is not an ids cache file")
-    return IdsEstimate(
-        grid=table["lambda"],
-        values=table["N"],
-        n_used=int(header["n_used"]),
-        realizations_used=int(header["realizations_used"]),
-        support=tuple(float(v) for v in header["support"].split(",")),
-        source_hash=header["source_hash"],
-    )
+    header, table = artifacts.read_table(path, {"lambda": float, "N": float}, _IDS_FIELDS)
+    return IdsEstimate(grid=table["lambda"], values=table["N"], **{name: header[name] for name in _IDS_FIELDS})

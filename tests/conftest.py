@@ -147,6 +147,44 @@ def arc_histogram_error_loop(nonreal, model, n) -> float:
     return float(np.max(np.abs(counts / n - predicted)))
 
 
+def limit_measure_integral_loop(model, f) -> float:
+    """Oracle: the integral of f against the predicted limit measure with
+    f called once per point: dN-weighted cell midpoints of each interval
+    of Sigma, then the trapezoidal rule along each sheet of each arc."""
+    ids = model.ids
+    total = 0.0
+    mids = 0.5 * (ids.grid[:-1] + ids.grid[1:])
+    dn = np.diff(ids.values)
+    for lo, hi in model.sigma:
+        inside = (mids >= lo) & (mids <= hi)
+        if np.any(inside):
+            total += float(np.array([f(complex(x)) for x in mids[inside]]) @ dn[inside])
+    for arc in model.arcs:
+        for sheet in (arc.points(), np.conj(arc.points())):
+            fvals = np.array([f(complex(p)) for p in sheet])
+            dl = np.abs(np.diff(sheet))
+            total += float(np.sum(0.5 * (fvals[:-1] * arc.rho[:-1] + fvals[1:] * arc.rho[1:]) * dl))
+    return total
+
+
+def empirical_integral_loop(eigenvalues, f) -> float:
+    """Oracle: the mean of f over the eigenvalues, one call per eigenvalue."""
+    return float(np.mean([f(complex(z)) for z in eigenvalues]).real)
+
+
+def eigenvector_slopes_one(matrix) -> tuple:
+    """Oracle: the eigenvector slopes (u, v), Im u <= Im v, of one 2x2
+    matrix, in scalar arithmetic."""
+    (m00, m01), (m10, m11) = matrix
+    tr = m00 + m11
+    disc = np.sqrt(complex(tr * tr - 4.0 * (m00 * m11 - m01 * m10)))
+    slopes = []
+    for mu in ((tr + disc) / 2.0, (tr - disc) / 2.0):
+        slopes.append((mu - m11) / m10 if abs(m10) >= 1e-300 else m01 / (mu - m00))
+    u, v = slopes
+    return (v, u) if u.imag > v.imag else (u, v)
+
+
 def stieltjes_per_cell(ids, zs):
     """Oracle: the Stieltjes transform at any non-real z, each cell adding
     s_i [log(g_{i+1} - z) - log(g_i - z)] on the principal branch."""

@@ -60,6 +60,32 @@ def test_read_table_names_the_file_of_a_malformed_table(tmp_path, lines, match):
     assert str(path) in str(info.value)
 
 
+def test_read_table_converts_the_header_fields_it_is_given(tmp_path):
+    path = tmp_path / "model.csv"
+    path.write_text("# config_hash=abc n=3 g=0.5 support=-1,2 sigma=0,1,2,3 points= name=x\nx\n1\n")
+    header, _ = artifacts.read_table(path, {"x": float}, {
+        "n": int, "g": float, "support": artifacts.pair, "sigma": artifacts.pairs,
+        "points": artifacts.floats, "name": str})
+    assert header == {"config_hash": "abc", "n": 3, "g": 0.5, "support": (-1.0, 2.0),
+                      "sigma": ((0.0, 1.0), (2.0, 3.0)), "points": (), "name": "x"}
+
+
+@pytest.mark.parametrize("head, fields, match", [
+    ("n=3", {"g": float}, "header field g missing"),
+    ("n=3.5", {"n": int}, "malformed header field n=3.5"),
+    ("g=abc", {"g": float}, "malformed header field g=abc"),
+    ("support=1.0", {"support": artifacts.pair}, "malformed header field support=1.0"),
+    ("support=1,2,3,4", {"support": artifacts.pair}, "malformed header field support=1,2,3,4"),
+    ("sigma=0,1,2", {"sigma": artifacts.pairs}, "malformed header field sigma=0,1,2"),
+])
+def test_read_table_names_the_file_and_the_field_of_a_bad_header(tmp_path, head, fields, match):
+    path = tmp_path / "table.csv"
+    path.write_text(f"# config_hash=abc {head}\nx\n1\n")
+    with pytest.raises(ValidationError, match=match) as info:
+        artifacts.read_table(path, {"x": float}, fields)
+    assert str(path) in str(info.value)
+
+
 def test_an_int_column_rejects_a_fraction(tmp_path):
     path = tmp_path / "points.csv"
     path.write_text("# config_hash=abc\narc,x\n0.5,1\n")

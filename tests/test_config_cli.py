@@ -1,6 +1,7 @@
 import configparser
 import dataclasses
 import os
+import re
 import runpy
 import shutil
 
@@ -356,6 +357,35 @@ def test_seed_override_produces_different_spectra(tmp_path):
     a = open(os.path.join(out, "spectra", "spectrum_n64_rep0.csv")).read()
     b = open(os.path.join(out2, "spectra", "spectrum_n64_rep0.csv")).read()
     assert a != b
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus", "--config", "cfg.ini", "--out", "run"],
+    ["ids", "--out", "run"],
+    ["--config", "cfg.ini", "--out", "run"],
+])
+def test_an_unknown_command_or_a_missing_argument_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "usage: tricurves" in capsys.readouterr().err
+
+
+def test_a_stage_builds_the_canonical_config_text_once(tmp_path, monkeypatch):
+    from tricurves import config
+
+    cfg_path = write_cfg(tmp_path, BASE)
+    out = str(tmp_path / "run")
+    builds = []
+    real = config.ensemble_to_config
+    monkeypatch.setattr(config, "ensemble_to_config", lambda spec: builds.append(spec.seed) or real(spec))
+    assert main(["ids", "--config", cfg_path, "--out", out]) == 0
+    assert builds == [2024]  # the unknown-key check and the config hash share it
+    assert config_hash(load_config(cfg_path).with_seed(5)) != config_hash(load_config(cfg_path))
+    builds.clear()
+    assert main(["sample", "--config", cfg_path, "--out", out, "--seed-override", "5"]) == 0
+    assert builds == [2024, 5]
+    assert artifacts.read_header(os.path.join(out, "samples", "coeffs_n64_rep0.csv"))["seed"] == "5"
 
 
 def test_lyapunov_stage(tmp_path):
@@ -720,6 +750,24 @@ def test_a_malformed_row_in_a_current_product_exits_2(tmp_path, capsys, spectra_
     assert f"validation error: {out / rel}: malformed row" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rel, field, bad", [
+    (os.path.join("curve", "curve_points.csv"), "g", "abc"),
+    (os.path.join("ids", "ids.csv"), "support", "1.0"),
+])
+def test_a_malformed_header_field_of_a_current_product_exits_2(tmp_path, capsys, spectra_and_curve, rel, field, bad):
+    cfg_path, run = spectra_and_curve
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    with open(out / rel) as fh:
+        head, body = fh.readline(), fh.read()
+    edited = re.sub(rf"(?<= ){field}=[^ \n]*", f"{field}={bad}", head)
+    assert edited != head
+    with open(out / rel, "w") as fh:  # config_hash and ids_hash stay current
+        fh.write(edited + body)
+    assert main(["curve", "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"validation error: {out / rel}: malformed header field {field}={bad}" in capsys.readouterr().err
+
+
 def _write_pre_table_files(new, old):
     """ids/ids_cache.txt, curve/curve_model.txt and curve/curve_points.csv
     in ``old`` as versions before the table layout wrote them, with the
@@ -777,6 +825,27 @@ def test_a_curve_without_arcs_round_trips_through_its_empty_table(tmp_path):
     assert main(["compare", "--config", cfg_path, "--out", out]) == 0
     model = load_curve_model(path, load_ids(os.path.join(out, "ids", "ids.csv")))
     assert model.g == 0.0 and model.arcs == () and model.sigma
+
+
+def test_compare_with_g_zero_and_random_couplings_measures_to_the_real_axis(tmp_path, capsys):
+    # eta with xi's law gives g = 0 and a model with no arcs, but the
+    # random couplings leave the matrices nonsymmetric, so some eigenvalues
+    # leave the axis (at n = 96, rep = 1: 2 of 96, by 1.1e-3); the limit is
+    # real, so they are measured to the real axis, not to a missing curve
+    text = BASE.replace("[ensemble.eta]\nkind = log_uniform\na = 0.5\nb = 1.5",
+                        "[ensemble.eta]\nkind = log_uniform\na = 0.0\nb = 1.0")
+    cfg_path = write_cfg(tmp_path, text)
+    out = str(tmp_path / "run")
+    assert main(["spectrum", "--config", cfg_path, "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg_path, "--out", out]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("[no arcs: measured to the real axis]")
+    _, report = artifacts.read_table(os.path.join(out, "compare_report.csv"), {
+        "n": int, "rep": int, "nonreal_fraction": float, "hausdorff_to_curve": float,
+        "hausdorff_to_curve_or_axis": float, "real_hist_max_err": float, "arc_hist_max_err": float})
+    assert report["nonreal_fraction"][-1] > 0.0
+    assert np.array_equal(report["hausdorff_to_curve"], report["hausdorff_to_curve_or_axis"])
+    assert 0.0 < report["hausdorff_to_curve"][-1] < 0.15
 
 
 def test_every_listed_artifact_is_a_table(tmp_path):

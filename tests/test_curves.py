@@ -7,12 +7,14 @@ from tricurves import (
     DistributionSpec,
     EnsembleSpec,
     ValidationError,
+    build,
     coupling_g,
     estimate_ids,
     limit_measure_integral,
     mean_log_coupling,
     real_support_sigma,
     sample,
+    spectrum,
     trace_curve,
 )
 from tricurves import curves
@@ -26,7 +28,14 @@ from tricurves.ensembles import analytic_means
 from tricurves.errors import NumericalError
 from tricurves.spectral import lyapunov_thouless, phi_dy_many, phi_many
 
-from conftest import curve_density, fig1b_spec, stieltjes, stieltjes_per_cell
+from conftest import (
+    curve_density,
+    empirical_integral_loop,
+    fig1b_spec,
+    limit_measure_integral_loop,
+    stieltjes,
+    stieltjes_per_cell,
+)
 
 
 def equipotential_threshold(spec: EnsembleSpec) -> float:
@@ -328,7 +337,7 @@ def test_total_mass_near_one(fig1b_ids):
 def test_odd_function_integrates_to_zero(fig1b_ids):
     spec = fig1b_spec()
     model = trace_curve(fig1b_ids, coupling_g(spec), mean_log_c=mean_log_coupling(spec))
-    val = limit_measure_integral(model, lambda z: complex(z).imag)
+    val = limit_measure_integral(model, np.imag)
     assert abs(val) < 1e-10
 
 
@@ -349,6 +358,40 @@ def test_bump_panel_and_poly_cutoff(fig1b_ids):
         assert 0.0 <= limit_measure_integral(model, f) <= 1.0
     p = poly_cutoff(2, 0, 3.0)
     assert p(2.0) == pytest.approx(4.0 * math.exp(-4.0 / 18.0))
+
+
+def test_array_integrals_match_per_point_loops(fig1b_ids):
+    from tricurves.eigensolvers import empirical_integral
+
+    spec = fig1b_spec()
+    model = trace_curve(fig1b_ids, coupling_g(spec), mean_log_c=mean_log_coupling(spec))
+    eigs = spectrum(build(sample(spec, 120)), want_vectors=False).eigenvalues
+    for f in default_bump_panel(model) + [np.imag, np.real, lambda z: 1.0]:
+        for array, loop in ((limit_measure_integral(model, f), limit_measure_integral_loop(model, f)),
+                            (empirical_integral(eigs, f), empirical_integral_loop(eigs, f))):
+            assert abs(array - loop) <= 1e-14 * abs(loop)
+
+
+def test_a_test_function_is_called_once_per_point_set(fig1b_ids):
+    from tricurves.eigensolvers import empirical_integral
+
+    spec = fig1b_spec()
+    model = trace_curve(fig1b_ids, coupling_g(spec), mean_log_c=mean_log_coupling(spec))
+    assert model.arcs and model.sigma
+    bump = gaussian_bump(0.5 + 0.5j, 0.4)
+    calls = []
+
+    def counted(z):
+        calls.append(np.shape(z))
+        return bump(z)
+
+    limit_measure_integral(model, counted)
+    # Sigma's midpoints, then the upper and the lower sheet of each arc
+    assert len(calls) == 1 + 2 * len(model.arcs)
+    assert calls[1:] == [arc.x.shape for arc in model.arcs for _ in range(2)]
+    calls.clear()
+    assert empirical_integral(np.array([0.5 + 0.5j, 1.0 - 0.25j]), counted) > 0.0
+    assert calls == [(2,)]
 
 
 def test_weak_convergence_needs_two_ascending_sizes(fig1b_ids):

@@ -12,8 +12,10 @@ from tricurves import (
     ValidationError,
     build,
     rank2_det,
+    resolvent_corners,
     sample,
     spectrum,
+    transfer_product,
 )
 from tricurves import _kernels
 from tricurves._kernels import sturm_counts
@@ -26,6 +28,7 @@ from conftest import (
     dense_perturbed,
     dense_reference,
     det_defect,
+    eigenvector_slopes_one,
     fig1a_spec,
     fig1b_spec,
     free_spec,
@@ -367,6 +370,53 @@ def test_transfer_eigenvector_bounds_quick(monkeypatch):
     assert lanes == [100]  # one product per trial, all in one kernel call
 
 
+def test_transfer_eigenvector_bounds_match_a_loop_over_trials():
+    from tricurves import verify
+    from tricurves.operators import closed_product
+
+    spec = fig1b_spec(seed=61)
+    res = verify.check_transfer_eigenvector_bounds(spec)
+    # oracle: the same draws, one product, closure and slope pair per trial
+    rng = verify._rng(spec.seed, 2)
+    n = verify._BOUNDS_N
+    worst = math.inf
+    for trial in range(verify._BOUNDS_COUNT):
+        b = build(realization(spec, n, trial))
+        lo, hi = b.gershgorin()
+        z = complex(rng.uniform(lo, hi), rng.uniform(0.1, 2.0))
+        state = transfer_product(b, z)
+        u, v = eigenvector_slopes_one(state.matrix)
+        ub, vb = eigenvector_slopes_one(closed_product(b, state)[0])
+        c0, cn = b.c[0], b.c[n]
+        worst = min(worst, -z.imag / cn - u.imag, c0 / z.imag - abs(v), v.imag,
+                    -b.beta * z.imag / cn - ub.imag, c0 / z.imag - abs(vb), vb.imag)
+    assert abs(res.measured - worst) <= 1e-15
+    assert res.passed
+
+
+def test_rank2_residuals_of_lanes_match_one_z_at_a_time():
+    from tricurves.operators import transfer_products
+
+    b = build(sample(fig1b_spec(seed=35), 30))
+    zs = np.array([0.4 + 0.3j, 1.2 - 0.8j, -0.5 + 1.7j, 2.2 + 0.25j])
+    lanes = resolvent_corners(b, zs, transfer_products([b] * zs.size, zs))
+    residuals = characteristic_residual(b, lanes)
+    assert residuals.shape == zs.shape
+    log_d = rank2_det(b, lanes)
+    for i, z in enumerate(zs):
+        one = corners(b, z)
+        for field in ("g11", "gnn", "log_g1n", "log_det"):
+            assert getattr(lanes, field)[i] == pytest.approx(getattr(one, field), rel=1e-14)
+        assert log_d[i] == pytest.approx(rank2_det(b, one), rel=1e-14)
+        assert abs(residuals[i] - characteristic_residual(b, one)) < 1e-12
+    # vanishing corners in every lane: log(1 + 0) and no warning
+    from dataclasses import replace
+
+    b0 = replace(b, log_abs_a=-math.inf, log_abs_b=-math.inf)
+    lanes0 = resolvent_corners(b0, zs, transfer_products([b0] * zs.size, zs))
+    assert np.all(np.abs(np.exp(rank2_det(b0, lanes0)) - 1.0) < 1e-15)
+
+
 def test_spectrum_computes_no_determinant(monkeypatch):
     # the spectrum stage reads only eigenvalues, method and residual
     def refuse(*args, **kwargs):
@@ -493,7 +543,7 @@ def test_rank2_check_makes_one_kernel_call_per_realization(monkeypatch):
 
     monkeypatch.setattr(operators, "transfer_product_scaled", counting_kernel)
     res = verify.check_rank2_identity(spec)
-    assert lanes == [10] * 20
+    assert lanes == [200]  # one call: 10 z for each of 20 realizations
     # oracle: the same z draws, one unbatched product per z
     rng = verify._rng(spec.seed, 1)
     worst = 0.0

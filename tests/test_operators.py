@@ -16,7 +16,7 @@ from tricurves.operators import (
 from tricurves import _kernels
 from tricurves._kernels import transfer_product_scaled
 
-from conftest import dense_perturbed, fig1b_spec, free_spec
+from conftest import dense_perturbed, eigenvector_slopes_one, fig1b_spec, free_spec
 
 
 def one_step_matrix(bundle, k, z):
@@ -354,3 +354,39 @@ def test_eigenvector_slopes_match_numpy():
     assert u == pytest.approx(slopes[0], rel=1e-12)
     assert v == pytest.approx(slopes[1], rel=1e-12)
 
+
+
+def test_eigenvector_slopes_of_a_stack_match_one_matrix_at_a_time():
+    bundles = [build(sample(fig1b_spec(seed=s), 40)) for s in range(6)]
+    zs = [0.3 + 0.5j, 1.1 + 0.2j, -0.4 + 1.5j, 2.0 + 0.1j, 0.9 + 1.9j, 0.5 + 0.7j]
+    stack = transfer_products(bundles, zs).matrix
+    u, v = eigenvector_slopes(stack)
+    assert u.shape == v.shape == (6,)
+    for lane, m in enumerate(stack):
+        u1, v1 = eigenvector_slopes_one(m)
+        assert u[lane] == pytest.approx(u1, rel=1e-15, abs=0) and v[lane] == pytest.approx(v1, rel=1e-15, abs=0)
+        assert eigenvector_slopes(m) == (u[lane], v[lane])
+
+
+def test_eigenvector_slopes_with_m10_zero_take_the_other_branch():
+    # the eigenvector of m11 has slope m01 / (m11 - m00); that of m00 is
+    # (1, 0)^T, slope infinite.  No lane warns: the suite turns
+    # RuntimeWarnings into errors, and np.where evaluates both branches.
+    triangular = np.array([[1.0 + 0.5j, 0.25 - 1j], [0.0, 0.5 - 0.5j]])
+    generic = np.array([[1.0 + 0.5j, 0.25 - 1j], [0.3j, 0.5 - 0.5j]])
+    u, v = eigenvector_slopes(np.stack([generic, triangular]))
+    finite = [s for s in (u[1], v[1]) if np.isfinite(s)]
+    assert finite == [triangular[0, 1] / (triangular[1, 1] - triangular[0, 0])]
+    assert (u[0], v[0]) == eigenvector_slopes(generic)
+
+
+def test_closed_product_of_a_stack_matches_one_lane_at_a_time():
+    bundles = [build(sample(fig1b_spec(seed=s), 30)) for s in range(4)]
+    zs = [0.3 + 0.5j, 1.1 - 0.2j, -0.4 + 1.5j, 2.0 + 0.1j]
+    states = transfer_products(bundles, zs)
+    matrices, log_scales = closed_product(bundles, states)
+    assert matrices.shape == (4, 2, 2) and log_scales.shape == (4,)
+    for lane, bundle in enumerate(bundles):
+        m, log_scale = closed_product(bundle, states[lane])
+        assert np.array_equal(matrices[lane], m)
+        assert log_scales[lane] == pytest.approx(log_scale, rel=1e-15)

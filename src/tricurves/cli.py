@@ -46,6 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = load_config(args.config)
         if args.seed_override is not None:
             cfg = cfg.with_seed(args.seed_override)

@@ -15,10 +15,12 @@ the tool version.
 
 # No ``from __future__ import annotations`` here: the schema reads each
 # field's type as a class.
+import cmath
 import configparser
 import functools
 import hashlib
 import io
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -62,12 +64,12 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in _SCHEMA:
             value = getattr(self, f.name)
-            if f.type is float and value <= 0:
-                raise ValidationError(f"{f.name} must be positive")
+            if f.type is float and not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{f.name} must be positive and finite, got {value}")
             if f.type is int and value < 1:
                 raise ValidationError(f"{f.name} must be >= 1")
-            if f.type is tuple and _holds_complex(f) and not value:
-                raise ValidationError(f"{f.name} must be a nonempty list of points")
+            if f.type is tuple and _holds_complex(f) and not (value and all(map(cmath.isfinite, value))):
+                raise ValidationError(f"{f.name} must be a nonempty list of finite points")
             if f.type is tuple and not _holds_complex(f):
                 if not value or any(n < 2 for n in value):
                     raise ValidationError(f"{f.name} must be a nonempty list of integers >= 2")

@@ -116,6 +116,9 @@ class DistributionSpec:
         if len(self.params) != len(row.names):
             raise ValidationError(f"{self.kind} takes parameters {row.names}, got {len(self.params)} values")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        for name, p in zip(row.names, self.params):
+            if not math.isfinite(p):
+                raise ValidationError(f"{self.kind} parameter {name} must be finite, got {p}")
         if not row.domain(*self.params):
             raise ValidationError(f"{self.kind} requires {row.domain_text}, got {dict(zip(row.names, self.params))}")
 
@@ -176,6 +179,9 @@ class EnsembleSpec:
             tab = tuple(tuple(float(v) for v in row) for row in self.table)
             if any(len(row) != 3 for row in tab):
                 raise ValidationError("periodic table rows must be (xi, eta, q) triples")
+            for i, row in enumerate(tab):
+                if not all(map(math.isfinite, row)):
+                    raise ValidationError(f"periodic table row{i} must be finite, got {row}")
             object.__setattr__(self, "table", tab)
         else:
             for name in ("xi", "eta", "q"):

@@ -15,13 +15,13 @@ current and always read back from disk, so a cold run and a rerun use
 the same values.  Dense solves run in a bounded thread pool (LAPACK
 releases the GIL): the spectrum stage's one file per (n, rep) and
 verify's one file per (n, realization).  Every stage returns
-``(manifest, lines to print, ok)``.
+``(manifest, lines to print, ok)``.  No stage draws anything:
+``python -m tricurves.plot OUT`` renders a run directory (see ``plot``).
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -164,7 +164,7 @@ def _build_pooled(run: _Run, products: list, jobs: int) -> None:
     """Applies the reuse rule to each (name, rel, write) product in a
     bounded thread pool (LAPACK releases the GIL); a current product
     solves nothing."""
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         list(pool.map(lambda product: run.product(*product), products))
 
 
@@ -183,7 +183,6 @@ def stage_spectrum(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
     _build_pooled(run, [(f"spectrum_n{n}_rep{rep}", _spectrum_csv_path(n, rep),
                          partial(_write_spectrum, run, n, rep, "rep")) for n, rep in _pairs(cfg)], jobs)
     run.product("summary", os.path.join("spectra", "summary.csv"), partial(_write_summary, run))
-    _write_plot_template(out_dir)  # template is config-independent, not a manifest artifact
     return run.done()
 
 
@@ -255,7 +254,6 @@ def stage_curve(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
     """
     run = _Run(cfg, out_dir, "curve")
     _model(run)
-    _write_plot_template(out_dir)
     return run.done()
 
 
@@ -439,71 +437,3 @@ def _arc_histogram_error(nonreal: np.ndarray, model: CurveModel, n: int) -> floa
     nearest = np.argmin(np.abs(folded[:, None] - centers), axis=1)
     emp = np.bincount(nearest, minlength=centers.size) / n
     return float(np.max(np.abs(emp - np.asarray(bins))))
-
-
-_PLOT_TEMPLATE = '''"""Plot helper template (not part of the package).
-
-Reads the CSV artifacts written next to this file: the spectra that
-spectra/summary.csv lists, which are exactly the current config's
-(n, rep) files, and the curve points.  Adapt freely; any plotting
-engine works, matplotlib shown.
-"""
-import csv
-import sys
-from pathlib import Path
-
-
-def read_rows(path):
-    """The data rows of an artifact CSV, keyed by its column header."""
-    with open(path) as fh:
-        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
-
-
-def spectrum_paths(out):
-    """The current spectra: the path column of spectra/summary.csv."""
-    summary = out / "spectra" / "summary.csv"
-    return [out / row["path"] for row in read_rows(summary)] if summary.exists() else []
-
-
-if __name__ == "__main__":
-    import matplotlib.pyplot as plt
-
-    out = Path(sys.argv[1] if len(sys.argv) > 1 else ".")
-    fig, ax = plt.subplots()
-    for path in spectrum_paths(out):
-        rows = read_rows(path)
-        ax.plot([float(r["re"]) for r in rows], [float(r["im"]) for r in rows], ".", ms=2, alpha=0.6,
-                label=path.stem)
-    curve = out / "curve" / "curve_points.csv"
-    if curve.exists():
-        rows = read_rows(curve)
-        xs = [float(r["x"]) for r in rows]
-        ys = [float(r["y"]) for r in rows]
-        ax.plot(xs, ys, "k-", lw=1)
-        ax.plot(xs, [-y for y in ys], "k-", lw=1)
-    ax.set_xlabel("Re z")
-    ax.set_ylabel("Im z")
-    ax.legend(fontsize=6)
-    fig.savefig(out / "spectrum_plot.png", dpi=160)
-    print("wrote", out / "spectrum_plot.png")
-'''
-
-
-# sha256 of every plot_template.py an earlier version wrote; add the
-# current one here when _PLOT_TEMPLATE changes.
-_EARLIER_PLOT_TEMPLATES = frozenset({
-    "3fa47c55912c487b4be4ec326468dfdaaf69bb1fd96e00c6cc87530e97553a55",  # globbed spectra/spectrum_*.csv
-})
-
-
-def _write_plot_template(out_dir: str) -> None:
-    """Write the template when it is missing or when the file is a
-    template an earlier version wrote; a file with any other bytes (the
-    current template, or one the user edited) is left alone."""
-    path = os.path.join(out_dir, "plot_template.py")
-    if os.path.exists(path):
-        with open(path, "rb") as fh:
-            if hashlib.sha256(fh.read()).hexdigest() not in _EARLIER_PLOT_TEMPLATES:
-                return
-    with artifacts.atomic_write(path) as fh:
-        fh.write(_PLOT_TEMPLATE)

@@ -6,15 +6,16 @@ level set gamma(z) = |g| of the Lyapunov exponent, traced here by
 safeguarded Newton in the imaginary direction: gamma is strictly
 increasing in Im z >= 0 with d gamma / dy = Im m(z), m the Stieltjes
 transform of dN, so one potential sweep yields the residual and its
-slope.  The real part Sigma is the part of the support of dN where
-the log-potential exceeds max(E xi, E eta), and the linear density along
-the curve is |Stieltjes transform| / 2 pi.  Arcs are stored as polylines
-of the upper half plane; the lower halves are implied by conjugation.
-On disk the model is one table of arc vertices, with everything else in
-its header (see ``save_curve_model``); with no arcs it has no rows.
-Test functions, such as the Gaussian bumps of the weak-convergence
-panel, are array callables: ``limit_measure_integral`` calls one once
-per point set.
+slope.  The arcs' real ends are bisected together, one potential call
+per step over all of them.  The real part Sigma is the part of the
+support of dN where the log-potential exceeds max(E xi, E eta), and the
+linear density along the curve is |Stieltjes transform| / 2 pi.  Arcs
+are stored as polylines of the upper half plane; the lower halves are
+implied by conjugation.  On disk the model is one table of arc
+vertices, with everything else in its header (see
+``save_curve_model``); with no arcs it has no rows.  Test functions,
+such as the Gaussian bumps of the weak-convergence panel, are array
+callables: ``limit_measure_integral`` calls one once per point set.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
 
 _TIE_BAND = 1e-9  # grid values this close to the threshold belong to neither side
 _MAX_SWEEPS = 110  # potential sweeps per height solve
+_MAX_BISECTIONS = 60  # potential calls that refine the arc ends
 _PANEL_BUMPS = 10  # bumps in the weak-convergence panel
 
 
@@ -162,16 +164,13 @@ def trace_curve(
     arcs = []
     real_points = []
     y_hi = _upper_height(mean_log_c, abs_g)
-    idx = np.where(qualify)[0]
-    if idx.size:
-        splits = np.where(np.diff(idx) > 1)[0]
-        groups = np.split(idx, splits + 1)
-    else:
-        groups = []
-    for grp in groups:
-        a = _refine_endpoint(ids, mean_log_c, abs_g, x_grid[grp[0] - 1], x_grid[grp[0]])
-        a_prime = _refine_endpoint(ids, mean_log_c, abs_g, x_grid[grp[-1] + 1], x_grid[grp[-1]])
-        xs_inner = x_grid[grp]
+    # each run of qualifying abscissae, by its first and last index
+    steps = np.diff(qualify.astype(np.int8))
+    first, last = np.flatnonzero(steps == 1) + 1, np.flatnonzero(steps == -1)
+    ends = _bisect_ends(ids, mean_log_c, abs_g,
+                        x_grid[np.stack([first - 1, last + 1])], x_grid[np.stack([first, last])])
+    for i, j, a, a_prime in zip(first, last, *ends):
+        xs_inner = x_grid[i : j + 1]
         ys_inner, m_inner = _solve_heights(ids, mean_log_c, abs_g, xs_inner, y_hi, curve_tol)
         keep = ys_inner > 1e-9 * max(1.0, ids.support_radius)
         if not np.any(keep):
@@ -190,24 +189,24 @@ def trace_curve(
     )
 
 
-def _refine_endpoint(ids, mean_log_c, abs_g, x_out, x_in) -> float:
-    """Bisect gamma(x) - |g| between a non-qualifying and a qualifying x."""
-    g_out = lyapunov_thouless(ids, mean_log_c, x_out) - abs_g
-    g_in = lyapunov_thouless(ids, mean_log_c, x_in) - abs_g
-    if g_out <= 0.0:  # grid boundary already inside; nothing to refine
-        return float(x_out)
-    if g_in > 0.0:
-        return float(x_in)
-    for _ in range(60):
-        mid = 0.5 * (x_out + x_in)
-        val = lyapunov_thouless(ids, mean_log_c, mid) - abs_g
-        if val > 0.0:
-            x_out = mid
-        else:
-            x_in = mid
-        if abs(x_out - x_in) < 1e-13 * max(1.0, abs(x_in)):
+def _bisect_ends(ids, mean_log_c, abs_g, x_out, x_in) -> np.ndarray:
+    """Bisect gamma(x) - |g| on every bracket [x_out, x_in] at once, with
+    gamma > |g| at x_out and gamma <= |g| at x_in, as the x-scan found
+    them: one potential call per step, over the brackets still open.  A
+    bracket closes once narrower than 1e-13 max(1, |x_in|), or after
+    _MAX_BISECTIONS steps; its end is its midpoint.  The result has the
+    brackets' shape."""
+    x_out, x_in = x_out.copy(), x_in.copy()
+    live = np.ones(x_in.shape, dtype=bool)
+    for _ in range(_MAX_BISECTIONS):
+        if not np.any(live):
             break
-    return float(0.5 * (x_out + x_in))
+        mid = 0.5 * (x_out[live] + x_in[live])
+        above = lyapunov_thouless(ids, mean_log_c, mid) - abs_g > 0.0
+        x_out[live] = np.where(above, mid, x_out[live])
+        x_in[live] = np.where(above, x_in[live], mid)
+        live &= np.abs(x_out - x_in) >= 1e-13 * np.maximum(1.0, np.abs(x_in))
+    return 0.5 * (x_out + x_in)
 
 
 def _solve_heights(ids, mean_log_c, abs_g, xs, y_hi, curve_tol) -> tuple:

@@ -6,11 +6,12 @@ backbone of the density-of-states estimator.  The dense nonsymmetric
 spectrum delegates to LAPACK's balancing + Hessenberg + implicitly
 shifted QR through numpy; non-convergence is surfaced, never swallowed.
 Resolvent corners, det(H - z) and the rank-2 corner-perturbation
-determinant are read off one renormalized transfer product, which the
-caller supplies, with the values that leave the double range held as
-complex logarithms.  Each takes one z (and gives Python scalars) or an
-array of z with the stack of their transfer products (and gives arrays,
-one value per lane).  Test functions are array callables.
+determinant are read off one renormalized transfer product per z,
+which the caller supplies, with the values that leave the double range
+held as complex logarithms.  Each takes one z with its product or an
+array of z with the stack of their products, and gives one value per z,
+in the shape of z.  The closure probe of a large spectrum evaluates all
+its probes in one kernel call.  Test functions are array callables.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def spectrum(bundle: OperatorBundle, want_vectors: Optional[bool] = None) -> Spe
         # condition numbers ~ exp(n (gamma - g)) and their probe residual
         # would measure ill-conditioning, not solver quality.
         probes = ev[np.argsort(np.abs(ev.imag))[-3:]]
-        residual = max(boundary_residual(bundle, complex(z)) for z in probes)
+        residual = float(np.max(boundary_residual(bundle, probes)))
         method += "+probe"
     else:
         residual = float("nan")
@@ -142,27 +143,20 @@ def spectrum(bundle: OperatorBundle, want_vectors: Optional[bool] = None) -> Spe
 class ResolventCorners:
     """Corner entries of (H - z)^-1 and det(H - z), read off one transfer
     product.  log_g1n (G_1n = G_n1, the reference is symmetric) and
-    log_det are complex logarithms.  For an array of z (one lane each)
-    every field but n is an array of that shape."""
+    log_det are complex logarithms.  Every field has the shape of z, one
+    value per lane."""
 
-    z: complex
-    n: int
-    g11: complex
-    gnn: complex
-    log_g1n: complex
-    log_det: complex
-
-
-def _scalar_or_lanes(value):
-    """A 0-d result as a Python complex, an array of lanes as it is."""
-    return complex(value) if np.ndim(value) == 0 else value
+    z: np.ndarray
+    g11: np.ndarray
+    gnn: np.ndarray
+    log_g1n: np.ndarray
+    log_det: np.ndarray
 
 
 def resolvent_corners(bundle: OperatorBundle, z, state: TransferState) -> ResolventCorners:
     """Corner resolvent entries of the symmetric reference and det(H - z),
-    from state = transfer_product(bundle, z) (say, one lane of
-    transfer_products), or, for an array of z, from the stack of their
-    lanes (say, a slice of transfer_products).
+    from state = transfer_product(bundle, z), or, for an array of z, from
+    the stack of their lanes (say, a slice of transfer_products).
 
     Requires z off the reference spectrum (use Im z != 0, or a real z in a
     spectral gap); a vanishing determinant raises SingularResolventError.
@@ -177,12 +171,11 @@ def resolvent_corners(bundle: OperatorBundle, z, state: TransferState) -> Resolv
     c = bundle.c
     log_m00 = np.log(m00)
     return ResolventCorners(
-        z=_scalar_or_lanes(z),
-        n=bundle.n,
-        g11=_scalar_or_lanes(-m01 / (c[0] * m00)),
-        gnn=_scalar_or_lanes(m10 / (c[-1] * m00)),
-        log_g1n=_scalar_or_lanes(-state.log_scale - math.log(c[-1]) - log_m00),
-        log_det=_scalar_or_lanes(state.log_scale + log_m00 + float(np.sum(np.log(c[1:])))),
+        z=z,
+        g11=-m01 / (c[0] * m00),
+        gnn=m10 / (c[-1] * m00),
+        log_g1n=-state.log_scale - math.log(c[-1]) - log_m00,
+        log_det=state.log_scale + log_m00 + float(np.sum(np.log(c[1:]))),
     )
 
 
@@ -212,7 +205,7 @@ def rank2_det(bundle: OperatorBundle, corners: ResolventCorners):
                 for log_abs in (bundle.log_abs_a, bundle.log_abs_b))
     with np.errstate(divide="ignore"):  # a zero cross term adds log(1 + 0)
         log_cross = np.log(-(corners.g11 * corners.gnn))
-    return _scalar_or_lanes(_log_add(log_d, bundle.log_abs_a + bundle.log_abs_b + log_cross))
+    return _log_add(log_d, bundle.log_abs_a + bundle.log_abs_b + log_cross)
 
 
 def characteristic_residual(bundle: OperatorBundle, corners: ResolventCorners):
@@ -221,12 +214,11 @@ def characteristic_residual(bundle: OperatorBundle, corners: ResolventCorners):
     one transfer product serves both factors.  For an array of z, one
     dense matrix serves every J - z, and the log-determinants are taken
     over their stack."""
-    z = np.asarray(corners.z)
+    z = corners.z
     shifted = np.broadcast_to(bundle.dense(), z.shape + (bundle.n, bundle.n)).astype(complex)
     diag = np.arange(bundle.n)
     shifted[..., diag, diag] -= z[..., None]
     sign, logdet = np.linalg.slogdet(shifted)
     lhs = np.where(sign != 0, logdet, -math.inf)
     rhs = np.real(rank2_det(bundle, corners)) + np.real(corners.log_det)
-    residual = np.abs(lhs - rhs)
-    return float(residual) if residual.ndim == 0 else residual
+    return np.abs(lhs - rhs)

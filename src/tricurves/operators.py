@@ -20,8 +20,11 @@ The periodic closure enters one-step form through B = diag(beta, 1) with
 beta = w_{n+1} / (w_1 w_n).
 
 Everything with exponential scale (weights, corner entries, transfer
-products) is stored in log form.  The closure residual assembles its
-terms from logarithms and reports inf where one would exceed e^300.
+products) is stored in log form.  A log-scaled product is a
+TransferState (a unit-norm matrix and its log-scale), one lane or a
+stack of lanes.  The closure residual takes an array of z and returns
+one value per z, from one kernel call with one lane each; it assembles
+its terms from logarithms and reports inf where one would exceed e^300.
 """
 
 from __future__ import annotations
@@ -172,11 +175,10 @@ class TransferState:
     """
 
     matrix: np.ndarray
-    log_scale: float
+    log_scale: np.ndarray
 
     def __getitem__(self, lanes) -> "TransferState":
-        log_scale = self.log_scale[lanes]
-        return TransferState(self.matrix[lanes], log_scale if np.ndim(log_scale) else float(log_scale))
+        return TransferState(self.matrix[lanes], self.log_scale[lanes])
 
 
 def transfer_product(bundle: OperatorBundle, z: complex) -> TransferState:
@@ -201,49 +203,47 @@ def transfer_products(bundles, zs) -> TransferState:
     return TransferState(mats, log_scales)
 
 
-def closed_product(bundle, state: TransferState) -> tuple:
-    """(matrix, log_scale) with exp(log_scale) * matrix = B S_n, for the
-    transfer product S_n held in state; B = diag(beta, 1) encodes the
-    periodic closure.  For a stack of lanes, ``bundle`` is a sequence of
-    bundles, one per lane, and the result is stacked too."""
-    stacked = np.ndim(state.log_scale) > 0
-    beta = np.array([b.beta for b in bundle]) if stacked else bundle.beta
+def closed_product(bundles, state: TransferState) -> TransferState:
+    """B S_n for each lane of the stack of transfer products S_n in state,
+    bundles[i] being lane i's bundle; B = diag(beta, 1) encodes the
+    periodic closure."""
     m = state.matrix.copy()
-    m[..., 0, :] *= np.asarray(beta)[..., None]
+    m[:, 0, :] *= np.array([b.beta for b in bundles])[:, None]
     norm = column_sum_norm(m)
-    log_norm = np.log(norm) if stacked else math.log(norm)
-    return m / norm[..., None, None], state.log_scale + log_norm
+    return TransferState(m / norm[:, None, None], state.log_scale + np.log(norm))
 
 
-def boundary_residual(bundle: OperatorBundle, z: complex) -> float:
+def boundary_residual(bundle: OperatorBundle, zs) -> np.ndarray:
     """Normalized defect of the periodic eigenvalue condition
-    det(I/w_n - B S_n(z)) = 0.
+    det(I/w_n - B S_n(z)) = 0 at each z, an array of zs' shape, from one
+    kernel call with one lane per z.
 
     Uses det(I - w_n T) = 1 - w_n tr T + w_n^2 det T for the 2x2 product
-    T = B S_n(z), assembled from log-scaled pieces (the determinant route
-    stays exact on defective T where an eigenvalue route loses half the
-    digits).  The value is |det| / max(1, |w_n tr T|, |w_n^2 det T|).
+    T = B S_n(z), with each term assembled from its logarithm (the
+    determinant route stays exact on defective T where an eigenvalue
+    route loses half the digits).  The value is
+    |det| / max(1, |w_n tr T|, |w_n^2 det T|), and inf where a term
+    exceeds e^300: w_n T is then astronomically far from the identity.
     """
-    m, log_scale = closed_product(bundle, transfer_product(bundle, z))
-    lw = log_scale + bundle.log_w[bundle.n]  # log(w_n e^scale)
-    tr = m[0, 0] + m[1, 1]
-    dt = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-    def scaled(log_coeff: float, value: complex):
-        # exp(log_coeff) * value assembled in log space; None marks overflow
-        if value == 0:
-            return 0j
-        lm = log_coeff + math.log(abs(value))
-        if lm > _MAX_LOG:
-            return None
-        return (value / abs(value)) * math.exp(lm)
-
-    t1 = scaled(lw, tr)
-    t2 = scaled(2.0 * lw, dt)
-    if t1 is None or t2 is None:
-        return math.inf  # w_n T is astronomically far from the identity
-    det = 1.0 - t1 + t2
-    return abs(det) / max(1.0, abs(t1), abs(t2))
+    zs = np.asarray(zs, dtype=complex)
+    lanes = [bundle] * zs.size
+    closed = closed_product(lanes, transfer_products(lanes, zs.ravel()))
+    m00, m01, m10, m11 = closed.matrix.reshape(-1, 4).T
+    # tr T and det T, and the logs of w_n e^scale and of its square.  det T
+    # is formed from real products: numpy's vector loop for complex products
+    # fuses multiply and add, and where T is nearly singular det T is all
+    # rounding, which w_n^2 then scales up to a residual term.
+    det_re = (m00.real * m11.real - m00.imag * m11.imag) - (m01.real * m10.real - m01.imag * m10.imag)
+    det_im = (m00.real * m11.imag + m00.imag * m11.real) - (m01.real * m10.imag + m01.imag * m10.real)
+    values = np.stack([m00 + m11, det_re + 1j * det_im])
+    log_coeffs = np.outer([1.0, 2.0], closed.log_scale + bundle.log_w[bundle.n])
+    modulus = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) and 0/0 of a zero term, masked below
+        log_terms = log_coeffs + np.log(modulus)
+        unit = values / modulus
+    t1, t2 = np.where(values == 0, 0j, unit * np.exp(np.minimum(log_terms, _MAX_LOG)))
+    residual = np.abs(1.0 - t1 + t2) / np.maximum(1.0, np.maximum(np.abs(t1), np.abs(t2)))
+    return np.where(np.any(log_terms > _MAX_LOG, axis=0), math.inf, residual).reshape(zs.shape)
 
 
 def eigenvector_slopes(matrix: np.ndarray) -> tuple:

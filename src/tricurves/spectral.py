@@ -11,11 +11,13 @@ per-cell primitives, so no singular quadrature is ever needed -- in
 particular Phi(x + i0) on the real axis is computed in closed form per
 cell via the primitive t log|t| - t.
 
-The evaluators take their points in fixed blocks of rows, each holding
-a private budget of grid nodes over the grid size (32 points at 1024
-nodes), so their working set is O(block x grid) however many points a
-call passes.  A point's value does not depend on the other points of its
-block or call, so the blocks change no bit of the result.
+The evaluators take an array of points of any shape and return their
+values in that shape (0-d for one point).  They run the points in fixed
+blocks of rows, each holding a private budget of grid nodes over the
+grid size (32 points at 1024 nodes), so their working set is
+O(block x grid) however many points a call passes.  A point's value does
+not depend on the other points of its block or call, so neither the
+blocks nor the shape change a bit of the result.
 
 The Lyapunov exponent is estimated two ways: directly from renormalized
 transfer-matrix products (column-sum norm), and through the Thouless
@@ -179,18 +181,19 @@ def phi_many(ids: IdsEstimate, zs: np.ndarray) -> np.ndarray:
     and each z's value does not depend on the other points of the call.
     The real and the non-real points are evaluated in fixed blocks of
     rows (see _row_blocks), so the working set is O(block x grid) for
-    any number of points.
+    any number of points.  The result has the shape of zs.
     """
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    zs = np.asarray(zs, dtype=complex)
+    flat = zs.ravel()
     dens = ids.cell_density
-    out = np.empty(zs.shape[0], dtype=float)
-    real = np.flatnonzero(zs.imag == 0.0)
-    nonreal = np.flatnonzero(zs.imag != 0.0)
+    out = np.empty(flat.shape, dtype=float)
+    real = np.flatnonzero(flat.imag == 0.0)
+    nonreal = np.flatnonzero(flat.imag != 0.0)
     for block in _row_blocks(ids, real.shape[0]):
-        out[real[block]] = _cell_sums(_real_primitive(ids, zs.real[real[block]]), dens)
+        out[real[block]] = _cell_sums(_real_primitive(ids, flat.real[real[block]]), dens)
     for block in _row_blocks(ids, nonreal.shape[0]):
-        out[nonreal[block]] = _cell_sums(_complex_primitive(ids, zs[nonreal[block]])[0], dens)
-    return out
+        out[nonreal[block]] = _cell_sums(_complex_primitive(ids, flat[nonreal[block]])[0], dens)
+    return out.reshape(zs.shape)
 
 
 def phi_dy_many(ids: IdsEstimate, zs: np.ndarray) -> tuple:
@@ -203,18 +206,19 @@ def phi_dy_many(ids: IdsEstimate, zs: np.ndarray) -> tuple:
     separate real sums: a complex sum would reorder the sum of Im m, the
     slope of the curve-height sweeps.  Points are evaluated in fixed
     blocks of rows, as in phi_many, so the working set is
-    O(block x grid)."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    O(block x grid).  Both arrays have the shape of zs."""
+    zs = np.asarray(zs, dtype=complex)
     if np.any(zs.imag <= 0.0):
         raise ValidationError("phi_dy_many needs Im z > 0")
+    flat = zs.ravel()
     dens = ids.cell_density
-    phi = np.empty(zs.shape[0], dtype=float)
-    m = np.empty(zs.shape[0], dtype=complex)
-    for block in _row_blocks(ids, zs.shape[0]):
-        f, half_log, atan = _complex_primitive(ids, zs[block])
+    phi = np.empty(flat.shape, dtype=float)
+    m = np.empty(flat.shape, dtype=complex)
+    for block in _row_blocks(ids, flat.shape[0]):
+        f, half_log, atan = _complex_primitive(ids, flat[block])
         phi[block] = _cell_sums(f, dens)
         m[block] = _cell_sums(half_log, dens) + 1j * _cell_sums(atan, dens)
-    return phi, m
+    return phi.reshape(zs.shape), m.reshape(zs.shape)
 
 
 # -- Lyapunov exponent --------------------------------------------------------
@@ -263,12 +267,10 @@ def lyapunov_transfer(spec: EnsembleSpec, n: int, reps: int, z):
     return estimates[0] if np.ndim(z) == 0 else estimates
 
 
-def lyapunov_thouless(ids: IdsEstimate, mean_log_c: float, z) -> float:
+def lyapunov_thouless(ids: IdsEstimate, mean_log_c: float, z) -> np.ndarray:
     """Thouless route gamma(z) = Phi(z) - E log c_0; valid on all of the
-    complex plane including the real axis.  A float for scalar z, an
-    array for an array of points."""
-    vals = phi_many(ids, np.atleast_1d(np.asarray(z, dtype=complex))) - mean_log_c
-    return float(vals[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else vals
+    complex plane including the real axis.  An array of z's shape."""
+    return phi_many(ids, z) - mean_log_c
 
 
 # -- cache file ----------------------------------------------------------------

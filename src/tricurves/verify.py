@@ -129,7 +129,7 @@ def check_transfer_eigenvector_bounds(spec: EnsembleSpec) -> CheckResult:
     beta = np.array([b.beta for b in bundles])
     states = transfer_products(bundles, zs)
     u, v = eigenvector_slopes(states.matrix)
-    ub, vb = eigenvector_slopes(closed_product(bundles, states)[0])
+    ub, vb = eigenvector_slopes(closed_product(bundles, states).matrix)
     worst = min(
         np.min((-y / cn) - u.imag),          # Im u <= -Im z / c_n
         np.min((c0 / y) - np.abs(v)),        # |v| <= c_0 / Im z

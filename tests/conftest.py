@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tricurves import DistributionSpec, EnsembleSpec, estimate_ids, resolvent_corners, transfer_product
-from tricurves.spectral import phi_dy_many
+from tricurves.operators import column_sum_norm
+from tricurves.spectral import lyapunov_thouless, phi_dy_many
 
 
 def fig1a_spec(seed=501):
@@ -64,6 +65,57 @@ def symmetric_spectrum(bundle):
 def corners(bundle, z):
     """resolvent_corners at z from the bundle's own transfer product."""
     return resolvent_corners(bundle, z, transfer_product(bundle, z))
+
+
+def boundary_residual_one(bundle, z) -> float:
+    """Oracle: the closure residual at one z in scalar arithmetic.  B S_n
+    is closed from the bundle's own transfer product, and the terms
+    w_n tr T and w_n^2 det T of det(I - w_n T) are assembled from their
+    logarithms; inf where a term exceeds e^300."""
+    state = transfer_product(bundle, z)
+    m = state.matrix.copy()
+    m[0, :] *= bundle.beta
+    norm = column_sum_norm(m)
+    m = m / norm
+    lw = (state.log_scale + math.log(norm)) + bundle.log_w[bundle.n]  # log(w_n e^scale)
+    tr = m[0, 0] + m[1, 1]
+    dt = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+    def scaled(log_coeff, value):
+        # exp(log_coeff) * value assembled in log space; None marks overflow
+        if value == 0:
+            return 0j
+        lm = log_coeff + math.log(abs(value))
+        if lm > 300.0:
+            return None
+        return (value / abs(value)) * math.exp(lm)
+
+    t1 = scaled(lw, tr)
+    t2 = scaled(2.0 * lw, dt)
+    if t1 is None or t2 is None:
+        return math.inf
+    return abs(1.0 - t1 + t2) / max(1.0, abs(t1), abs(t2))
+
+
+def refine_endpoint_one(ids, mean_log_c, abs_g, x_out, x_in) -> float:
+    """Oracle: bisect gamma(x) - |g| between a non-qualifying and a
+    qualifying x, one potential call per point."""
+    g_out = lyapunov_thouless(ids, mean_log_c, x_out) - abs_g
+    g_in = lyapunov_thouless(ids, mean_log_c, x_in) - abs_g
+    if g_out <= 0.0:  # grid boundary already inside; nothing to refine
+        return float(x_out)
+    if g_in > 0.0:
+        return float(x_in)
+    for _ in range(60):
+        mid = 0.5 * (x_out + x_in)
+        val = lyapunov_thouless(ids, mean_log_c, mid) - abs_g
+        if val > 0.0:
+            x_out = mid
+        else:
+            x_in = mid
+        if abs(x_out - x_in) < 1e-13 * max(1.0, abs(x_in)):
+            break
+    return float(0.5 * (x_out + x_in))
 
 
 def multiset_distance(a, b) -> float:

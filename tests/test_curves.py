@@ -17,7 +17,7 @@ from tricurves import (
     spectrum,
     trace_curve,
 )
-from tricurves import curves
+from tricurves import curves, spectral
 from tricurves.curves import (
     default_bump_panel,
     gaussian_bump,
@@ -33,6 +33,7 @@ from conftest import (
     empirical_integral_loop,
     fig1b_spec,
     limit_measure_integral_loop,
+    refine_endpoint_one,
     stieltjes,
     stieltjes_per_cell,
 )
@@ -81,6 +82,18 @@ def two_point_spec(t: float, seed=5) -> EnsembleSpec:
         DistributionSpec("constant", (-t,)),
         DistributionSpec("constant", (t,)),
         DistributionSpec("two_point", (0.0, 1.5, 0.5)),
+        seed=seed,
+    )
+
+
+def split_band_spec(t: float, seed=5) -> EnsembleSpec:
+    """Binary diagonal disorder with values 0 and 3, c = 1 and drift t:
+    the reference spectrum splits into two bands, and the curve has four
+    arcs at t = 0.5."""
+    return EnsembleSpec(
+        DistributionSpec("constant", (-t,)),
+        DistributionSpec("constant", (t,)),
+        DistributionSpec("two_point", (0.0, 3.0, 0.5)),
         seed=seed,
     )
 
@@ -248,6 +261,62 @@ def test_height_solve_sweep_floor(fig1b_ids, monkeypatch):
     model = trace_curve(fig1b_ids, coupling_g(spec), mean_log_c=mean_log_coupling(spec), x_points=800)
     assert model.arcs and sweeps
     assert max(sweeps) <= 15
+
+
+def _curve_case(case, fig1b_ids) -> tuple:
+    """(ids, g, mean log coupling) of a named curve test case."""
+    if case == "fig1b":
+        spec, ids = fig1b_spec(), fig1b_ids
+    elif case == "drifted-free":
+        spec = drifted_free_spec(0.5)
+        ids = estimate_ids(spec, 5000, 2)
+    else:
+        spec = split_band_spec(0.5)
+        ids = estimate_ids(spec, 4000, 2)
+    return ids, coupling_g(spec), mean_log_coupling(spec)
+
+
+def arc_ends_one_at_a_time(model, x_points=800) -> list:
+    """Oracle: each arc's two ends, refined one at a time from the brackets
+    of trace_curve's x-scan."""
+    ids, abs_g, mlc = model.ids, abs(model.g), model.mean_log_c
+    pad = max(1.0, math.exp(abs_g + mlc)) * 1.5
+    lo, hi = ids.support
+    xs = np.linspace(lo - pad, hi + pad, x_points)
+    idx = np.flatnonzero(lyapunov_thouless(ids, mlc, xs) <= abs_g)
+    groups = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
+    return [(refine_endpoint_one(ids, mlc, abs_g, xs[grp[0] - 1], xs[grp[0]]),
+             refine_endpoint_one(ids, mlc, abs_g, xs[grp[-1] + 1], xs[grp[-1]])) for grp in groups]
+
+
+@pytest.mark.parametrize("case", ["fig1b", "drifted-free", "two-point"])
+def test_arc_ends_match_one_at_a_time_bisection(case, fig1b_ids):
+    # all arc ends bisected together land on the bits of one-at-a-time bisection
+    ids, g, mlc = _curve_case(case, fig1b_ids)
+    model = trace_curve(ids, g, mean_log_c=mlc)
+    assert model.real_points == ()
+    ends = [(arc.a, arc.a_prime) for arc in model.arcs]
+    assert len(ends) == (4 if case == "two-point" else 1)
+    assert ends == arc_ends_one_at_a_time(model)
+
+
+@pytest.mark.parametrize("case", ["fig1b", "two-point"])
+def test_trace_curve_potential_call_floor(case, fig1b_ids, monkeypatch):
+    # one potential call for Sigma, one for the x-scan, and one per
+    # bisection step of all arc ends together, whatever the arc count
+    ids, g, mlc = _curve_case(case, fig1b_ids)
+    calls = []
+    potential = spectral.phi_many
+
+    def counted(*args):
+        calls.append(1)
+        return potential(*args)
+
+    monkeypatch.setattr(spectral, "phi_many", counted)
+    monkeypatch.setattr(curves, "phi_many", counted)
+    model = trace_curve(ids, g, mean_log_c=mlc)
+    assert len(model.arcs) == (4 if case == "two-point" else 1)
+    assert len(calls) <= 62
 
 
 def test_height_stall_is_a_numerical_error(fig1b_ids):

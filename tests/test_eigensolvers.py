@@ -372,7 +372,7 @@ def test_transfer_eigenvector_bounds_quick(monkeypatch):
 
 def test_transfer_eigenvector_bounds_match_a_loop_over_trials():
     from tricurves import verify
-    from tricurves.operators import closed_product
+    from tricurves.operators import closed_product, transfer_products
 
     spec = fig1b_spec(seed=61)
     res = verify.check_transfer_eigenvector_bounds(spec)
@@ -386,7 +386,7 @@ def test_transfer_eigenvector_bounds_match_a_loop_over_trials():
         z = complex(rng.uniform(lo, hi), rng.uniform(0.1, 2.0))
         state = transfer_product(b, z)
         u, v = eigenvector_slopes_one(state.matrix)
-        ub, vb = eigenvector_slopes_one(closed_product(b, state)[0])
+        ub, vb = eigenvector_slopes_one(closed_product([b], transfer_products([b], [z])).matrix[0])
         c0, cn = b.c[0], b.c[n]
         worst = min(worst, -z.imag / cn - u.imag, c0 / z.imag - abs(v), v.imag,
                     -b.beta * z.imag / cn - ub.imag, c0 / z.imag - abs(vb), vb.imag)
@@ -426,6 +426,24 @@ def test_spectrum_computes_no_determinant(monkeypatch):
     for n, method in ((64, "dense-qr"), (801, "dense-qr+probe")):  # vector and probe residuals
         res = spectrum(build(sample(fig1b_spec(seed=303), n)))
         assert res.method == method and res.eigenvalues.shape == (n,)
+
+
+@pytest.mark.parametrize("n, want_vectors", [(60, False), (801, None)])
+def test_probed_spectrum_makes_one_kernel_call(n, want_vectors, monkeypatch):
+    # the three closure probes run as the lanes of one transfer product call
+    from tricurves import operators
+
+    lanes = []
+    kernel = operators.transfer_product_scaled
+
+    def counting_kernel(c, q, z):
+        lanes.append(np.size(z))
+        return kernel(c, q, z)
+
+    monkeypatch.setattr(operators, "transfer_product_scaled", counting_kernel)
+    res = spectrum(build(sample(fig1b_spec(seed=303), n)), want_vectors=want_vectors)
+    assert res.method == "dense-qr+probe"
+    assert lanes == [3]
 
 
 def test_spectrum_probe_residual_large_n():

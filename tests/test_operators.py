@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tricurves import DistributionSpec, EnsembleSpec, ValidationError, build, sample
+from tricurves import DistributionSpec, EnsembleSpec, ValidationError, build, sample, spectrum
 from tricurves.operators import (
     TransferState,
     boundary_residual,
@@ -15,8 +15,9 @@ from tricurves.operators import (
 )
 from tricurves import _kernels
 from tricurves._kernels import transfer_product_scaled
+from tricurves.ensembles import realization
 
-from conftest import dense_perturbed, eigenvector_slopes_one, fig1b_spec, free_spec
+from conftest import boundary_residual_one, dense_perturbed, eigenvector_slopes_one, fig1b_spec, free_spec
 
 
 def one_step_matrix(bundle, k, z):
@@ -303,10 +304,10 @@ def test_boundary_matrix_symmetric_case_is_plain_product():
     b = build(sample(spec, 12))
     assert b.beta == pytest.approx(1.0)
     z = 0.2 + 0.4j
-    s = transfer_product(b, z)
-    m, log_scale = closed_product(b, s)
-    assert np.allclose(m, s.matrix)
-    assert log_scale == pytest.approx(s.log_scale)
+    s = transfer_products([b], [z])
+    closed = closed_product([b], s)
+    assert np.allclose(closed.matrix, s.matrix)
+    assert closed.log_scale == pytest.approx(s.log_scale)
 
 
 def test_boundary_equals_folded_last_factor():
@@ -326,8 +327,8 @@ def test_boundary_equals_folded_last_factor():
         dtype=complex,
     )
     folded = a_tilde @ (state.matrix * math.exp(state.log_scale))
-    m, log_scale = closed_product(b, transfer_product(b, z))
-    rebuilt = m * math.exp(log_scale)
+    closed = closed_product([b], transfer_products([b], [z]))[0]
+    rebuilt = closed.matrix * math.exp(closed.log_scale)
     assert np.max(np.abs(folded - rebuilt)) / np.max(np.abs(folded)) < 1e-12
 
 
@@ -344,6 +345,42 @@ def test_boundary_eigencondition_circulant_exact():
     b = build(sample(free_spec(), 4))
     assert boundary_residual(b, 2.0) < 1e-12
     assert boundary_residual(b, 1.7) > 1e-2
+
+
+def _overflowing_bundle():
+    """w_k = e^{-2k}: at n = 400 the closure terms pass e^300 far off the axis."""
+    spec = EnsembleSpec(*(DistributionSpec("constant", (v,)) for v in (0.0, 4.0, 0.0)), seed=0)
+    return build(sample(spec, 400))
+
+
+def _nonreal_eigenvalues(n, r):
+    bundle = build(realization(fig1b_spec(), n, r))
+    ev = spectrum(bundle, want_vectors=False).eigenvalues
+    return bundle, ev[ev.imag != 0.0]
+
+
+@pytest.mark.parametrize("case", ["fig1b-16", "fig1b-300", "fig1b-801", "circulant", "overflow"])
+def test_lane_residual_matches_the_scalar_oracle(case):
+    # all z in one kernel call against one scalar evaluation per z: both
+    # form the same products, and only numpy's vector exp and log round
+    # apart from libm's, which moves the normalized residual by a few eps;
+    # an oracle inf or 0 is kept exactly
+    if case.startswith("fig1b"):
+        n = int(case.split("-")[1])
+        pairs = [_nonreal_eigenvalues(n, r) for r in (0, 1)]
+    elif case == "circulant":
+        pairs = [(build(sample(free_spec(), 4)), np.array([2.0, 1.7, 0.0, 2j]))]
+    else:
+        pairs = [(_overflowing_bundle(), np.array([1e3j, 0.5j, 2.0]))]
+    exact_seen = 0
+    for bundle, zs in pairs:
+        lanes = boundary_residual(bundle, zs)
+        oracle = np.array([boundary_residual_one(bundle, z) for z in zs])
+        exact = np.isinf(oracle) | (oracle == 0.0)
+        assert np.array_equal(lanes[exact], oracle[exact])
+        assert np.all(np.abs(lanes[~exact] - oracle[~exact]) <= 4 * np.finfo(float).eps)
+        exact_seen += int(np.sum(exact))
+    assert exact_seen == {"circulant": 1, "overflow": 1}.get(case, 0)
 
 
 def test_eigenvector_slopes_match_numpy():
@@ -384,9 +421,9 @@ def test_closed_product_of_a_stack_matches_one_lane_at_a_time():
     bundles = [build(sample(fig1b_spec(seed=s), 30)) for s in range(4)]
     zs = [0.3 + 0.5j, 1.1 - 0.2j, -0.4 + 1.5j, 2.0 + 0.1j]
     states = transfer_products(bundles, zs)
-    matrices, log_scales = closed_product(bundles, states)
-    assert matrices.shape == (4, 2, 2) and log_scales.shape == (4,)
+    closed = closed_product(bundles, states)
+    assert closed.matrix.shape == (4, 2, 2) and closed.log_scale.shape == (4,)
     for lane, bundle in enumerate(bundles):
-        m, log_scale = closed_product(bundle, states[lane])
-        assert np.array_equal(matrices[lane], m)
-        assert log_scales[lane] == pytest.approx(log_scale, rel=1e-15)
+        one = closed_product([bundle], states[lane : lane + 1])
+        assert np.array_equal(closed.matrix[lane], one.matrix[0])
+        assert closed.log_scale[lane] == pytest.approx(one.log_scale[0], rel=1e-15)

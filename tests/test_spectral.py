@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -14,7 +15,10 @@ from tricurves import (
     lyapunov_transfer,
     mean_log_coupling,
 )
-from tricurves import spectral
+from tricurves import build, rank2_det, resolvent_corners, spectral
+from tricurves.eigensolvers import characteristic_residual
+from tricurves.ensembles import realization
+from tricurves.operators import TransferState, boundary_residual, transfer_products
 from tricurves.spectral import load_ids, phi_dy_many, phi_many, save_ids
 
 from conftest import (
@@ -442,3 +446,54 @@ def test_potential_convergence_from_spectrum(fig1b_ids):
     for z in (0.5 + 0.5j, -1.0 + 0.2j, 2.2 + 1.0j):
         p_n = float(np.mean(np.log(np.abs(evs - z))))
         assert abs(p_n - phi(fig1b_ids, z)) < 0.02
+
+
+# -- shape contract of the array functions -----------------------------------------
+
+def _corners(bundle, z):
+    """resolvent_corners at the points z, their transfer products stacked
+    in the shape of z."""
+    lanes = transfer_products([bundle] * np.size(z), np.ravel(z))
+    shape = np.shape(z)
+    return resolvent_corners(bundle, z, TransferState(lanes.matrix.reshape(shape + (2, 2)),
+                                                      lanes.log_scale.reshape(shape)))
+
+
+# name -> the arrays the function returns at points z, given an IDS and a bundle
+_ARRAY_FUNCTIONS = {
+    "phi_many": lambda ids, b, z: (phi_many(ids, z),),
+    "phi_dy_many": lambda ids, b, z: phi_dy_many(ids, z),
+    "lyapunov_thouless": lambda ids, b, z: (lyapunov_thouless(ids, 0.25, z),),
+    "boundary_residual": lambda ids, b, z: (boundary_residual(b, z),),
+    "resolvent_corners": lambda ids, b, z: dataclasses.astuple(_corners(b, z)),
+    "rank2_det": lambda ids, b, z: (rank2_det(b, _corners(b, z)),),
+    "characteristic_residual": lambda ids, b, z: (characteristic_residual(b, _corners(b, z)),),
+}
+
+
+_SHAPES = {"scalar": (), "1d": (6,), "2d": (2, 3)}
+
+
+@pytest.mark.parametrize(
+    "name, points_shape",
+    [(name, shape) for name in ("phi_many", "phi_dy_many", "lyapunov_thouless") for shape in _SHAPES]
+    + [(name, shape) for name in ("boundary_residual", "resolvent_corners", "rank2_det", "characteristic_residual")
+       for shape in ("scalar", "1d")],
+)
+def test_array_functions_return_the_shape_of_their_points(name, points_shape, fig1b_ids):
+    # one point gives a 0-d value and an array of points an array of their
+    # shape, each value bit-equal to the call on the flattened points
+    shape = _SHAPES[points_shape]
+    size = int(np.prod(shape))
+    rng = np.random.Generator(np.random.Philox(key=41))
+    flat = rng.uniform(-1.0, 3.0, size) + 1j * rng.uniform(0.2, 2.0, size)
+    if name == "phi_many":
+        flat[::2] = flat[::2].real  # real points take the real primitive
+    points = complex(flat[0]) if shape == () else flat.reshape(shape)
+    bundle = build(realization(fig1b_spec(), 30, 0))
+    values = _ARRAY_FUNCTIONS[name](fig1b_ids, bundle, points)
+    flat_values = _ARRAY_FUNCTIONS[name](fig1b_ids, bundle, flat)
+    assert len(values) == len(flat_values)
+    for value, flat_value in zip(values, flat_values):
+        assert np.shape(value) == shape
+        assert np.array_equal(np.ravel(value), flat_value)

@@ -5,7 +5,11 @@ operations over independent "lanes".  The Sturm recurrence is vectorized
 over (realization x shift) lanes; when the lanes are few and n is long it
 is also vectorized over blocks of the k-range, which start from a guessed
 pivot and are made exact where their pivots coalesce with the true ones,
-bit for bit.  The transfer product is vectorized over lanes (one product
+bit for bit.  Every operation of a Sturm step writes into a full-width
+(block x realization x shift) work array: numpy's broadcasting loops
+cost several times a same-shape loop at these widths, so the step copies
+each block's diagonal out to full width and subtracts shifts tiled once
+per call of its loop.  The transfer product is vectorized over lanes (one product
 each) and, within every lane, over blocks of at most 16 steps of the
 k-range: all (lane, block) products advance together, one k-step per
 vector step, and then fold pairwise, one tree level per vector step, so
@@ -86,13 +90,17 @@ def _advance(diag, off2, lams, pivmin, d, count, start, stop):
     in magnitude replaced by -pivmin, and count adds d < 0.
     """
     size = diag.shape[0] // d.shape[0]
+    # full-width work arrays: a same-shape subtract after a broadcasting
+    # copy beats the broadcast (blocks, R, 1) - (R, L) several times over
+    shifts = np.broadcast_to(lams, d.shape).copy()
     buf = np.empty_like(d)
     neg = np.empty(d.shape, dtype=bool)
     # negatives accumulate in bytes, flushed before they can wrap
     pending = np.zeros(d.shape, dtype=np.uint8)
     floor = float(np.max(pivmin))
     for j in range(start, stop):
-        np.subtract(diag[j::size], lams, out=buf)
+        np.copyto(buf, diag[j::size])
+        np.subtract(buf, shifts, out=buf)
         np.divide(off2[j::size], d, out=d)
         np.subtract(buf, d, out=d)
         if np.abs(d, out=buf).min(initial=np.inf) < floor:

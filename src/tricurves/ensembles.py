@@ -32,6 +32,7 @@ import configparser
 import hashlib
 import io
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -248,9 +249,31 @@ class CoefficientSequence:
         return self.diag if self.raw else self.q
 
 
+# One Philox generator per thread, re-keyed for every draw: constructing
+# one pulls fresh OS entropy, which costs several times a reset.  Per
+# thread, because the spectrum pool draws realizations on worker threads.
+_PHILOX = threading.local()
+
+
 def _uniform_words(key: int, count: int) -> np.ndarray:
-    """The first count words of the Philox stream, as uniforms in [0,1)."""
-    raw = np.random.Philox(key=key).random_raw(count)
+    """The first count words of the Philox stream, as uniforms in [0,1).
+
+    The thread's generator is reset to the state of Philox(key=key): the
+    key split into 64-bit words [key mod 2^64, key >> 64], a zero counter
+    and an empty buffer."""
+    bg = getattr(_PHILOX, "generator", None)
+    if bg is None:
+        bg = _PHILOX.generator = np.random.Philox(key=key)
+    high, low = divmod(key, 1 << 64)
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.array([low, high], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    raw = bg.random_raw(count)
     return (raw >> np.uint64(11)) * (2.0**-53)
 
 

@@ -192,14 +192,17 @@ def transfer_products(bundles, zs) -> TransferState:
     """The stack of transfer_product(bundle, z) over the pairs of bundles
     and zs, in one kernel call with one lane per pair; the bundles must
     share n.  A lane's result does not depend on the other lanes, so each
-    lane equals the one-pair call bit for bit."""
+    lane equals the one-pair call bit for bit.  When every lane has the
+    same bundle, the kernel shares its coefficient columns across the
+    lanes rather than a stacked copy per lane."""
     for bundle in bundles:
         bundle._need_log_coords("transfer matrices")
-    log_scales, mats = transfer_product_scaled(
-        np.stack([b.c for b in bundles], axis=1),
-        np.stack([b.seq.q for b in bundles], axis=1),
-        np.asarray(zs, dtype=np.complex128),
-    )
+    if len({id(b) for b in bundles}) == 1:
+        c, q = bundles[0].c, bundles[0].seq.q
+    else:
+        c = np.stack([b.c for b in bundles], axis=1)
+        q = np.stack([b.seq.q for b in bundles], axis=1)
+    log_scales, mats = transfer_product_scaled(c, q, np.asarray(zs, dtype=np.complex128))
     return TransferState(mats, log_scales)
 
 

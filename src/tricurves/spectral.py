@@ -14,10 +14,11 @@ cell via the primitive t log|t| - t.
 The evaluators take an array of points of any shape and return their
 values in that shape (0-d for one point).  They run the points in fixed
 blocks of rows, each holding a private budget of grid nodes over the
-grid size (32 points at 1024 nodes), so their working set is
-O(block x grid) however many points a call passes.  A point's value does
-not depend on the other points of its block or call, so neither the
-blocks nor the shape change a bit of the result.
+grid size (32 points at 1024 nodes), in one set of work arrays per
+call, so their working set is O(block x grid) however many points a
+call passes.  A point's value does not depend on the other points of
+its block or call, so neither the blocks nor the shape change a bit of
+the result.
 
 The Lyapunov exponent is estimated two ways: directly from renormalized
 transfer-matrix products (column-sum norm), and through the Thouless
@@ -129,8 +130,10 @@ def estimate_ids(spec: EnsembleSpec, n: int, reps: int, grid_points: int = 2048)
 # -- potential and Stieltjes transform ---------------------------------------
 
 # Rows (points) per block of the potential evaluators: _BLOCK_NODES over
-# the grid size, at least one, so each temporary holds at most this many
-# nodes (32 rows, 256 KiB of float64, at 1024 nodes).
+# the grid size, at least one.  A call allocates its (rows x grid) work
+# arrays once, at most this many nodes each (32 rows, 256 KiB of float64,
+# at 1024 nodes), and every block writes into them with out=: a fresh
+# temporary per operation and block cost more than its arithmetic.
 _BLOCK_NODES = 1 << 15
 
 
@@ -140,34 +143,65 @@ def _row_blocks(ids: IdsEstimate, count: int):
     return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
-def _real_primitive(ids: IdsEstimate, xs: np.ndarray) -> np.ndarray:
-    """F(lam) = t log|t| - t (0 at t = 0) at every grid node for each
-    real x, one row per x, with t = lam - x."""
-    t = ids.grid[None, :] - xs[:, None]
-    r = np.abs(t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(r == 0.0, 0.0, t * np.log(r) - t)
+def _work_arrays(ids: IdsEstimate, count: int) -> tuple:
+    """Four float (rows x grid) work arrays for blocks of up to count
+    rows.  A block of r rows uses the first r rows of each, which are
+    contiguous, as fresh arrays would be.  Four arrays, not one stack of
+    four: each is no larger than the temporaries they replace, since
+    freeing a larger block raises glibc's mmap threshold for the rest of
+    the process and so changes the cost of every later allocation."""
+    nodes = ids.grid.shape[0]
+    rows = min(count, max(1, _BLOCK_NODES // nodes))
+    return tuple(np.empty((rows, nodes)) for _ in range(4))
 
 
-def _complex_primitive(ids: IdsEstimate, zs: np.ndarray) -> tuple:
-    """(F, log|t - iy|, atan(t/y)) at every grid node for each non-real
-    z, one row per z, with t = lam - x and the primitive
-    F(lam) = t log(t^2+y^2)/2 - t + y atan(t/y), whose y-derivative is
-    atan(t/y)."""
+def _real_primitive(ids: IdsEstimate, xs: np.ndarray, t, f, zero) -> None:
+    """Writes into f: F(lam) = t log|t| - t (0 at t = 0) at every grid
+    node for each real x, one row per x, with t = lam - x, also written;
+    zero is a boolean work array of their shape."""
+    np.subtract(ids.grid, xs[:, None], out=t)
+    np.abs(t, out=f)
+    np.equal(f, 0.0, out=zero)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) at grid nodes, masked below
+        np.log(f, out=f)
+        np.multiply(t, f, out=f)
+        np.subtract(f, t, out=f)
+    np.copyto(f, 0.0, where=zero)
+
+
+def _complex_primitive(ids: IdsEstimate, zs: np.ndarray, t, half_log, atan, f) -> None:
+    """Writes into half_log, atan and f: log|t - iy|, atan(t/y) and the
+    primitive F(lam) = t log(t^2+y^2)/2 - t + y atan(t/y), whose
+    y-derivative is atan(t/y), at every grid node for each non-real z,
+    one row per z, with t = lam - x; t is left holding y atan(t/y)."""
     y = zs.imag[:, None]
-    t = ids.grid[None, :] - zs.real[:, None]
-    half_log = 0.5 * np.log(t * t + y * y)
-    atan = np.arctan(t / y)
-    return t * half_log - t + y * atan, half_log, atan
+    np.subtract(ids.grid, zs.real[:, None], out=t)
+    np.multiply(t, t, out=half_log)
+    np.add(half_log, y * y, out=half_log)
+    np.log(half_log, out=half_log)
+    np.multiply(0.5, half_log, out=half_log)
+    np.divide(t, y, out=atan)
+    np.arctan(atan, out=atan)
+    np.multiply(t, half_log, out=f)
+    np.subtract(f, t, out=f)
+    np.multiply(y, atan, out=t)
+    np.add(f, t, out=f)
 
 
-def _cell_sums(f: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """sum_i dens_i (f[:, i+1] - f[:, i]) for each row of node values f.
+def _cell_sums(f: np.ndarray, dens: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """sum_i dens_i (f[:, i+1] - f[:, i]) for each row of node values f,
+    with the differences written into cells, a work array of f's shape.
 
-    einsum, not a BLAS product: BLAS splits the sum by how many rows
-    share the call, so a row's last bits would depend on its batch.  Here
-    each row gets the same result alone or in any batch."""
-    return np.einsum("ij,j->i", np.diff(f, axis=1), dens)
+    The differences are taken along the flattened rows, one contiguous
+    loop where a 2-D difference runs several times slower; the
+    difference across each row end lands in the last column, which the
+    sum leaves out.  einsum, not a BLAS product: BLAS splits the sum by
+    how many rows share the call, so a row's last bits would depend on
+    its batch.  Here each row gets the same result alone or in any
+    batch."""
+    flat = f.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=cells.reshape(-1)[:-1])
+    return np.einsum("ij,j->i", cells[:, :-1], dens)
 
 
 def phi_many(ids: IdsEstimate, zs: np.ndarray) -> np.ndarray:
@@ -180,8 +214,9 @@ def phi_many(ids: IdsEstimate, zs: np.ndarray) -> np.ndarray:
     F is evaluated once per grid node and differenced along the grid,
     and each z's value does not depend on the other points of the call.
     The real and the non-real points are evaluated in fixed blocks of
-    rows (see _row_blocks), so the working set is O(block x grid) for
-    any number of points.  The result has the shape of zs.
+    rows (see _row_blocks) in one set of work arrays, so the working set
+    is O(block x grid) for any number of points.  The result has the
+    shape of zs.
     """
     zs = np.asarray(zs, dtype=complex)
     flat = zs.ravel()
@@ -189,10 +224,17 @@ def phi_many(ids: IdsEstimate, zs: np.ndarray) -> np.ndarray:
     out = np.empty(flat.shape, dtype=float)
     real = np.flatnonzero(flat.imag == 0.0)
     nonreal = np.flatnonzero(flat.imag != 0.0)
+    work = _work_arrays(ids, max(real.shape[0], nonreal.shape[0]))
+    zero = np.empty(work[0].shape, dtype=bool)
+    # t is free once a block's primitive is formed: it takes the cell differences
     for block in _row_blocks(ids, real.shape[0]):
-        out[real[block]] = _cell_sums(_real_primitive(ids, flat.real[real[block]]), dens)
+        t, f, _, _ = (a[: block.stop - block.start] for a in work)
+        _real_primitive(ids, flat.real[real[block]], t, f, zero[: t.shape[0]])
+        out[real[block]] = _cell_sums(f, dens, t)
     for block in _row_blocks(ids, nonreal.shape[0]):
-        out[nonreal[block]] = _cell_sums(_complex_primitive(ids, flat[nonreal[block]])[0], dens)
+        t, half_log, atan, f = (a[: block.stop - block.start] for a in work)
+        _complex_primitive(ids, flat[nonreal[block]], t, half_log, atan, f)
+        out[nonreal[block]] = _cell_sums(f, dens, t)
     return out.reshape(zs.shape)
 
 
@@ -205,8 +247,8 @@ def phi_dy_many(ids: IdsEstimate, zs: np.ndarray) -> tuple:
     for each z), so dPhi/dy = Im m.  The two parts of m are summed as
     separate real sums: a complex sum would reorder the sum of Im m, the
     slope of the curve-height sweeps.  Points are evaluated in fixed
-    blocks of rows, as in phi_many, so the working set is
-    O(block x grid).  Both arrays have the shape of zs."""
+    blocks of rows in one set of work arrays, as in phi_many, so the
+    working set is O(block x grid).  Both arrays have the shape of zs."""
     zs = np.asarray(zs, dtype=complex)
     if np.any(zs.imag <= 0.0):
         raise ValidationError("phi_dy_many needs Im z > 0")
@@ -214,10 +256,12 @@ def phi_dy_many(ids: IdsEstimate, zs: np.ndarray) -> tuple:
     dens = ids.cell_density
     phi = np.empty(flat.shape, dtype=float)
     m = np.empty(flat.shape, dtype=complex)
+    work = _work_arrays(ids, flat.shape[0])
     for block in _row_blocks(ids, flat.shape[0]):
-        f, half_log, atan = _complex_primitive(ids, flat[block])
-        phi[block] = _cell_sums(f, dens)
-        m[block] = _cell_sums(half_log, dens) + 1j * _cell_sums(atan, dens)
+        t, half_log, atan, f = (a[: block.stop - block.start] for a in work)
+        _complex_primitive(ids, flat[block], t, half_log, atan, f)
+        phi[block] = _cell_sums(f, dens, t)
+        m[block] = _cell_sums(half_log, dens, t) + 1j * _cell_sums(atan, dens, t)
     return phi.reshape(zs.shape), m.reshape(zs.shape)
 
 

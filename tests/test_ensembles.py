@@ -1,6 +1,8 @@
+import concurrent.futures
 import configparser
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from tricurves import (
     mean_log_coupling,
     sample,
 )
-from tricurves.ensembles import ensemble_from_config, ensemble_to_config, spec_hash
+from tricurves.ensembles import _uniform_words, ensemble_from_config, ensemble_to_config, realization, spec_hash
 
 
 def iid_spec(seed=0, xi=None, eta=None, q=None):
@@ -109,6 +111,60 @@ def test_range_sampling_matches_full_pass():
     prefix = sample(spec, 699)
     for name in ("xi", "eta", "q"):
         assert np.array_equal(getattr(prefix, name), getattr(full, name)[:700])
+
+
+UNIFORM_KEYS = (0, 5, 2**63 + 7, 2**64 + 5, 2**70 + 3)
+
+
+def fresh_uniforms(key: int, count: int) -> np.ndarray:
+    """Oracle: the first count words of a fresh Philox(key=key), as uniforms."""
+    return (np.random.Philox(key=key).random_raw(count) >> np.uint64(11)) * (2.0**-53)
+
+
+def test_uniform_words_equal_a_fresh_generator():
+    # the thread's re-keyed generator gives a fresh generator's words,
+    # for keys with and without a high 64-bit word and counts that end
+    # inside and at the end of a 4-word counter block
+    for key in UNIFORM_KEYS:
+        for count in (1, 4, 5, 61, 40_001):
+            assert np.array_equal(_uniform_words(key, count), fresh_uniforms(key, count)), (key, count)
+
+
+def test_uniform_words_on_two_threads_at_once():
+    # each thread re-keys its own generator: two threads drawing
+    # different keys at the same time each get the oracle's words
+    oracle = {key: fresh_uniforms(key, 61) for key in UNIFORM_KEYS}
+    start = threading.Barrier(2)
+
+    def draw(keys):
+        start.wait()
+        return all(np.array_equal(_uniform_words(key, 61), oracle[key]) for _ in range(200) for key in keys)
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(draw, (UNIFORM_KEYS[:3], UNIFORM_KEYS[2:][::-1])))
+    assert results == [True, True]
+
+
+def test_realizations_construct_one_generator_per_thread(monkeypatch):
+    # 120 realizations of three sampled fields draw 360 streams; each
+    # thread constructs at most one generator for them, and the draws on
+    # worker threads equal those on the calling thread
+    made = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        made.append(threading.get_ident())
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    spec = iid_spec(seed=40)
+    serial = [realization(spec, 60, r) for r in range(120)]
+    assert len(made) <= 1
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        pooled = list(pool.map(lambda r: realization(spec, 60, r), range(120)))
+    assert len(made) == len(set(made)) <= 3
+    for a, b in zip(serial, pooled):
+        assert all(np.array_equal(getattr(a, name), getattr(b, name)) for name in ("xi", "eta", "q"))
 
 
 def test_periodic_mode_tiles_table():

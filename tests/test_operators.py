@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,24 @@ def test_kernel_lane_ignores_other_lanes():
     for at in (0, lanes - 1):
         assert log_scales[at] == alone[0][0]
         assert np.array_equal(mats[at], alone[1][0])
+
+
+def test_lanes_of_one_bundle_share_its_columns():
+    # 1000 lanes of one bundle equal the call with a stacked copy of its
+    # columns per lane, bit for bit, without holding that copy
+    b = build(realization(fig1b_spec(), 2000, 0))
+    rng = np.random.Generator(np.random.Philox(key=9))
+    zs = rng.uniform(-1.0, 3.0, 1000) + 1j * rng.uniform(-1.0, 1.0, 1000)
+    stacked = transfer_product_scaled(np.stack([b.c] * zs.size, axis=1), np.stack([b.seq.q] * zs.size, axis=1), zs)
+    tracemalloc.start()
+    try:
+        shared = transfer_products([b] * zs.size, zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(shared.log_scale, stacked[0])
+    assert np.array_equal(shared.matrix, stacked[1])
+    assert peak < 12 * 2**20  # a stacked copy of c and q alone is 30.5 MiB
 
 
 def test_kernel_passes_stay_within_width(monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,26 @@ def test_blocked_evaluators_equal_the_one_shot_oracles(blocked_ids):
             assert np.array_equal(phi_many(blocked_ids, zs), phi_many_oneshot(blocked_ids, zs)), count
         for got, want in zip(phi_dy_many(blocked_ids, upper), phi_dy_many_oneshot(blocked_ids, upper)):
             assert np.array_equal(got, want), count
+
+
+def test_reused_work_arrays_leak_no_rows(blocked_ids):
+    # one call's blocks share its work arrays: the real rows fill a full
+    # block and a partial one, with grid nodes among them, and then the
+    # non-real rows a shorter partial block; phi_dy_many runs a call with
+    # a partial last block and then a shorter one.  Each equals the
+    # one-shot oracle, and no block warns.
+    rows = spectral._BLOCK_NODES // blocked_ids.grid.shape[0]
+    rng = np.random.Generator(np.random.Philox(key=68))
+    real = rng.uniform(-3.0, 4.0, rows + rows // 2).astype(complex)
+    real[::3] = blocked_ids.grid[rng.integers(0, blocked_ids.grid.shape[0], real[::3].shape[0])]
+    upper = rng.uniform(-3.0, 4.0, 3 * rows + 5) + 1j * rng.uniform(0.01, 2.5, 3 * rows + 5)
+    mixed = np.concatenate([real, upper[: rows // 2], np.conj(upper[-1:])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array_equal(phi_many(blocked_ids, mixed), phi_many_oneshot(blocked_ids, mixed))
+        for zs in (upper, upper[: rows + 1]):
+            for got, want in zip(phi_dy_many(blocked_ids, zs), phi_dy_many_oneshot(blocked_ids, zs)):
+                assert np.array_equal(got, want), zs.shape
 
 
 def test_evaluators_of_no_points_return_empty_arrays(fig1b_ids):

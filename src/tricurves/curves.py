@@ -128,6 +128,13 @@ def _upper_height(mean_log_c: float, abs_g: float) -> float:
     return 1.5 * math.exp(abs_g + mean_log_c) + 1.0
 
 
+def _runs(mask: np.ndarray) -> tuple:
+    """Index arrays (start, stop) of the runs of True in a 1-D mask: run k
+    covers mask[start[k]:stop[k]]."""
+    steps = np.diff(mask.astype(np.int8), prepend=0, append=0)
+    return np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)
+
+
 def trace_curve(
     ids: IdsEstimate,
     g: float,
@@ -164,13 +171,13 @@ def trace_curve(
     arcs = []
     real_points = []
     y_hi = _upper_height(mean_log_c, abs_g)
-    # each run of qualifying abscissae, by its first and last index
-    steps = np.diff(qualify.astype(np.int8))
-    first, last = np.flatnonzero(steps == 1) + 1, np.flatnonzero(steps == -1)
+    # each run x_grid[i:k] of qualifying abscissae, between the
+    # non-qualifying abscissae i - 1 and k
+    first, stop = _runs(qualify)
     ends = _bisect_ends(ids, mean_log_c, abs_g,
-                        x_grid[np.stack([first - 1, last + 1])], x_grid[np.stack([first, last])])
-    for i, j, a, a_prime in zip(first, last, *ends):
-        xs_inner = x_grid[i : j + 1]
+                        x_grid[np.stack([first - 1, stop])], x_grid[np.stack([first, stop - 1])])
+    for i, k, a, a_prime in zip(first, stop, *ends):
+        xs_inner = x_grid[i:k]
         ys_inner, m_inner = _solve_heights(ids, mean_log_c, abs_g, xs_inner, y_hi, curve_tol)
         keep = ys_inner > 1e-9 * max(1.0, ids.support_radius)
         if not np.any(keep):
@@ -257,18 +264,8 @@ def real_support_sigma(ids: IdsEstimate, threshold: float) -> tuple:
     dens = ids.cell_density
     mids = 0.5 * (ids.grid[:-1] + ids.grid[1:])
     phi_mid = phi_many(ids, mids.astype(complex))
-    qualifies = (dens > 0.0) & (phi_mid > threshold + _TIE_BAND)
-    intervals = []
-    start = None
-    for i, flag in enumerate(qualifies):
-        if flag and start is None:
-            start = ids.grid[i]
-        elif not flag and start is not None:
-            intervals.append((float(start), float(ids.grid[i])))
-            start = None
-    if start is not None:
-        intervals.append((float(start), float(ids.grid[-1])))
-    return tuple(intervals)
+    start, stop = _runs((dens > 0.0) & (phi_mid > threshold + _TIE_BAND))
+    return tuple(zip(ids.grid[start].tolist(), ids.grid[stop].tolist()))
 
 
 def limit_measure_integral(model: CurveModel, f: Callable[[np.ndarray], np.ndarray]) -> float:

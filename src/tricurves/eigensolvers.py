@@ -67,9 +67,10 @@ class SpectrumResult:
 
     residual is the max relative defect max_i ||(J - z_i I) v_i|| / ||v_i||
     when eigenvectors were computed (n <= 800), otherwise the worst periodic
-    boundary-condition probe residual over three sampled eigenvalues
-    (method tag then carries the "+probe" suffix; raw bundles above the
-    vector limit report nan).
+    boundary-condition probe residual over the three eigenvalues of largest
+    |Im| (method tag then carries the "+probe" suffix).  The probe residual
+    is finite, at most 3, for either sign of g; raw bundles above the
+    vector limit report nan.
     """
 
     eigenvalues: np.ndarray

@@ -23,8 +23,9 @@ Everything with exponential scale (weights, corner entries, transfer
 products) is stored in log form.  A log-scaled product is a
 TransferState (a unit-norm matrix and its log-scale), one lane or a
 stack of lanes.  The closure residual takes an array of z and returns
-one value per z, from one kernel call with one lane each; it assembles
-its terms from logarithms and reports inf where one would exceed e^300.
+one value per z, from one kernel call with one lane each; it reads only
+the trace of each product, takes the determinant term in closed form,
+and normalizes the terms by their logarithms, so it is finite for every z.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ __all__ = [
     "boundary_residual",
     "eigenvector_slopes",
 ]
-
-_MAX_LOG = 300.0
-
 
 @dataclass(frozen=True)
 class OperatorBundle:
@@ -221,32 +219,26 @@ def boundary_residual(bundle: OperatorBundle, zs) -> np.ndarray:
     det(I/w_n - B S_n(z)) = 0 at each z, an array of zs' shape, from one
     kernel call with one lane per z.
 
-    Uses det(I - w_n T) = 1 - w_n tr T + w_n^2 det T for the 2x2 product
-    T = B S_n(z), with each term assembled from its logarithm (the
-    determinant route stays exact on defective T where an eigenvalue
-    route loses half the digits).  The value is
-    |det| / max(1, |w_n tr T|, |w_n^2 det T|), and inf where a term
-    exceeds e^300: w_n T is then astronomically far from the identity.
+    Uses det(I - w_n T) = 1 - t1 + t2 for the 2x2 product T = B S_n(z),
+    with t1 = w_n tr T and t2 = w_n^2 det T.  Only the trace is read off
+    the product: every step has det A_k = c_{k-1} / c_k, so t2 =
+    w_n^2 beta c_0 / c_n = |a_n| / |b_n| exactly, the same for every z.
+    The value is |1 - t1 + t2| / max(1, |t1|, |t2|), with the
+    normalization done on the terms' logarithms, so it is finite for
+    every z and either sign of g.
     """
     zs = np.asarray(zs, dtype=complex)
-    lanes = [bundle] * zs.size
-    closed = closed_product(lanes, transfer_products(lanes, zs.ravel()))
-    m00, m01, m10, m11 = closed.matrix.reshape(-1, 4).T
-    # tr T and det T, and the logs of w_n e^scale and of its square.  det T
-    # is formed from real products: numpy's vector loop for complex products
-    # fuses multiply and add, and where T is nearly singular det T is all
-    # rounding, which w_n^2 then scales up to a residual term.
-    det_re = (m00.real * m11.real - m00.imag * m11.imag) - (m01.real * m10.real - m01.imag * m10.imag)
-    det_im = (m00.real * m11.imag + m00.imag * m11.real) - (m01.real * m10.imag + m01.imag * m10.real)
-    values = np.stack([m00 + m11, det_re + 1j * det_im])
-    log_coeffs = np.outer([1.0, 2.0], closed.log_scale + bundle.log_w[bundle.n])
-    modulus = np.abs(values)
-    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) and 0/0 of a zero term, masked below
-        log_terms = log_coeffs + np.log(modulus)
-        unit = values / modulus
-    t1, t2 = np.where(values == 0, 0j, unit * np.exp(np.minimum(log_terms, _MAX_LOG)))
-    residual = np.abs(1.0 - t1 + t2) / np.maximum(1.0, np.maximum(np.abs(t1), np.abs(t2)))
-    return np.where(np.any(log_terms > _MAX_LOG, axis=0), math.inf, residual).reshape(zs.shape)
+    state = transfer_products([bundle] * zs.size, zs.ravel())
+    tr = bundle.beta * state.matrix[:, 0, 0] + state.matrix[:, 1, 1]
+    log_t2 = bundle.log_abs_a - bundle.log_abs_b
+    modulus = np.abs(tr)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) and 0/0 of a zero trace, masked below
+        log_t1 = bundle.log_w[bundle.n] + state.log_scale + np.log(modulus)
+        phase = tr / modulus
+    top = np.maximum(np.maximum(0.0, log_t1), log_t2)
+    t1 = np.where(tr == 0, 0j, phase * np.exp(log_t1 - top))
+    residual = np.abs(np.exp(-top) - t1 + np.exp(log_t2 - top))
+    return residual.reshape(zs.shape)
 
 
 def eigenvector_slopes(matrix: np.ndarray) -> tuple:

@@ -5,7 +5,7 @@ import pytest
 
 from tricurves import DistributionSpec, EnsembleSpec, estimate_ids, resolvent_corners, transfer_product
 from tricurves.operators import column_sum_norm
-from tricurves.spectral import lyapunov_thouless, phi_dy_many
+from tricurves.spectral import lyapunov_thouless, phi_dy_many, phi_many
 
 
 def fig1a_spec(seed=501):
@@ -23,6 +23,17 @@ def fig1b_spec(seed=2024):
     return EnsembleSpec(
         DistributionSpec("log_uniform", (0, 1)),
         DistributionSpec("log_uniform", (0.5, 1.5)),
+        DistributionSpec("uniform", (0, 1)),
+        seed=seed,
+    )
+
+
+def fig1b_mirror_spec(seed=2024):
+    """Fig. 1b with the xi and eta laws swapped: g < 0, so the weights w_n
+    grow exponentially in n where fig-1b's fall."""
+    return EnsembleSpec(
+        DistributionSpec("log_uniform", (0.5, 1.5)),
+        DistributionSpec("log_uniform", (0, 1)),
         DistributionSpec("uniform", (0, 1)),
         seed=seed,
     )
@@ -68,10 +79,29 @@ def corners(bundle, z):
 
 
 def boundary_residual_one(bundle, z) -> float:
-    """Oracle: the closure residual at one z in scalar arithmetic.  B S_n
-    is closed from the bundle's own transfer product, and the terms
-    w_n tr T and w_n^2 det T of det(I - w_n T) are assembled from their
-    logarithms; inf where a term exceeds e^300."""
+    """Oracle: the closure residual at one z in scalar arithmetic.  The
+    terms of det(I - w_n T), T = B S_n, are t1 = w_n tr T, read off the
+    bundle's own transfer product, and t2 = w_n^2 det T = |a_n| / |b_n|
+    in closed form; |1 - t1 + t2| / max(1, |t1|, |t2|) is taken on the
+    terms' logarithms, so it is finite for every z."""
+    state = transfer_product(bundle, z)
+    tr = bundle.beta * state.matrix[0, 0] + state.matrix[1, 1]
+    log_t2 = bundle.log_abs_a - bundle.log_abs_b
+    if tr == 0:
+        top = max(0.0, log_t2)
+        return abs(math.exp(-top) + math.exp(log_t2 - top))
+    log_t1 = bundle.log_w[bundle.n] + state.log_scale + math.log(abs(tr))
+    top = max(0.0, log_t1, log_t2)
+    return abs(math.exp(-top) - (tr / abs(tr)) * math.exp(log_t1 - top) + math.exp(log_t2 - top))
+
+
+def boundary_residual_from_products(bundle, z) -> float:
+    """Oracle: the closure residual at one z with both terms read off the
+    product.  B S_n is closed from the bundle's own transfer product, and
+    the terms w_n tr T and w_n^2 det T of det(I - w_n T) are assembled
+    from their logarithms; inf where a term exceeds e^300.  Where T is
+    nearly singular its det is rounding, which w_n^2 scales up, so this
+    form is a reference only where both terms stay small."""
     state = transfer_product(bundle, z)
     m = state.matrix.copy()
     m[0, :] *= bundle.beta
@@ -95,6 +125,32 @@ def boundary_residual_one(bundle, z) -> float:
     if t1 is None or t2 is None:
         return math.inf
     return abs(1.0 - t1 + t2) / max(1.0, abs(t1), abs(t2))
+
+
+def runs_loop(mask) -> list:
+    """Oracle: (start, stop) of each run of True in mask, by a walk over
+    its entries; the run covers mask[start:stop]."""
+    runs, start = [], None
+    for i, flag in enumerate(mask):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((start, i))
+            start = None
+    if start is not None:
+        runs.append((start, len(mask)))
+    return runs
+
+
+def real_support_sigma_loop(ids, threshold) -> tuple:
+    """Oracle: the cells of supp dN where Phi(lambda + i0) exceeds the
+    threshold by more than the tie band, joined into intervals by a walk
+    over the cells."""
+    from tricurves.curves import _TIE_BAND
+
+    mids = 0.5 * (ids.grid[:-1] + ids.grid[1:])
+    qualifies = (ids.cell_density > 0.0) & (phi_many(ids, mids.astype(complex)) > threshold + _TIE_BAND)
+    return tuple((float(ids.grid[i]), float(ids.grid[j])) for i, j in runs_loop(qualifies))
 
 
 def refine_endpoint_one(ids, mean_log_c, abs_g, x_out, x_in) -> float:

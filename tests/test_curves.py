@@ -6,6 +6,7 @@ import pytest
 from tricurves import (
     DistributionSpec,
     EnsembleSpec,
+    IdsEstimate,
     ValidationError,
     build,
     coupling_g,
@@ -33,7 +34,9 @@ from conftest import (
     empirical_integral_loop,
     fig1b_spec,
     limit_measure_integral_loop,
+    real_support_sigma_loop,
     refine_endpoint_one,
+    runs_loop,
     stieltjes,
     stieltjes_per_cell,
 )
@@ -348,6 +351,29 @@ def test_sigma_empty_beyond_max_gamma(binary_ids):
     model = trace_curve(binary_ids, g_hi, mean_log_c=0.0)
     assert model.sigma == ()
     assert len(model.arcs) == 1  # one contour around the whole support
+
+
+def test_runs_match_a_walk_over_the_mask():
+    rng = np.random.default_rng(5)
+    masks = [[], [False] * 4, [True] * 4, [True, False, True], [False, True, True], [True, True, False]]
+    masks += [rng.random(50) < p for p in (0.2, 0.5, 0.8)]
+    for mask in masks:
+        start, stop = curves._runs(np.array(mask, dtype=bool))
+        assert list(zip(start.tolist(), stop.tolist())) == runs_loop(mask)
+
+
+def test_sigma_equals_the_cell_walk(fig1b_ids, binary_ids):
+    nodes = np.linspace(0.0, 1.0, 65)
+    uniform = IdsEstimate(grid=nodes, values=nodes, n_used=0, realizations_used=0, support=(0.0, 1.0))
+    for ids in (fig1b_ids, binary_ids, uniform):
+        phi = phi_many(ids, (0.5 * (ids.grid[:-1] + ids.grid[1:])).astype(complex))
+        for threshold in (-math.inf, *np.quantile(phi, [0.1, 0.4, 0.7, 0.95]), math.inf):  # all cells .. none
+            assert real_support_sigma(ids, threshold) == real_support_sigma_loop(ids, threshold)
+    # the uniform law's Phi peaks at both ends of [0, 1]: one run starts at
+    # the first cell, and one runs to the last
+    sigma = real_support_sigma(uniform, -1.3)
+    assert len(sigma) == 2 and sigma[0][0] == 0.0 and sigma[-1][1] == 1.0
+    assert real_support_sigma(uniform, -math.inf) == ((0.0, 1.0),)
 
 
 def test_phase_transition_onset_ordering(binary_ids):

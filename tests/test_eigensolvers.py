@@ -30,6 +30,7 @@ from conftest import (
     det_defect,
     eigenvector_slopes_one,
     fig1a_spec,
+    fig1b_mirror_spec,
     fig1b_spec,
     free_spec,
     multiset_distance,
@@ -447,9 +448,19 @@ def test_probed_spectrum_makes_one_kernel_call(n, want_vectors, monkeypatch):
 
 
 def test_spectrum_probe_residual_large_n():
-    res = spectrum(build(sample(fig1b_spec(seed=303), 900)))
+    for spec in (fig1b_spec, fig1b_mirror_spec):  # g > 0 and g < 0
+        res = spectrum(build(sample(spec(seed=303), 900)))
+        assert res.method == "dense-qr+probe"
+        assert res.residual < 1e-6
+
+
+@pytest.mark.parametrize("n", [300, 801])
+def test_probe_residual_is_finite_where_g_is_zero(n):
+    # g = 0: the probes are real and far from a root, where the trace term
+    # w_n tr T dwarfs the others, so the residual reads about 1
+    res = spectrum(build(realization(fig1a_spec(seed=2024), n, 0)), want_vectors=False)
     assert res.method == "dense-qr+probe"
-    assert res.residual < 1e-6
+    assert math.isfinite(res.residual)
 
 
 # -- resolvent corners ------------------------------------------------------------------

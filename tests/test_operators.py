@@ -18,7 +18,15 @@ from tricurves import _kernels
 from tricurves._kernels import transfer_product_scaled
 from tricurves.ensembles import realization
 
-from conftest import boundary_residual_one, dense_perturbed, eigenvector_slopes_one, fig1b_spec, free_spec
+from conftest import (
+    boundary_residual_from_products,
+    boundary_residual_one,
+    dense_perturbed,
+    eigenvector_slopes_one,
+    fig1b_mirror_spec,
+    fig1b_spec,
+    free_spec,
+)
 
 
 def one_step_matrix(bundle, k, z):
@@ -117,9 +125,9 @@ def test_weight_overflow_reports_log():
     assert b.log_w[-1] == pytest.approx(-802.0)
     assert b.log_abs_a == pytest.approx(2.0 - 800.0)
     assert b.log_abs_b == pytest.approx(2.0 - 2.0 + 802.0)
-    # the closure residual refuses a term beyond e^300: w_n T is then
-    # astronomically far from the identity
-    assert boundary_residual(b, 1e3j) == math.inf
+    # far off the axis w_n T is astronomically far from the identity: the
+    # closure residual's trace term dominates, and the residual reads 1
+    assert boundary_residual(b, 1e3j) == pytest.approx(1.0)
 
 
 def test_raw_bundle_rejects_symmetrization():
@@ -372,21 +380,24 @@ def _overflowing_bundle():
     return build(sample(spec, 400))
 
 
-def _nonreal_eigenvalues(n, r):
-    bundle = build(realization(fig1b_spec(), n, r))
+def _nonreal_eigenvalues(n, r, spec=None):
+    bundle = build(realization(spec or fig1b_spec(), n, r))
     ev = spectrum(bundle, want_vectors=False).eigenvalues
     return bundle, ev[ev.imag != 0.0]
 
 
-@pytest.mark.parametrize("case", ["fig1b-16", "fig1b-300", "fig1b-801", "circulant", "overflow"])
+@pytest.mark.parametrize(
+    "case", ["fig1b-16", "fig1b-300", "fig1b-801", "mirror-300", "mirror-801", "circulant", "overflow"]
+)
 def test_lane_residual_matches_the_scalar_oracle(case):
     # all z in one kernel call against one scalar evaluation per z: both
     # form the same products, and only numpy's vector exp and log round
     # apart from libm's, which moves the normalized residual by a few eps;
     # an oracle inf or 0 is kept exactly
-    if case.startswith("fig1b"):
-        n = int(case.split("-")[1])
-        pairs = [_nonreal_eigenvalues(n, r) for r in (0, 1)]
+    if case.startswith(("fig1b", "mirror")):
+        name, n = case.split("-")
+        spec = fig1b_spec() if name == "fig1b" else fig1b_mirror_spec()
+        pairs = [_nonreal_eigenvalues(int(n), r, spec) for r in (0, 1)]
     elif case == "circulant":
         pairs = [(build(sample(free_spec(), 4)), np.array([2.0, 1.7, 0.0, 2j]))]
     else:
@@ -399,7 +410,17 @@ def test_lane_residual_matches_the_scalar_oracle(case):
         assert np.array_equal(lanes[exact], oracle[exact])
         assert np.all(np.abs(lanes[~exact] - oracle[~exact]) <= 4 * np.finfo(float).eps)
         exact_seen += int(np.sum(exact))
-    assert exact_seen == {"circulant": 1, "overflow": 1}.get(case, 0)
+    assert exact_seen == {"circulant": 1}.get(case, 0)
+
+
+@pytest.mark.parametrize("n", [16, 300, 801])
+def test_closed_form_residual_agrees_with_the_product_route(n):
+    # where both terms stay small, det(B S_n) read off the product is
+    # rounding-level close to its closed form, so the two residuals agree
+    for r in (0, 1):
+        bundle, zs = _nonreal_eigenvalues(n, r)
+        route = np.array([boundary_residual_from_products(bundle, z) for z in zs])
+        assert zs.size and np.all(np.abs(boundary_residual(bundle, zs) - route) <= 1e-13)
 
 
 def test_eigenvector_slopes_match_numpy():

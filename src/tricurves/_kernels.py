@@ -2,20 +2,25 @@
 
 Both are sequential in the matrix index k and run as numpy vector
 operations over independent "lanes".  The Sturm recurrence is vectorized
-over (realization x shift) lanes; when the lanes are few and n is long it
-is also vectorized over blocks of the k-range, which start from a guessed
+over (realization x shift) lanes, and runs only the lanes whose count is
+open: a Collatz-Wielandt enclosure of each matrix's spectrum, widened by
+a margin far above the backward error of the recurrence, decides the
+shifts outside it (count 0 or n, which the recurrence returns there, bit
+for bit).  When the open lanes are few and n is long the recurrence is
+also vectorized over blocks of the k-range, which start from a guessed
 pivot and are made exact where their pivots coalesce with the true ones,
-bit for bit.  Every operation of a Sturm step writes into a full-width
-(block x realization x shift) work array: numpy's broadcasting loops
-cost several times a same-shape loop at these widths, so the step copies
-each block's diagonal out to full width and subtracts shifts tiled once
-per call of its loop.  The transfer product is vectorized over lanes (one product
-each) and, within every lane, over blocks of at most 16 steps of the
-k-range: all (lane, block) products advance together, one k-step per
-vector step, and then fold pairwise, one tree level per vector step, so
-a product of n steps costs about 16 + log2(n / 16) vector steps.
-Long products and many lanes run in passes of a bounded number of
-(lane, block) products.
+bit for bit; the fix-up pass drops the lanes whose blocks have all
+coalesced at each of its checkpoints.  Every operation of a Sturm step
+writes into a full-width (block x realization x shift) work array:
+numpy's broadcasting loops cost several times a same-shape loop at these
+widths, so the step copies each block's diagonal out to full width and
+subtracts shifts tiled once per call of its loop.  The transfer product
+is vectorized over lanes (one product each) and, within every lane, over
+blocks of at most 16 steps of the k-range: all (lane, block) products
+advance together, one k-step per vector step, and then fold pairwise,
+one tree level per vector step, so a product of n steps costs about
+16 + log2(n / 16) vector steps.  Long products and many lanes run in
+passes of a bounded number of (lane, block) products.
 """
 
 from __future__ import annotations
@@ -35,6 +40,13 @@ _STURM_MIN_BLOCK = 2048
 # First step at which the fix-up pass compares its pivots with pass 1's;
 # later checkpoints double it.
 _STURM_FIRST_CHECKPOINT = 32
+# Power sweeps behind the Collatz-Wielandt enclosure of the spectrum: on a
+# random chain a few bring it within a few percent of the spectrum's
+# width, at O(n) each.
+_STURM_ENCLOSURE_SWEEPS = 8
+# A shift clears the enclosure by this much of max|diag| + 2 max|off|:
+# some 10^6 times the backward error of the pivot recurrence.
+_STURM_MARGIN = 1e-9
 # Longest transfer block: a call costs one vector step per step of a
 # block plus one per level of the pairwise fold, about log2(n / 16).
 _TRANSFER_BLOCK = 16
@@ -55,8 +67,11 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray, lams: np.ndarray) -> np.ndar
     other matrices.
 
     Every lane's count is that of the k-sequential recurrence, bit for
-    bit.  The path depends only on n and the number of lanes: the k-range
-    is cut into min(_STURM_WIDTH // lanes, n // _STURM_MIN_BLOCK) blocks
+    bit.  A shift below or above the enclosure (lo, hi) of its matrix
+    (see _enclosure) is outside the spectrum by more than the backward
+    error of the recurrence, so its count is 0 or n without a pass.  The
+    lane columns open in some row run the recurrence: the k-range is cut
+    into min(_STURM_WIDTH // open lanes, n // _STURM_MIN_BLOCK) blocks
     that run side by side (see _blocked_counts) when that is at least 2,
     and otherwise one pass runs k = 0..n-1.
     """
@@ -64,20 +79,86 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray, lams: np.ndarray) -> np.ndar
     off = np.asarray(off, dtype=np.float64)
     lams = np.asarray(lams, dtype=np.float64)
     n = diag.shape[0]
-    diag = diag.reshape(n, -1, 1)
+    diag = diag.reshape(n, -1)
     rows = diag.shape[1]
+    off = off.reshape(n - 1, rows)
     # off2[k] = off[k-1]^2 is divided by the incoming pivot of step k; the
     # zero in row 0 meets the incoming pivot +inf of a chain's first step
     off2 = np.zeros((n, rows, 1))
-    np.square(off.reshape(n - 1, rows, 1), out=off2[1:])
+    np.square(off[:, :, None], out=off2[1:])
     lams = lams.reshape(rows, -1)
     pivmin = np.finfo(np.float64).tiny * np.max(off2, axis=0, initial=1.0)
-    nblocks = min(_STURM_WIDTH // max(lams.size, 1), n // _STURM_MIN_BLOCK)
-    if nblocks < 2:
-        counts = _sequential_counts(diag, off2, lams, pivmin)
-    else:
-        counts = _blocked_counts(diag, off2, lams, pivmin, nblocks)
+    lo, hi = _enclosure(diag, off, pivmin)
+    counts = np.where(lams > hi, n, 0).astype(np.int64)
+    cols = np.flatnonzero(~((lams < lo) | (lams > hi)).all(axis=0))
+    if cols.size:
+        diag = diag[:, :, None]
+        open_lams = lams[:, cols]
+        nblocks = min(_STURM_WIDTH // open_lams.size, n // _STURM_MIN_BLOCK)
+        if nblocks < 2:
+            counts[:, cols] = _sequential_counts(diag, off2, open_lams, pivmin)
+        else:
+            counts[:, cols] = _blocked_counts(diag, off2, open_lams, pivmin, nblocks)
     return counts.reshape(-1)
+
+
+def _enclosure(diag, off, pivmin) -> tuple:
+    """(lo, hi), each (R, 1): every eigenvalue of matrix column r lies
+    in [lo[r] + margin, hi[r] - margin], margin = _STURM_MARGIN *
+    (max|diag| + 2 max|off|) of that column.
+
+    The spectrum of T is that of D + |E| (a diagonal sign flip), and
+    that of -T is that of -D + |E|.  For M = +-D + |E| and any w > 0, the
+    Collatz-Wielandt bound max_k (M w)_k / w_k is at least the largest
+    eigenvalue; w is M + sI applied _STURM_ENCLOSURE_SWEEPS times to
+    ones, with s lifting the diagonal to at least 1 and each sweep
+    normalized by its maximum.  The margin is far above both the rounding
+    of the bound and the backward error of the pivot recurrence (a few
+    ulps of max|diag - lam| + 2 max|off|; Demmel, Dhillon & Ren 1995), so
+    every pivot of a shift below lo is positive and every pivot of a
+    shift above hi negative: their counts are 0 and n.  A column decides
+    nothing, (-inf, inf), when some w is below the smallest normal number
+    (the ratio would lose its precision), the bound is not finite, or the
+    pivot floor pivmin is not below half the margin.
+    """
+    n, rows = diag.shape
+    e = np.abs(off.T)
+    # four (R, n) work arrays that both signs reuse, not one block: a
+    # larger block, once freed, would raise glibc's mmap threshold for the
+    # rest of the process and so change the cost of every later allocation
+    w, out, lifted, tmp = (np.empty((rows, n)) for _ in range(4))
+    bound = np.empty((2, rows))
+    normal = np.ones(rows, dtype=bool)
+    with np.errstate(all="ignore"):  # overflow and underflow decide nothing, below
+        margin = _STURM_MARGIN * (np.max(np.abs(diag), axis=0) + 2.0 * np.max(e, axis=-1, initial=0.0))
+        for side, signed in enumerate((-diag.T, diag.T)):  # -T, then T
+            np.add(signed, 1.0 - signed.min(axis=-1, keepdims=True), out=lifted)
+            w.fill(1.0)
+            for _ in range(_STURM_ENCLOSURE_SWEEPS):
+                _neighbor_sum(e, w, out, tmp)
+                np.multiply(lifted, w, out=tmp)
+                out += tmp
+                out *= 1.0 / out.max(axis=-1, keepdims=True)
+                w, out = out, w
+            ratio = _neighbor_sum(e, w, out, tmp)
+            ratio /= w
+            ratio += signed
+            bound[side] = ratio.max(axis=-1)
+            normal &= (w >= np.finfo(np.float64).tiny).all(axis=-1)
+    decides = normal & np.isfinite(bound).all(axis=0) & (2.0 * pivmin[:, 0] < margin)
+    lo = np.where(decides, -bound[0] - margin, -np.inf)
+    hi = np.where(decides, bound[1] + margin, np.inf)
+    return lo[:, None], hi[:, None]
+
+
+def _neighbor_sum(e, w, out, tmp) -> np.ndarray:
+    """out = |E| w along the last axis, e[k-1] w[k-1] + e[k] w[k+1] with
+    zeros beyond the ends; tmp is a work array of w's shape."""
+    out[:, 0] = 0.0
+    np.multiply(e, w[:, :-1], out=out[:, 1:])
+    np.multiply(e, w[:, 1:], out=tmp[:, :-1])
+    out[:, :-1] += tmp[:, :-1]
+    return out
 
 
 def _advance(diag, off2, lams, pivmin, d, count, start, stop):
@@ -136,10 +217,11 @@ def _blocked_counts(diag, off2, lams, pivmin, nblocks) -> np.ndarray:
     bit, the rest of the block is pass 1's, and the block's count is pass
     1's with the prefix up to that checkpoint taken from the fix-up.  If
     every block of a lane coalesces, by induction each fix-up started from
-    the true pivot and the lane's count is exact.  Lanes with a block that
-    has not coalesced by half a block (in the band of a chain whose
-    transfer maps do not contract, such as the free chain, they never do)
-    run the sequential pass instead.
+    the true pivot and the lane's count is exact.  After each checkpoint
+    the fix-up keeps only the lane columns with a block still to settle.
+    Lanes with a block that has not coalesced by half a block (in the band
+    of a chain whose transfer maps do not contract, such as the free chain,
+    they never do) run the sequential pass instead.
     """
     n = diag.shape[0]
     size, head = divmod(n, nblocks)
@@ -161,25 +243,30 @@ def _blocked_counts(diag, off2, lams, pivmin, nblocks) -> np.ndarray:
         saved_count[i] = count[1:]
         start = mark + 1
     _advance(body_diag, body_off2, lams, pivmin, d, count, start, size)
-    # fix-up: block b >= 1 (row b - 1) restarts from block b-1's end pivot
+    # fix-up: block b >= 1 (row b - 1) restarts from block b-1's end pivot,
+    # over the lane columns cols that still have a block to settle
+    cols = np.arange(lams.shape[1])
     fix_d = d[:-1].copy()
     fix_count = np.zeros(fix_d.shape, dtype=np.int64)
     settled = np.zeros(fix_d.shape, dtype=bool)
     start = 0
     for i, mark in enumerate(marks):
-        _advance(body_diag[size:], body_off2[size:], lams, pivmin, fix_d, fix_count, start, mark + 1)
+        _advance(body_diag[size:], body_off2[size:], lams[:, cols], pivmin, fix_d, fix_count, start, mark + 1)
         start = mark + 1
-        new = fix_d == saved_d[i]
+        new = fix_d == saved_d[i][..., cols]
         new &= ~settled
-        count[1:][new] += (fix_count - saved_count[i])[new]
+        count[1:, :, cols] += np.where(new, fix_count - saved_count[i][..., cols], 0)
         settled |= new
-        if settled.all():
+        keep = ~settled.all(axis=(0, 1))
+        if not keep.all():
+            cols, fix_d, fix_count, settled = cols[keep], fix_d[..., keep], fix_count[..., keep], settled[..., keep]
+        if not cols.size:
             break
     counts = count.sum(axis=0)
     exact = settled.all(axis=0)
     if not exact.all():
         rows = np.flatnonzero(~exact.all(axis=1))
-        cols = np.flatnonzero(~exact[rows].all(axis=0))
+        cols = cols[~exact[rows].all(axis=0)]
         counts[np.ix_(rows, cols)] = _sequential_counts(
             diag[:, rows], off2[:, rows], lams[np.ix_(rows, cols)], pivmin[rows]
         )

@@ -109,8 +109,9 @@ def estimate_ids(spec: EnsembleSpec, n: int, reps: int, grid_points: int = 2048)
         raise ValidationError("reps must be >= 1")
     spec.require_light_tails("estimate_ids")
     bundles = [build(realization(spec, n, r)) for r in range(reps)]
-    glo = min(b.gershgorin()[0] for b in bundles)
-    ghi = max(b.gershgorin()[1] for b in bundles)
+    bounds = [b.gershgorin() for b in bundles]
+    glo = min(lo for lo, _ in bounds)
+    ghi = max(hi for _, hi in bounds)
     half = 0.5 * (ghi - glo) * _GRID_PAD
     grid = np.linspace(glo - half, ghi + half, grid_points)
     values = symmetric_eigencounts(bundles, grid).sum(axis=0) / (reps * n)

@@ -183,12 +183,12 @@ def stepwise_counts(diag, off, lams):
 
 @pytest.fixture
 def sturm_steps(monkeypatch):
-    """(blocks, steps) of every stretch the Sturm kernel advances."""
+    """(blocks, lanes, steps) of every stretch the Sturm kernel advances."""
     calls = []
     advance = _kernels._advance
 
     def counted(diag, off2, lams, pivmin, d, count, start, stop):
-        calls.append((d.shape[0], stop - start))
+        calls.append((d.shape[0], d[0].size, stop - start))
         return advance(diag, off2, lams, pivmin, d, count, start, stop)
 
     monkeypatch.setattr(_kernels, "_advance", counted)
@@ -202,14 +202,21 @@ def _padded_gershgorin_grid(bundle, points):
 
 
 def test_blocked_counts_match_stepwise_oracle(sturm_steps):
-    # the IDS shape of the limit workload: every block coalesces, so the
-    # kernel advances far fewer than n sequential steps
+    # the IDS shape of the limit workload: the enclosure decides the shifts
+    # outside the spectrum, every block coalesces, so the kernel advances
+    # far fewer than n sequential steps, and the fix-up drops the lanes
+    # whose blocks have all coalesced
     n = 40000
     b = build(sample(fig1b_spec(seed=2024), n))
     lams = _padded_gershgorin_grid(b, 1024)
     counts = symmetric_eigencounts([b], lams)[0]
-    assert max(blocks for blocks, _ in sturm_steps) > 1
-    assert sum(steps for _, steps in sturm_steps) <= n // 4
+    nblocks = max(blocks for blocks, _, _ in sturm_steps)
+    assert nblocks > 1
+    assert sum(steps for _, _, steps in sturm_steps) <= n // 4
+    (advanced,) = {lanes for blocks, lanes, _ in sturm_steps if blocks == nblocks}  # pass 1
+    assert advanced < 0.8 * lams.shape[0]
+    fixup = [lanes for blocks, lanes, _ in sturm_steps if blocks == nblocks - 1]
+    assert len(fixup) > 1 and fixup[0] == advanced and max(fixup[1:]) < advanced
     assert np.array_equal(counts, stepwise_counts(b.diag, b.h_off, lams))
 
 
@@ -220,7 +227,7 @@ def test_blocked_counts_fall_back_where_blocks_never_coalesce(sturm_steps):
     diag, off = np.zeros(n), -np.ones(n - 1)
     lams = np.concatenate([np.linspace(-2.5, 2.5, 1021), [0.0, -1e-9, 1e-9]])
     counts = sturm_counts(diag, off, lams)
-    assert (1, n) in sturm_steps  # the sequential pass over the lanes that failed
+    assert any(blocks == 1 and steps == n for blocks, _, steps in sturm_steps)  # the lanes that failed
     assert np.array_equal(counts, stepwise_counts(diag, off, lams))
     assert list(counts[1021:]) == [n // 2 + 1, n // 2, n // 2 + 1]  # ties count below
 
@@ -240,7 +247,7 @@ def test_blocked_counts_keep_each_pivot_floor(sturm_steps):
     bundles = [build(realization(huge, n, r)) for r in range(2)]
     lams = np.concatenate([np.linspace(-3.0, 3.0, 505), [-1e-5, -1e-7, -1e-9, 0.0, 1e-9, -1e150, 1e150]])
     counts = symmetric_eigencounts(bundles, lams)
-    assert max(blocks for blocks, _ in sturm_steps) > 1
+    assert max(blocks for blocks, _, _ in sturm_steps) > 1
     oracle = stepwise_counts(
         np.stack([b.diag for b in bundles], axis=1), np.stack([b.h_off for b in bundles], axis=1),
         np.tile(lams, 2),
@@ -254,6 +261,96 @@ def test_counts_of_tiny_matrices_match_stepwise_oracle(n):
     diag, off = rng.uniform(-1, 1, n), -np.exp(rng.uniform(-1, 1, n - 1))
     lams = np.concatenate([np.linspace(-4.0, 4.0, 41), diag, [-1e150, 1e150]])
     assert np.array_equal(sturm_counts(diag, off, lams), stepwise_counts(diag, off, lams))
+
+
+def sturm_enclosure(diag, off):
+    """The kernel's enclosure (lo, hi) of each matrix column, one entry
+    per column, with the kernel's pivot floors."""
+    diag = np.asarray(diag, dtype=np.float64)
+    n = diag.shape[0]
+    diag = diag.reshape(n, -1)
+    off = np.asarray(off, dtype=np.float64).reshape(n - 1, diag.shape[1])
+    pivmin = np.finfo(np.float64).tiny * np.max(np.square(off), axis=0, initial=1.0)
+    lo, hi = _kernels._enclosure(diag, off, pivmin[:, None])
+    return lo[:, 0], hi[:, 0]
+
+
+def enclosure_specs():
+    """fig-1b, binary diagonal disorder, Cauchy diagonal, the free chain."""
+    fig1b = fig1b_spec(seed=41)
+    return {
+        "fig1b": fig1b,
+        "two_point": EnsembleSpec(
+            DistributionSpec("constant", (0.0,)),
+            DistributionSpec("constant", (0.0,)),
+            DistributionSpec("two_point", (0.0, 1.5, 0.5)),
+            seed=42,
+        ),
+        "cauchy": EnsembleSpec(fig1b.xi, fig1b.eta, DistributionSpec("cauchy", (0.0, 1.0)), seed=43),
+        "free": free_spec(),
+    }
+
+
+@pytest.mark.parametrize("name", ["fig1b", "two_point", "cauchy", "free"])
+@pytest.mark.parametrize("n", [7, 400])
+def test_enclosure_contains_the_dense_spectrum(name, n):
+    bundles = [build(realization(enclosure_specs()[name], n, r)) for r in range(2)]
+    lo, hi = sturm_enclosure(np.stack([b.diag for b in bundles], 1), np.stack([b.h_off for b in bundles], 1))
+    for b, low, high in zip(bundles, lo, hi):
+        evs = np.linalg.eigvalsh(dense_reference(b))
+        assert np.isfinite([low, high]).all()
+        assert low < evs[0] and evs[-1] < high
+
+
+@pytest.mark.parametrize("name", ["fig1b", "two_point", "cauchy", "free"])
+def test_counts_at_the_enclosure_match_stepwise_oracle(name):
+    # each realization gets its own shifts: within 1e-6 of its lo and hi,
+    # one ulp either side of them, its extreme eigenvalues and +-1e150
+    n = 301
+    bundles = [build(realization(enclosure_specs()[name], n, r)) for r in range(2)]
+    diag, off = np.stack([b.diag for b in bundles], 1), np.stack([b.h_off for b in bundles], 1)
+    lo, hi = sturm_enclosure(diag, off)
+    near = np.linspace(-1e-6, 1e-6, 9)
+    lams = []
+    for b, low, high in zip(bundles, lo, hi):
+        evs = np.linalg.eigvalsh(dense_reference(b))
+        edges = [np.nextafter(x, s) for x in (low, high) for s in (-np.inf, np.inf)]
+        lams.append(np.concatenate([low + near, high + near, edges, evs[[0, -1]], [-1e150, 1e150]]))
+    lams = np.concatenate(lams)
+    counts = sturm_counts(diag, off, lams)
+    assert np.array_equal(counts, stepwise_counts(diag, off, lams))
+    assert (counts == 0).any() and (counts == n).any()
+
+
+def degenerate_chains():
+    """(diag, off) of matrices at the edge of the enclosure's rule."""
+    rng = np.random.Generator(np.random.Philox(key=77))
+    chains = {n: (rng.uniform(-1, 1, n), -np.exp(rng.uniform(-1, 1, n - 1))) for n in (1, 2, 3)}
+    chains["zero off"] = (rng.uniform(-1, 1, 50), np.zeros(49))
+    chains["zero"] = (np.zeros(50), np.zeros(49))
+    chains["1 to e^349"] = (rng.uniform(-1, 1, 301), -np.exp(rng.uniform(0.0, 349.0, 300)))
+    chains["subnormal w"] = (np.zeros(10), -np.concatenate([np.ones(8), [1e39]]))  # min w near 2e-309
+    return chains
+
+
+@pytest.mark.parametrize("name", [1, 2, 3, "zero off", "zero", "1 to e^349", "subnormal w"])
+def test_degenerate_chains_decide_no_count_wrongly(name):
+    # one chain, then again beside a random chain of its size in one call
+    diag, off = degenerate_chains()[name]
+    (lo,), (hi,) = sturm_enclosure(diag, off)
+    if name in ("zero", "1 to e^349", "subnormal w"):
+        # a zero margin, and neighbour weights that underflow: nothing decided
+        assert (lo, hi) == (-np.inf, np.inf)
+    tiny = np.finfo(np.float64).tiny
+    edges = [x + s for x in (lo, hi) if np.isfinite(x) for s in (-1e-6, 0.0, 1e-6)]
+    lams = np.concatenate([np.linspace(-4.0, 4.0, 41), diag, edges, [-tiny, -5e-324, 0.0, 5e-324, -1e150, 1e150]])
+    assert np.array_equal(sturm_counts(diag, off, lams), stepwise_counts(diag, off, lams))
+    n = diag.shape[0]
+    rng = np.random.Generator(np.random.Philox(key=78))
+    pair_diag = np.stack([diag, rng.uniform(-1, 1, n)], 1)
+    pair_off = np.stack([off, -np.exp(rng.uniform(-1, 1, n - 1))], 1)
+    pair_lams = np.tile(lams, 2)
+    assert np.array_equal(sturm_counts(pair_diag, pair_off, pair_lams), stepwise_counts(pair_diag, pair_off, pair_lams))
 
 
 def test_eigencounts_need_a_shared_n():

@@ -10,7 +10,9 @@ for bit).  When the open lanes are few and n is long the recurrence is
 also vectorized over blocks of the k-range, which start from a guessed
 pivot and are made exact where their pivots coalesce with the true ones,
 bit for bit; the fix-up pass drops the lanes whose blocks have all
-coalesced at each of its checkpoints.  Every operation of a Sturm step
+coalesced at each of its checkpoints, and keeps the rest C-contiguous
+(a strided lane axis costs up to twice as much per step).  A block is
+at least _STURM_MIN_BLOCK steps long.  Every operation of a Sturm step
 writes into a full-width (block x realization x shift) work array:
 numpy's broadcasting loops cost several times a same-shape loop at these
 widths, so the step copies each block's diagonal out to full width and
@@ -35,8 +37,9 @@ import numpy as np
 # into blocks that run side by side.
 _STURM_WIDTH = 1 << 14
 # Shortest block worth a cut: long against the few hundred steps a block
-# needs to coalesce with its true trajectory on a random chain.
-_STURM_MIN_BLOCK = 2048
+# needs to coalesce with its true trajectory on a random chain.  At 1024
+# the default IDS (n = 4000) runs in blocks, not in one sequential pass.
+_STURM_MIN_BLOCK = 1024
 # First step at which the fix-up pass compares its pivots with pass 1's;
 # later checkpoints double it.
 _STURM_FIRST_CHECKPOINT = 32
@@ -218,7 +221,8 @@ def _blocked_counts(diag, off2, lams, pivmin, nblocks) -> np.ndarray:
     1's with the prefix up to that checkpoint taken from the fix-up.  If
     every block of a lane coalesces, by induction each fix-up started from
     the true pivot and the lane's count is exact.  After each checkpoint
-    the fix-up keeps only the lane columns with a block still to settle.
+    the fix-up keeps only the lane columns with a block still to settle,
+    compressed into C-contiguous arrays.
     Lanes with a block that has not coalesced by half a block (in the band
     of a chain whose transfer maps do not contract, such as the free chain,
     they never do) run the sequential pass instead.
@@ -253,13 +257,16 @@ def _blocked_counts(diag, off2, lams, pivmin, nblocks) -> np.ndarray:
     for i, mark in enumerate(marks):
         _advance(body_diag[size:], body_off2[size:], lams[:, cols], pivmin, fix_d, fix_count, start, mark + 1)
         start = mark + 1
-        new = fix_d == saved_d[i][..., cols]
+        # take and compress keep the lanes C-contiguous: a[..., keep]
+        # returns a strided lane axis, which the next stretch runs up to
+        # twice as slowly
+        new = fix_d == np.take(saved_d[i], cols, axis=-1)
         new &= ~settled
-        count[1:, :, cols] += np.where(new, fix_count - saved_count[i][..., cols], 0)
+        count[1:, :, cols] += np.where(new, fix_count - np.take(saved_count[i], cols, axis=-1), 0)
         settled |= new
         keep = ~settled.all(axis=(0, 1))
         if not keep.all():
-            cols, fix_d, fix_count, settled = cols[keep], fix_d[..., keep], fix_count[..., keep], settled[..., keep]
+            cols, fix_d, fix_count, settled = (np.compress(keep, a, axis=-1) for a in (cols, fix_d, fix_count, settled))
         if not cols.size:
             break
     counts = count.sum(axis=0)

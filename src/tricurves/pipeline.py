@@ -14,9 +14,11 @@ The IDS cache, the curve and verify's spectra are built only when not
 current and always read back from disk, so a cold run and a rerun use
 the same values.  Dense solves run in a bounded thread pool (LAPACK
 releases the GIL): the spectrum stage's one file per (n, rep) and
-verify's one file per (n, realization).  Every stage returns
-``(manifest, lines to print, ok)``.  No stage draws anything:
-``python -m tricurves.plot OUT`` renders a run directory (see ``plot``).
+verify's one file per (n, realization), largest n first, so the peak
+memory is that of the largest concurrent solves (``_build_pooled``).
+Every stage returns ``(manifest, lines to print, ok)``.  No stage
+draws anything: ``python -m tricurves.plot OUT`` renders a run
+directory (see ``plot``).
 """
 
 from __future__ import annotations
@@ -161,11 +163,17 @@ def _write_spectrum(run: _Run, n: int, r: int, key: str, path: str, **solve) -> 
 
 
 def _build_pooled(run: _Run, products: list, jobs: int) -> None:
-    """Applies the reuse rule to each (name, rel, write) product in a
+    """Applies the reuse rule to each (n, name, rel, write) product in a
     bounded thread pool (LAPACK releases the GIL); a current product
-    solves nothing."""
+    solves nothing.  The one place that orders dense solves: they start
+    in descending n, ties in the given order.  A solve's memory is freed
+    into its worker's heap, which keeps it; started first, the largest
+    solves set the peak alone, where the small ones' retained heaps would
+    add to it, and the longest jobs first (Graham's LPT rule) bound the
+    makespan better."""
+    largest_first = sorted(products, key=lambda product: -product[0])
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(lambda product: run.product(*product), products))
+        list(pool.map(lambda product: run.product(*product[1:]), largest_first))
 
 
 def _write_summary(run: _Run, path: str) -> None:
@@ -180,7 +188,7 @@ def _write_summary(run: _Run, path: str) -> None:
 def stage_spectrum(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
     """Eigenvalue CSVs per (n, rep) plus a non-real count summary."""
     run = _Run(cfg, out_dir, "spectrum")
-    _build_pooled(run, [(f"spectrum_n{n}_rep{rep}", _spectrum_csv_path(n, rep),
+    _build_pooled(run, [(n, f"spectrum_n{n}_rep{rep}", _spectrum_csv_path(n, rep),
                          partial(_write_spectrum, run, n, rep, "rep")) for n, rep in _pairs(cfg)], jobs)
     run.product("summary", os.path.join("spectra", "summary.csv"), partial(_write_summary, run))
     return run.done()
@@ -262,7 +270,7 @@ def _verify_spectra(run: _Run, keys: list, jobs: int) -> dict:
     product under ``verify/``, solved for eigenvalues only in the pool
     when not current, and always read back from disk."""
     keys = list(dict.fromkeys(keys))  # a key that two checks share is solved once
-    _build_pooled(run, [(f"spectrum_n{n}_r{r}", _verify_spectrum_path(n, r),
+    _build_pooled(run, [(n, f"spectrum_n{n}_r{r}", _verify_spectrum_path(n, r),
                          partial(_write_spectrum, run, n, r, "r", want_vectors=False)) for n, r in keys], jobs)
     return {key: _eigenvalues(run.path(_verify_spectrum_path(*key))) for key in keys}
 

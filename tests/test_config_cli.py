@@ -601,6 +601,33 @@ def test_no_stage_writes_a_plot_template(tmp_path, stage):
     assert (old / "plot_template.py").read_bytes() == GLOB_PLOT_TEMPLATE.encode()
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """(n, realization) of every dense solve a stage writes, in order."""
+    calls = []
+    write = pipeline._write_spectrum
+
+    def recorded(run, n, r, *args, **kwargs):
+        calls.append((n, r))
+        return write(run, n, r, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_write_spectrum", recorded)
+    return calls
+
+
+def test_spectrum_solves_the_largest_n_first(tmp_path, solves):
+    cfg_path = write_cfg(tmp_path, BASE.replace("sizes = 64 96", "sizes = 40 90"))
+    assert main(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "run"), "--jobs", "1"]) == 0
+    assert solves == [(90, 0), (90, 1), (40, 0), (40, 1)]
+
+
+def test_verify_solves_the_largest_n_first_and_a_shared_key_once(tmp_path, solves):
+    # exclusion (200, 0) is also a panel key
+    cfg_path = write_cfg(tmp_path, SMALL_VERIFY.replace("exclusion_n = 101", "exclusion_n = 200"))
+    assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "run"), "--jobs", "1"]) == 0
+    assert solves == [(200, 0), (200, 7919), (50, 0), (50, 7919)]
+
+
 def test_spectrum_circulant_exact_csv(tmp_path):
     cfg_text = VERIFY_CFG.replace("sizes = 96", "sizes = 4").replace("value = -0.5", "value = 0.0").replace(
         "value = 0.5", "value = 0.0"

@@ -183,12 +183,13 @@ def stepwise_counts(diag, off, lams):
 
 @pytest.fixture
 def sturm_steps(monkeypatch):
-    """(blocks, lanes, steps) of every stretch the Sturm kernel advances."""
+    """(blocks, lanes, steps, C-contiguous pivots) of every stretch the
+    Sturm kernel advances."""
     calls = []
     advance = _kernels._advance
 
     def counted(diag, off2, lams, pivmin, d, count, start, stop):
-        calls.append((d.shape[0], d[0].size, stop - start))
+        calls.append((d.shape[0], d[0].size, stop - start, d.flags.c_contiguous))
         return advance(diag, off2, lams, pivmin, d, count, start, stop)
 
     monkeypatch.setattr(_kernels, "_advance", counted)
@@ -205,19 +206,38 @@ def test_blocked_counts_match_stepwise_oracle(sturm_steps):
     # the IDS shape of the limit workload: the enclosure decides the shifts
     # outside the spectrum, every block coalesces, so the kernel advances
     # far fewer than n sequential steps, and the fix-up drops the lanes
-    # whose blocks have all coalesced
+    # whose blocks have all coalesced, keeping its lanes C-contiguous
     n = 40000
     b = build(sample(fig1b_spec(seed=2024), n))
     lams = _padded_gershgorin_grid(b, 1024)
     counts = symmetric_eigencounts([b], lams)[0]
-    nblocks = max(blocks for blocks, _, _ in sturm_steps)
+    nblocks = max(blocks for blocks, _, _, _ in sturm_steps)
     assert nblocks > 1
-    assert sum(steps for _, _, steps in sturm_steps) <= n // 4
-    (advanced,) = {lanes for blocks, lanes, _ in sturm_steps if blocks == nblocks}  # pass 1
+    assert sum(steps for _, _, steps, _ in sturm_steps) <= n // 4
+    (advanced,) = {lanes for blocks, lanes, _, _ in sturm_steps if blocks == nblocks}  # pass 1
     assert advanced < 0.8 * lams.shape[0]
-    fixup = [lanes for blocks, lanes, _ in sturm_steps if blocks == nblocks - 1]
+    fixup = [lanes for blocks, lanes, _, _ in sturm_steps if blocks == nblocks - 1]
     assert len(fixup) > 1 and fixup[0] == advanced and max(fixup[1:]) < advanced
+    assert all(contiguous for _, _, _, contiguous in sturm_steps)
     assert np.array_equal(counts, stepwise_counts(b.diag, b.h_off, lams))
+
+
+def test_default_ids_shape_runs_in_blocks(sturm_steps):
+    # the default IDS: n = 4000, four fig-1b realizations, 1024 shifts on
+    # their joint Gershgorin interval padded by 5% of its width
+    n = 4000
+    bundles = [build(realization(fig1b_spec(seed=5521), n, r)) for r in range(4)]
+    bounds = np.array([b.gershgorin() for b in bundles])
+    lo, hi = bounds[:, 0].min(), bounds[:, 1].max()
+    half = 0.025 * (hi - lo)
+    lams = np.linspace(lo - half, hi + half, 1024)
+    counts = symmetric_eigencounts(bundles, lams)
+    assert max(blocks for blocks, _, _, _ in sturm_steps) > 1
+    oracle = stepwise_counts(
+        np.stack([b.diag for b in bundles], axis=1), np.stack([b.h_off for b in bundles], axis=1),
+        np.tile(lams, 4),
+    )
+    assert np.array_equal(counts.reshape(-1), oracle)
 
 
 def test_blocked_counts_fall_back_where_blocks_never_coalesce(sturm_steps):
@@ -227,7 +247,7 @@ def test_blocked_counts_fall_back_where_blocks_never_coalesce(sturm_steps):
     diag, off = np.zeros(n), -np.ones(n - 1)
     lams = np.concatenate([np.linspace(-2.5, 2.5, 1021), [0.0, -1e-9, 1e-9]])
     counts = sturm_counts(diag, off, lams)
-    assert any(blocks == 1 and steps == n for blocks, _, steps in sturm_steps)  # the lanes that failed
+    assert any(blocks == 1 and steps == n for blocks, _, steps, _ in sturm_steps)  # the lanes that failed
     assert np.array_equal(counts, stepwise_counts(diag, off, lams))
     assert list(counts[1021:]) == [n // 2 + 1, n // 2, n // 2 + 1]  # ties count below
 
@@ -247,7 +267,7 @@ def test_blocked_counts_keep_each_pivot_floor(sturm_steps):
     bundles = [build(realization(huge, n, r)) for r in range(2)]
     lams = np.concatenate([np.linspace(-3.0, 3.0, 505), [-1e-5, -1e-7, -1e-9, 0.0, 1e-9, -1e150, 1e150]])
     counts = symmetric_eigencounts(bundles, lams)
-    assert max(blocks for blocks, _, _ in sturm_steps) > 1
+    assert max(blocks for blocks, _, _, _ in sturm_steps) > 1
     oracle = stepwise_counts(
         np.stack([b.diag for b in bundles], axis=1), np.stack([b.h_off for b in bundles], axis=1),
         np.tile(lams, 2),

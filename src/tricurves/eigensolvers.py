@@ -4,7 +4,12 @@ Symmetric tridiagonal counting is hand-rolled (safeguarded Sturm
 sequences, vectorized over (realization x shift) lanes) because it is the
 backbone of the density-of-states estimator.  The dense nonsymmetric
 spectrum delegates to LAPACK's balancing + Hessenberg + implicitly
-shifted QR through numpy; non-convergence is surfaced, never swallowed.
+shifted QR.  An eigenvalue-only solve hands its freshly built matrix to
+the dgeev that numpy itself links, in place (``_lapack``), so it holds
+one n x n matrix where np.linalg.eigvals would hold two; where numpy
+links no LAPACK whose ABI the binding knows, np.linalg.eigvals solves a
+copy, with the same bits.  A NaN or inf on the band and a QR iteration
+that does not converge are surfaced, never swallowed.
 Resolvent corners, det(H - z) and the rank-2 corner-perturbation
 determinant are read off one renormalized transfer product per z,
 which the caller supplies, with the values that leave the double range
@@ -22,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _lapack
 from ._kernels import sturm_counts
 from .errors import EigenSolveError, SingularResolventError, ValidationError
 from .operators import OperatorBundle, TransferState, boundary_residual
@@ -70,7 +76,9 @@ class SpectrumResult:
     boundary-condition probe residual over the three eigenvalues of largest
     |Im| (method tag then carries the "+probe" suffix).  The probe residual
     is finite, at most 3, for either sign of g; raw bundles above the
-    vector limit report nan.
+    vector limit report nan.  The eigenvalues are np.linalg.eig's with
+    vectors and np.linalg.eigvals's without, bit for bit, whether the
+    in-place binding or its fallback solved them.
     """
 
     eigenvalues: np.ndarray
@@ -91,20 +99,29 @@ def empirical_integral(eigenvalues: np.ndarray, f) -> float:
 
 
 def spectrum(bundle: OperatorBundle, want_vectors: Optional[bool] = None) -> SpectrumResult:
-    """All n eigenvalues of the dense matrix (raw bundles allowed)."""
-    j = bundle.dense()
+    """All n eigenvalues of the dense matrix (raw bundles allowed).
+
+    A NaN or inf on the band raises EigenSolveError before LAPACK runs,
+    as does a QR iteration that does not converge.  Without vectors the
+    freshly built matrix is solved in place (``_lapack.eigvals``), so a
+    solve holds one n x n matrix."""
     n = bundle.n
+    seed = bundle.seq.spec.seed
+    band = (bundle.diag, bundle.sub, bundle.sup, (bundle.corner_top, bundle.corner_bottom))
+    if not all(np.isfinite(part).all() for part in band):
+        raise EigenSolveError(f"NaN or inf on the band for n={n}, seed={seed}", seed=seed, n=n,
+                              detail="Array must not contain infs or NaNs")
+    j = bundle.dense()
     if want_vectors is None:
         want_vectors = n <= _VECTOR_LIMIT
-    seed = bundle.seq.spec.seed
     try:
         if want_vectors:
             ev, vec = np.linalg.eig(j)
         else:
-            ev = np.linalg.eigvals(j)
+            ev = _lapack.eigvals(j)  # overwrites j
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(
-            f"QR iteration failed to converge for n={n}: {exc}", seed=seed, n=n, detail=str(exc)
+            f"QR iteration failed to converge for n={n}, seed={seed}: {exc}", seed=seed, n=n, detail=str(exc)
         ) from exc
     order = np.lexsort((ev.imag, ev.real))
     ev = ev[order]

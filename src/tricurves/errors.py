@@ -14,7 +14,8 @@ class NumericalError(RuntimeError):
 
 
 class EigenSolveError(NumericalError):
-    """Dense eigensolver failed to converge; carries replay information."""
+    """Dense eigensolver failed to converge, or was handed a NaN or inf;
+    carries replay information."""
 
     def __init__(self, message: str, seed=None, n=None, detail=None):
         super().__init__(message)

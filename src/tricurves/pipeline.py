@@ -16,6 +16,8 @@ the same values.  Dense solves run in a bounded thread pool (LAPACK
 releases the GIL): the spectrum stage's one file per (n, rep) and
 verify's one file per (n, realization), largest n first, so the peak
 memory is that of the largest concurrent solves (``_build_pooled``).
+An eigenvalue-only solve (n > 800, and all of verify's) holds one n x n
+matrix, which LAPACK overwrites in place.
 Every stage returns ``(manifest, lines to print, ok)``.  No stage
 draws anything: ``python -m tricurves.plot OUT`` renders a run
 directory (see ``plot``).
@@ -170,7 +172,10 @@ def _build_pooled(run: _Run, products: list, jobs: int) -> None:
     into its worker's heap, which keeps it; started first, the largest
     solves set the peak alone, where the small ones' retained heaps would
     add to it, and the longest jobs first (Graham's LPT rule) bound the
-    makespan better."""
+    makespan better.  A solve holds its bundle and one n x n matrix,
+    which LAPACK solves in place, when it wants no eigenvectors (n > 800,
+    and every verify solve); with vectors (n <= 800) it also holds
+    numpy's copy, the vectors and the residual's complex matrices."""
     largest_first = sorted(products, key=lambda product: -product[0])
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         list(pool.map(lambda product: run.product(*product[1:]), largest_first))

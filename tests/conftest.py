@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tricurves import DistributionSpec, EnsembleSpec, estimate_ids, resolvent_corners, transfer_product
+from tricurves import DistributionSpec, EnsembleSpec, _lapack, estimate_ids, resolvent_corners, transfer_product
 from tricurves.operators import column_sum_norm
 from tricurves.spectral import lyapunov_thouless, phi_dy_many, phi_many
 
@@ -360,3 +360,39 @@ def free_ids():
 def fig1b_ids():
     return estimate_ids(fig1b_spec(), 4000, 4)
 
+
+
+# -- a dense solve that fails ------------------------------------------------------
+
+class StubLapack:
+    """Stands in for LAPACK under every eigenvalue-only dense solve, on one
+    of its two routes, and records each call.  "binding": numpy's dgeev,
+    called in place, answers the workspace query and then reports info.
+    "fallback": the lookup fails, and np.linalg.eigvals raises what numpy
+    raises on info > 0."""
+
+    def __init__(self, route, monkeypatch, info=1):
+        self.info, self.calls = info, []
+        if route == "binding":
+            monkeypatch.setattr(_lapack, "_geev", lambda: self._geev)
+        else:
+            monkeypatch.setattr(_lapack, "_geev", lambda: None)
+            monkeypatch.setattr(np.linalg, "eigvals", self._eigvals)
+
+    def _geev(self, jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork, info):
+        self.calls.append(lwork[0])
+        if lwork[0] == -1:
+            work[0] = 3.0 * n[0]
+        else:
+            info[0] = self.info
+
+    def _eigvals(self, a):
+        self.calls.append(a.shape)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.fixture(params=["binding", "fallback"])
+def unconverged_lapack(request, monkeypatch):
+    """Every eigenvalue-only dense solve reports a QR iteration that did
+    not converge, once through each route."""
+    return StubLapack(request.param, monkeypatch)

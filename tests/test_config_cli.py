@@ -17,6 +17,8 @@ from tricurves.curves import Arc, CurveModel, load_curve_model, save_curve_model
 from tricurves.errors import ValidationError
 from tricurves.spectral import IdsEstimate, load_ids, lyapunov_thouless, save_ids
 
+from conftest import StubLapack
+
 BASE = """
 [ensemble]
 mode = iid
@@ -626,6 +628,22 @@ def test_verify_solves_the_largest_n_first_and_a_shared_key_once(tmp_path, solve
     cfg_path = write_cfg(tmp_path, SMALL_VERIFY.replace("exclusion_n = 101", "exclusion_n = 200"))
     assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "run"), "--jobs", "1"]) == 0
     assert solves == [(200, 0), (200, 7919), (50, 0), (50, 7919)]
+
+
+def test_spectrum_exits_3_with_replay_information_when_qr_does_not_converge(tmp_path, capsys, unconverged_lapack):
+    # n = 801 is above the vector limit: an eigenvalue-only solve
+    cfg_path = write_cfg(tmp_path, BASE.replace("sizes = 64 96", "sizes = 801").replace("reps = 2", "reps = 1", 1))
+    assert main(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "n=801, seed=2024" in err and "Eigenvalues did not converge" in err
+    assert unconverged_lapack.calls
+
+
+def test_spectrum_does_not_map_a_binding_defect_to_exit_3(tmp_path, monkeypatch):
+    StubLapack("binding", monkeypatch, info=-1)
+    cfg_path = write_cfg(tmp_path, BASE.replace("sizes = 64 96", "sizes = 801").replace("reps = 2", "reps = 1", 1))
+    with pytest.raises(RuntimeError, match="argument 1 has an illegal value"):
+        main(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "run")])
 
 
 def test_spectrum_circulant_exact_csv(tmp_path):

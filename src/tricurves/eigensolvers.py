@@ -4,18 +4,18 @@ Symmetric tridiagonal counting is hand-rolled (safeguarded Sturm
 sequences, vectorized over (realization x shift) lanes) because it is the
 backbone of the density-of-states estimator.  The dense nonsymmetric
 spectrum delegates to LAPACK's balancing + Hessenberg + implicitly
-shifted QR.  An eigenvalue-only solve hands its freshly built matrix to
-the dgeev that numpy itself links, in place (``_lapack``), so it holds
-one n x n matrix where np.linalg.eigvals would hold two; where numpy
-links no LAPACK whose ABI the binding knows, np.linalg.eigvals solves a
-copy, with the same bits.  A NaN or inf on the band and a QR iteration
-that does not converge are surfaced, never swallowed.
+shifted QR, for eigenvalues only: every solve hands its freshly built
+matrix to the dgeev that numpy itself links, in place (``_lapack``), so
+it holds one n x n matrix where np.linalg.eigvals would hold two; where
+numpy links no LAPACK whose ABI the binding knows, np.linalg.eigvals
+solves a copy, with the same bits.  A NaN or inf on the band and a QR
+iteration that does not converge are surfaced, never swallowed.
 Resolvent corners, det(H - z) and the rank-2 corner-perturbation
 determinant are read off one renormalized transfer product per z,
 which the caller supplies, with the values that leave the double range
 held as complex logarithms.  Each takes one z with its product or an
 array of z with the stack of their products, and gives one value per z,
-in the shape of z.  The closure probe of a large spectrum evaluates all
+in the shape of z.  The closure probe of a spectrum evaluates all
 its probes in one kernel call.  Test functions are array callables.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,11 +41,6 @@ __all__ = [
     "resolvent_corners",
     "rank2_det",
 ]
-
-# Vectors (hence direct residuals) are computed below this size; above it
-# the residual falls back to the periodic boundary-condition probe.
-_VECTOR_LIMIT = 800
-
 
 # -- symmetric tridiagonal --------------------------------------------------
 
@@ -71,14 +66,12 @@ def symmetric_eigencounts(bundles: Sequence[OperatorBundle], lams: np.ndarray) -
 class SpectrumResult:
     """Eigenvalues of one realization, sorted by (Re, Im).
 
-    residual is the max relative defect max_i ||(J - z_i I) v_i|| / ||v_i||
-    when eigenvectors were computed (n <= 800), otherwise the worst periodic
-    boundary-condition probe residual over the three eigenvalues of largest
-    |Im| (method tag then carries the "+probe" suffix).  The probe residual
-    is finite, at most 3, for either sign of g; raw bundles above the
-    vector limit report nan.  The eigenvalues are np.linalg.eig's with
-    vectors and np.linalg.eigvals's without, bit for bit, whether the
-    in-place binding or its fallback solved them.
+    residual is the worst periodic boundary-condition probe residual over
+    the three eigenvalues of largest |Im| (method "dense-qr+probe"): finite,
+    at most 3, for either sign of g.  Raw bundles have no closure condition
+    and report nan (method "dense-qr").  The eigenvalues are
+    np.linalg.eigvals's bit for bit, whether the in-place binding or its
+    fallback solved them.
     """
 
     eigenvalues: np.ndarray
@@ -98,49 +91,35 @@ def empirical_integral(eigenvalues: np.ndarray, f) -> float:
     return float(np.mean(np.broadcast_to(f(eigenvalues), eigenvalues.shape)).real)
 
 
-def spectrum(bundle: OperatorBundle, want_vectors: Optional[bool] = None) -> SpectrumResult:
+def spectrum(bundle: OperatorBundle) -> SpectrumResult:
     """All n eigenvalues of the dense matrix (raw bundles allowed).
 
     A NaN or inf on the band raises EigenSolveError before LAPACK runs,
-    as does a QR iteration that does not converge.  Without vectors the
-    freshly built matrix is solved in place (``_lapack.eigvals``), so a
-    solve holds one n x n matrix."""
+    as does a QR iteration that does not converge.  The freshly built
+    matrix is solved in place (``_lapack.eigvals``), so a solve holds one
+    n x n matrix."""
     n = bundle.n
     seed = bundle.seq.spec.seed
     band = (bundle.diag, bundle.sub, bundle.sup, (bundle.corner_top, bundle.corner_bottom))
     if not all(np.isfinite(part).all() for part in band):
         raise EigenSolveError(f"NaN or inf on the band for n={n}, seed={seed}", seed=seed, n=n,
                               detail="Array must not contain infs or NaNs")
-    j = bundle.dense()
-    if want_vectors is None:
-        want_vectors = n <= _VECTOR_LIMIT
     try:
-        if want_vectors:
-            ev, vec = np.linalg.eig(j)
-        else:
-            ev = _lapack.eigvals(j)  # overwrites j
+        ev = _lapack.eigvals(bundle.dense())  # overwrites the matrix
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(
             f"QR iteration failed to converge for n={n}, seed={seed}: {exc}", seed=seed, n=n, detail=str(exc)
         ) from exc
-    order = np.lexsort((ev.imag, ev.real))
-    ev = ev[order]
-    method = "dense-qr"
-    if want_vectors:
-        vec = vec[:, order]
-        res = j.astype(complex) @ vec - vec * ev[np.newaxis, :]
-        residual = float(np.max(np.linalg.norm(res, axis=0) / np.linalg.norm(vec, axis=0)))
-    elif not bundle.raw:
-        # Probe the periodic closure condition at the most delocalized
-        # eigenvalues (largest |Im|): localized real eigenvalues carry
-        # condition numbers ~ exp(n (gamma - g)) and their probe residual
-        # would measure ill-conditioning, not solver quality.
-        probes = ev[np.argsort(np.abs(ev.imag))[-3:]]
-        residual = float(np.max(boundary_residual(bundle, probes)))
-        method += "+probe"
-    else:
-        residual = float("nan")
-    return SpectrumResult(eigenvalues=ev, n=n, method=method, residual=residual)
+    ev = ev[np.lexsort((ev.imag, ev.real))]
+    if bundle.raw:
+        return SpectrumResult(eigenvalues=ev, n=n, method="dense-qr", residual=float("nan"))
+    # Probe the periodic closure condition at the most delocalized
+    # eigenvalues (largest |Im|): localized real eigenvalues carry
+    # condition numbers ~ exp(n (gamma - g)) and their probe residual
+    # would measure ill-conditioning, not solver quality.
+    probes = ev[np.argsort(np.abs(ev.imag))[-3:]]
+    return SpectrumResult(eigenvalues=ev, n=n, method="dense-qr+probe",
+                          residual=float(np.max(boundary_residual(bundle, probes))))
 
 
 # -- resolvent corners and rank-2 determinant ---------------------------------

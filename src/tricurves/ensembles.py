@@ -23,7 +23,8 @@ from the k-th 64-bit word of the stream (u = (word >> 11) * 2**-53).
 Values are therefore pure functions of (seed, field, k): a sample of
 size n is the first n + 1 values of any larger one.  Realization r of an
 ensemble is its sample at seed + r (``realization``); every stage and
-check draws through that rule.
+check draws through that rule.  Seeds lie in [0, 2**120), so that every
+Philox key the package forms fits in 128 bits.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ def _log_uniform_mean(a, b):
     alog = 0.0 if a == 0.0 else a * math.log(a)
     return (b * math.log(b) - alog) / (b - a) - 1.0
 
+
+# the tightest Philox key is verify's (seed << 8) + stream
+_SEED_LIMIT = 2**120
 
 _KINDS = {
     "constant": _Kind(("value",), lambda value: True, "any value",
@@ -169,8 +173,8 @@ class EnsembleSpec:
                 f"unknown ensemble mode {self.mode!r}; the modes are iid and periodic "
                 "(for fixed values use mode = iid with kind = constant marginals)"
             )
-        if self.seed is None or int(self.seed) < 0:
-            raise ValidationError("seed must be a nonnegative integer")
+        if self.seed is None or not 0 <= int(self.seed) < _SEED_LIMIT:
+            raise ValidationError(f"seed must be an integer in [0, 2**120), got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
         if self.mode == "periodic":
             if self.raw:

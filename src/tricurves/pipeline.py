@@ -16,8 +16,8 @@ the same values.  Dense solves run in a bounded thread pool (LAPACK
 releases the GIL): the spectrum stage's one file per (n, rep) and
 verify's one file per (n, realization), largest n first, so the peak
 memory is that of the largest concurrent solves (``_build_pooled``).
-An eigenvalue-only solve (n > 800, and all of verify's) holds one n x n
-matrix, which LAPACK overwrites in place.
+Each solve is for eigenvalues only and holds one n x n matrix, which
+LAPACK overwrites in place.
 Every stage returns ``(manifest, lines to print, ok)``.  No stage
 draws anything: ``python -m tricurves.plot OUT`` renders a run
 directory (see ``plot``).
@@ -156,10 +156,10 @@ def stage_sample(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
     return run.done()
 
 
-def _write_spectrum(run: _Run, n: int, r: int, key: str, path: str, **solve) -> None:
+def _write_spectrum(run: _Run, n: int, r: int, key: str, path: str) -> None:
     """Dense spectrum of realization r at size n; the header names r as
-    ``key``, and ``solve`` holds ``spectrum``'s options."""
-    res = spectrum(build(realization(run.cfg.ensemble, n, r)), **solve)
+    ``key``."""
+    res = spectrum(build(realization(run.cfg.ensemble, n, r)))
     artifacts.write_table(path, run.header(n=n, **{key: r}, method=res.method, residual=f"{res.residual:.3e}"),
                           {"re": res.eigenvalues.real, "im": res.eigenvalues.imag})
 
@@ -173,9 +173,7 @@ def _build_pooled(run: _Run, products: list, jobs: int) -> None:
     solves set the peak alone, where the small ones' retained heaps would
     add to it, and the longest jobs first (Graham's LPT rule) bound the
     makespan better.  A solve holds its bundle and one n x n matrix,
-    which LAPACK solves in place, when it wants no eigenvectors (n > 800,
-    and every verify solve); with vectors (n <= 800) it also holds
-    numpy's copy, the vectors and the residual's complex matrices."""
+    which LAPACK solves in place."""
     largest_first = sorted(products, key=lambda product: -product[0])
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         list(pool.map(lambda product: run.product(*product[1:]), largest_first))
@@ -272,11 +270,11 @@ def stage_curve(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
 
 def _verify_spectra(run: _Run, keys: list, jobs: int) -> dict:
     """(n, r) -> eigenvalues of realization r at size n.  Each is a
-    product under ``verify/``, solved for eigenvalues only in the pool
-    when not current, and always read back from disk."""
+    product under ``verify/``, solved in the pool when not current, and
+    always read back from disk."""
     keys = list(dict.fromkeys(keys))  # a key that two checks share is solved once
     _build_pooled(run, [(n, f"spectrum_n{n}_r{r}", _verify_spectrum_path(n, r),
-                         partial(_write_spectrum, run, n, r, "r", want_vectors=False)) for n, r in keys], jobs)
+                         partial(_write_spectrum, run, n, r, "r")) for n, r in keys], jobs)
     return {key: _eigenvalues(run.path(_verify_spectrum_path(*key))) for key in keys}
 
 
@@ -327,10 +325,12 @@ def distance_to_arcs(points: np.ndarray, model: CurveModel) -> np.ndarray:
     only for the points whose bound reaches the run's bounding box.  No
     segment that could be nearer is skipped, so the result is exactly the
     minimum over every segment of the clamped point-segment distance.
-    Memory is O(points); the result has the shape of ``points``."""
+    With no arcs (g = 0, or |g| below the onset) the limit is real, and
+    the distance is to the real axis.  Memory is O(points); the result
+    has the shape of ``points``."""
     points = np.asarray(points, complex)
     if not model.arcs:
-        return np.full(points.shape, np.inf)
+        return np.abs(points.imag)
     qx = points.real.ravel()
     qy = np.abs(points.imag).ravel()
     q = qx + 1j * qy
@@ -389,8 +389,7 @@ def stage_compare(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> tuple:
             eigs = _eigenvalues(run.path(_spectrum_csv_path(n, rep)))
             nonreal = eigs[np.abs(eigs.imag) > cfg.nonreal_tol]
             if nonreal.size:
-                # with no arcs the limit is real: measure to the real axis
-                d_curve = distance_to_arcs(nonreal, model) if model.arcs else np.abs(nonreal.imag)
+                d_curve = distance_to_arcs(nonreal, model)
                 haus_curve = float(np.max(d_curve))
                 haus_curve_or_axis = float(np.max(np.minimum(d_curve, np.abs(nonreal.imag))))
             else:

@@ -188,7 +188,7 @@ def test_criterion_06_figure_reproduction(fig1b_model):
         assert real_frac >= 0.99
         dists = {}
         for n in (201, 1001):
-            res_b = spectrum(build(sample(fig1b_spec(), n)), want_vectors=False)
+            res_b = spectrum(build(sample(fig1b_spec(), n)))
             nonreal = res_b.eigenvalues[np.abs(res_b.eigenvalues.imag) > 1e-6]
             if n == 201:
                 assert nonreal.size / n > 0.10
@@ -246,8 +246,7 @@ def test_criterion_08_weak_convergence():
         for n, reps in ((500, 48), (1000, 96), (2000, 96)):
             emp = np.zeros(len(bumps))
             for r in range(reps):
-                res = spectrum(build(sample(replace(spec, seed=spec.seed + 7919 * r), n)),
-                               want_vectors=False)
+                res = spectrum(build(sample(replace(spec, seed=spec.seed + 7919 * r), n)))
                 emp += [empirical_integral(res.eigenvalues, f) for f in bumps]
             emp /= reps
             errs.append(float(np.max(np.abs(emp - predicted))))

@@ -113,10 +113,11 @@ def test_distance_to_two_arcs_with_a_zero_length_segment(clouds):
     assert np.all(d[-9:] <= 1e-15)
 
 
-def test_distance_without_arcs_is_infinite(clouds):
+def test_distance_without_arcs_is_to_the_real_axis(clouds):
     model, _ = clouds
-    d = distance_to_arcs(np.array([[0.5 + 0.1j, 1.0], [2.0j, -1.0 - 1.0j]]), dataclasses.replace(model, arcs=()))
-    assert d.shape == (2, 2) and np.all(np.isinf(d))
+    points = np.array([[0.5 + 0.1j, 1.0], [2.0j, -1.0 - 1.0j]])
+    d = distance_to_arcs(points, dataclasses.replace(model, arcs=()))
+    assert d.shape == (2, 2) and np.array_equal(d, [[0.1, 0.0], [2.0, 1.0]])
 
 
 def test_distance_keeps_the_shape_of_2d_input(clouds):

@@ -388,6 +388,18 @@ def test_seed_override_produces_different_spectra(tmp_path):
     assert a != b
 
 
+@pytest.mark.parametrize("seed", [2**120, 10**38])  # 10**38 > 2**126 crashed sample too
+@pytest.mark.parametrize("where", ["config", "override"])
+def test_a_seed_too_large_for_philox_exits_2_naming_it(where, seed, tmp_path, capsys):
+    text = BASE.replace("seed = 2024", f"seed = {seed}") if where == "config" else BASE
+    argv = ["sample", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "run")]
+    if where == "override":
+        argv += ["--seed-override", str(seed)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and str(seed) in err
+
+
 @pytest.mark.parametrize("argv", [
     ["bogus", "--config", "cfg.ini", "--out", "run"],
     ["ids", "--out", "run"],
@@ -631,7 +643,6 @@ def test_verify_solves_the_largest_n_first_and_a_shared_key_once(tmp_path, solve
 
 
 def test_spectrum_exits_3_with_replay_information_when_qr_does_not_converge(tmp_path, capsys, unconverged_lapack):
-    # n = 801 is above the vector limit: an eigenvalue-only solve
     cfg_path = write_cfg(tmp_path, BASE.replace("sizes = 64 96", "sizes = 801").replace("reps = 2", "reps = 1", 1))
     assert main(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 3
     err = capsys.readouterr().err

@@ -460,7 +460,7 @@ def test_array_integrals_match_per_point_loops(fig1b_ids):
 
     spec = fig1b_spec()
     model = trace_curve(fig1b_ids, coupling_g(spec), mean_log_c=mean_log_coupling(spec))
-    eigs = spectrum(build(sample(spec, 120)), want_vectors=False).eigenvalues
+    eigs = spectrum(build(sample(spec, 120))).eigenvalues
     for f in default_bump_panel(model) + [np.imag, np.real, lambda z: 1.0]:
         for array, loop in ((limit_measure_integral(model, f), limit_measure_integral_loop(model, f)),
                             (empirical_integral(eigs, f), empirical_integral_loop(eigs, f))):

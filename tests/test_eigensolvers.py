@@ -450,7 +450,7 @@ def test_spectrum_invariants_random():
     assert det_defect(b, res.eigenvalues) < 1e-6
     assert conjugation_defect(res.eigenvalues) < 1e-8
     assert res.residual < 1e-8
-    assert res.method == "dense-qr"
+    assert res.method == "dense-qr+probe"
 
 
 def test_similarity_preserves_spectrum():
@@ -541,13 +541,35 @@ def test_spectrum_computes_no_determinant(monkeypatch):
         raise AssertionError("spectrum() must not factor the matrix for a determinant")
 
     monkeypatch.setattr(np.linalg, "slogdet", refuse)
-    for n, method in ((64, "dense-qr"), (801, "dense-qr+probe")):  # vector and probe residuals
+    for n in (64, 801):
         res = spectrum(build(sample(fig1b_spec(seed=303), n)))
-        assert res.method == method and res.eigenvalues.shape == (n,)
+        assert res.method == "dense-qr+probe" and res.eigenvalues.shape == (n,)
 
 
-@pytest.mark.parametrize("n, want_vectors", [(60, False), (801, None)])
-def test_probed_spectrum_makes_one_kernel_call(n, want_vectors, monkeypatch):
+@pytest.mark.parametrize("n", [64, 300, 801])
+def test_spectrum_is_lexsorted_eigvals_bit_for_bit(n):
+    # one solve path at every n
+    b = build(realization(fig1b_spec(), n, 0))
+    ref = np.linalg.eigvals(b.dense())
+    ref = ref[np.lexsort((ref.imag, ref.real))]
+    got = spectrum(b).eigenvalues
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_raw_spectrum_reports_no_residual():
+    spec = EnsembleSpec(
+        DistributionSpec("uniform", (-0.5, 0.5)),
+        DistributionSpec("uniform", (-0.5, 0.5)),
+        DistributionSpec("uniform", (0, 1)),
+        seed=31,
+        raw=True,
+    )
+    res = spectrum(build(sample(spec, 120)))
+    assert res.method == "dense-qr" and math.isnan(res.residual)
+
+
+@pytest.mark.parametrize("n", [60, 801])
+def test_probed_spectrum_makes_one_kernel_call(n, monkeypatch):
     # the three closure probes run as the lanes of one transfer product call
     from tricurves import operators
 
@@ -559,7 +581,7 @@ def test_probed_spectrum_makes_one_kernel_call(n, want_vectors, monkeypatch):
         return kernel(c, q, z)
 
     monkeypatch.setattr(operators, "transfer_product_scaled", counting_kernel)
-    res = spectrum(build(sample(fig1b_spec(seed=303), n)), want_vectors=want_vectors)
+    res = spectrum(build(sample(fig1b_spec(seed=303), n)))
     assert res.method == "dense-qr+probe"
     assert lanes == [3]
 
@@ -575,7 +597,7 @@ def test_spectrum_probe_residual_large_n():
 def test_probe_residual_is_finite_where_g_is_zero(n):
     # g = 0: the probes are real and far from a root, where the trace term
     # w_n tr T dwarfs the others, so the residual reads about 1
-    res = spectrum(build(realization(fig1a_spec(seed=2024), n, 0)), want_vectors=False)
+    res = spectrum(build(realization(fig1a_spec(seed=2024), n, 0)))
     assert res.method == "dense-qr+probe"
     assert math.isfinite(res.residual)
 

@@ -44,6 +44,18 @@ def test_invalid_parameters_name_the_field():
         EnsembleSpec(*[DistributionSpec("constant", (0.0,))] * 3, mode="constant")
 
 
+def test_a_seed_is_bounded_so_that_every_philox_key_fits():
+    from tricurves.verify import _rng
+
+    top = iid_spec(seed=2**120 - 1)
+    realization(top, 4, 0)  # the largest seed still draws, here and in verify
+    _rng(top.seed, 2)
+    with pytest.raises(ValidationError, match="seed"):
+        realization(top, 4, 1)
+    with pytest.raises(ValidationError, match="seed"):
+        iid_spec(seed=2**120)
+
+
 def test_cauchy_admitted_only_for_q():
     spec = iid_spec(q=DistributionSpec("cauchy", (0.0, 1.0)))
     spec.require_light_tails("op")  # q may be heavy tailed

@@ -93,13 +93,12 @@ def test_in_place_bits_hold_on_two_blas_threads():
     assert out.stdout.split() == ["True", "True"]
 
 
-@pytest.mark.parametrize("case, want_vectors", [("fig1b n=801", None), ("fig1b n=120", False),
-                                                ("fig1b mirror (g < 0) n=300", False), ("raw n=120", False)])
-def test_spectrum_is_unchanged_when_the_lookup_fails(case, want_vectors, monkeypatch):
+@pytest.mark.parametrize("case", ["fig1b n=801", "fig1b n=120", "fig1b mirror (g < 0) n=300", "raw n=120"])
+def test_spectrum_is_unchanged_when_the_lookup_fails(case, monkeypatch):
     bundle = bundle_of(case)
-    bound = spectrum(bundle, want_vectors=want_vectors)
+    bound = spectrum(bundle)
     monkeypatch.setattr(_lapack, "_geev", lambda: None)
-    fallback = spectrum(bundle, want_vectors=want_vectors)
+    fallback = spectrum(bundle)
     assert_same_bits(bound.eigenvalues, fallback.eigenvalues)
     assert (bound.method, repr(bound.residual)) == (fallback.method, repr(fallback.residual))
 
@@ -118,7 +117,7 @@ def test_binding_resolves_where_numpy_links_its_openblas():
 def test_unconverged_qr_raises_with_replay_information(unconverged_lapack):
     bundle = build(sample(fig1b_spec(seed=77), 120))
     with pytest.raises(EigenSolveError, match="Eigenvalues did not converge") as err:
-        spectrum(bundle, want_vectors=False)
+        spectrum(bundle)
     assert (err.value.seed, err.value.n, err.value.detail) == (77, 120, "Eigenvalues did not converge")
     assert "seed=77" in str(err.value)
     assert unconverged_lapack.calls
@@ -127,13 +126,12 @@ def test_unconverged_qr_raises_with_replay_information(unconverged_lapack):
 def test_rejected_argument_is_a_binding_defect_not_a_numerical_failure(monkeypatch):
     StubLapack("binding", monkeypatch, info=-4)
     with pytest.raises(RuntimeError, match="argument 4") as err:
-        spectrum(build(sample(fig1b_spec(), 120)), want_vectors=False)
+        spectrum(build(sample(fig1b_spec(), 120)))
     assert not isinstance(err.value, NumericalError)
 
 
 @pytest.mark.parametrize("field, value", [("diag", math.nan), ("sup", math.inf), ("corner_bottom", -math.inf)])
-@pytest.mark.parametrize("want_vectors", [False, True])
-def test_non_finite_band_raises_before_lapack_runs(field, value, want_vectors, unconverged_lapack):
+def test_non_finite_band_raises_before_lapack_runs(field, value, unconverged_lapack):
     bundle = build(sample(fig1b_spec(seed=78), 40))
     if field == "corner_bottom":
         bad = value
@@ -141,6 +139,6 @@ def test_non_finite_band_raises_before_lapack_runs(field, value, want_vectors, u
         bad = getattr(bundle, field).copy()
         bad[len(bad) // 2] = value
     with pytest.raises(EigenSolveError, match="NaN or inf on the band") as err:
-        spectrum(dataclasses.replace(bundle, **{field: bad}), want_vectors=want_vectors)
+        spectrum(dataclasses.replace(bundle, **{field: bad}))
     assert (err.value.seed, err.value.n) == (78, 40)
     assert unconverged_lapack.calls == []

@@ -382,7 +382,7 @@ def _overflowing_bundle():
 
 def _nonreal_eigenvalues(n, r, spec=None):
     bundle = build(realization(spec or fig1b_spec(), n, r))
-    ev = spectrum(bundle, want_vectors=False).eigenvalues
+    ev = spectrum(bundle).eigenvalues
     return bundle, ev[ev.imag != 0.0]
 
 

@@ -131,8 +131,11 @@ def test_rejected_argument_is_a_binding_defect_not_a_numerical_failure(monkeypat
 
 
 @pytest.mark.parametrize("field, value", [("diag", math.nan), ("sup", math.inf), ("corner_bottom", -math.inf)])
-def test_non_finite_band_raises_before_lapack_runs(field, value, unconverged_lapack):
-    bundle = build(sample(fig1b_spec(seed=78), 40))
+@pytest.mark.parametrize("raw", [False, True])
+def test_non_finite_band_raises_before_lapack_runs(field, value, raw, unconverged_lapack):
+    # raw-entry bundles skip the closure probe, but not the band check
+    bundle = build(sample((raw_spec if raw else fig1b_spec)(seed=78), 40))
+    assert bundle.raw is raw
     if field == "corner_bottom":
         bad = value
     else:

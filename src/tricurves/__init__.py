@@ -24,7 +24,7 @@ from .ensembles import (
     analytic_means,
     mean_log_coupling,
 )
-from .operators import OperatorBundle, TransferState, build, transfer_product
+from .operators import OperatorBundle, TransferState, build
 from .eigensolvers import SpectrumResult, ResolventCorners, spectrum, resolvent_corners, rank2_det
 from .spectral import IdsEstimate, LyapunovEstimate, estimate_ids, lyapunov_transfer, lyapunov_thouless
 from .curves import CurveModel, coupling_g, trace_curve, real_support_sigma, limit_measure_integral

@@ -56,6 +56,9 @@ _TRANSFER_BLOCK = 16
 # Most (lane, block) products the transfer kernel holds at once: more
 # lanes run in chunks, and more blocks in passes over aligned runs.
 _TRANSFER_WIDTH = 1 << 14
+# Smallest norm of a fold product of two unit-norm factors that keeps at
+# least half its digits, about sqrt(eps); a smaller one collapses its lane.
+_FOLD_FLOOR = 2.0**-26
 
 
 def sturm_counts(diag: np.ndarray, off: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -71,8 +74,12 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray, lams: np.ndarray) -> np.ndar
 
     Every lane's count is that of the k-sequential recurrence, bit for
     bit.  A shift below or above the enclosure (lo, hi) of its matrix
-    (see _enclosure) is outside the spectrum by more than the backward
-    error of the recurrence, so its count is 0 or n without a pass.  The
+    (see _enclosure, computed one matrix at a time in (1, n) work arrays)
+    is outside the spectrum by more than the backward error of the
+    recurrence, so its count is 0 or n without a pass.  Besides the
+    recurrence's lane arrays, a call allocates the squared off-diagonal,
+    (n, R), and O(n) for the enclosure; the sequential fallback of
+    _blocked_counts copies the columns of the matrices it reruns.  The
     lane columns open in some row run the recurrence: the k-range is cut
     into min(_STURM_WIDTH // open lanes, n // _STURM_MIN_BLOCK) blocks
     that run side by side (see _blocked_counts) when that is at least 2,
@@ -108,7 +115,8 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray, lams: np.ndarray) -> np.ndar
 def _enclosure(diag, off, pivmin) -> tuple:
     """(lo, hi), each (R, 1): every eigenvalue of matrix column r lies
     in [lo[r] + margin, hi[r] - margin], margin = _STURM_MARGIN *
-    (max|diag| + 2 max|off|) of that column.
+    (max|diag| + 2 max|off|) of that column.  The columns are enclosed
+    one at a time, in (1, n) work arrays.
 
     The spectrum of T is that of D + |E| (a diagonal sign flip), and
     that of -T is that of -D + |E|.  For M = +-D + |E| and any w > 0, the
@@ -125,29 +133,35 @@ def _enclosure(diag, off, pivmin) -> tuple:
     pivot floor pivmin is not below half the margin.
     """
     n, rows = diag.shape
-    e = np.abs(off.T)
-    # four (R, n) work arrays that both signs reuse, not one block: a
-    # larger block, once freed, would raise glibc's mmap threshold for the
-    # rest of the process and so change the cost of every later allocation
-    w, out, lifted, tmp = (np.empty((rows, n)) for _ in range(4))
+    # four (1, n) work arrays that every column and both signs reuse, so
+    # the enclosure holds O(n) for any number of matrices; each reduction
+    # runs along one column's row, so its bounds are those of the column
+    # alone.  Four arrays, not one block: a larger block, once freed,
+    # would raise glibc's mmap threshold for the rest of the process and
+    # so change the cost of every later allocation
+    w, out, lifted, tmp = (np.empty((1, n)) for _ in range(4))
     bound = np.empty((2, rows))
+    margin = np.empty(rows)
     normal = np.ones(rows, dtype=bool)
     with np.errstate(all="ignore"):  # overflow and underflow decide nothing, below
-        margin = _STURM_MARGIN * (np.max(np.abs(diag), axis=0) + 2.0 * np.max(e, axis=-1, initial=0.0))
-        for side, signed in enumerate((-diag.T, diag.T)):  # -T, then T
-            np.add(signed, 1.0 - signed.min(axis=-1, keepdims=True), out=lifted)
-            w.fill(1.0)
-            for _ in range(_STURM_ENCLOSURE_SWEEPS):
-                _neighbor_sum(e, w, out, tmp)
-                np.multiply(lifted, w, out=tmp)
-                out += tmp
-                out *= 1.0 / out.max(axis=-1, keepdims=True)
-                w, out = out, w
-            ratio = _neighbor_sum(e, w, out, tmp)
-            ratio /= w
-            ratio += signed
-            bound[side] = ratio.max(axis=-1)
-            normal &= (w >= np.finfo(np.float64).tiny).all(axis=-1)
+        for r in range(rows):
+            column = diag[None, :, r]
+            e = np.abs(off[None, :, r])
+            margin[r] = _STURM_MARGIN * (np.max(np.abs(column)) + 2.0 * np.max(e, initial=0.0))
+            for side, signed in enumerate((-column, column)):  # -T, then T
+                np.add(signed, 1.0 - signed.min(), out=lifted)
+                w.fill(1.0)
+                for _ in range(_STURM_ENCLOSURE_SWEEPS):
+                    _neighbor_sum(e, w, out, tmp)
+                    np.multiply(lifted, w, out=tmp)
+                    out += tmp
+                    out *= 1.0 / out.max()
+                    w, out = out, w
+                ratio = _neighbor_sum(e, w, out, tmp)
+                ratio /= w
+                ratio += signed
+                bound[side, r] = ratio.max()
+                normal[r] &= (w >= np.finfo(np.float64).tiny).all()
     decides = normal & np.isfinite(bound).all(axis=0) & (2.0 * pivmin[:, 0] < margin)
     lo = np.where(decides, -bound[0] - margin, -np.inf)
     hi = np.where(decides, bound[1] + margin, np.inf)
@@ -305,6 +319,12 @@ def transfer_product_scaled(c: np.ndarray, q: np.ndarray, z):
     of a power of two blocks, each run one subtree of the fold.  The
     blocking and the fold depend on n only, so a lane's result does not
     depend on the other lanes of the call.
+
+    Collapse: a lane whose fold loses its digits (see _times), which
+    happens only near a real eigenvalue of a chain segment, is run again
+    as one block of n steps, renormalized after every step, as the
+    stepwise recursion does.  That decision reads only the lane's own
+    values, so every other lane keeps its bits.
     """
     c = np.asarray(c, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -323,6 +343,10 @@ def transfer_product_scaled(c: np.ndarray, q: np.ndarray, z):
         part = slice(lo, lo + chunk)
         coeffs = tuple(a[..., part] if a.shape[-1] > 1 else a for a in (c, q, z))
         log_scale[part], top, bottom = _subtree(coeffs, size, 0, nblocks, run)
+        redo = np.flatnonzero(np.isneginf(log_scale[part]))
+        if redo.size:  # collapsed folds: one block of n steps, renormalized after each
+            lane_coeffs = tuple(a[..., redo] if a.shape[-1] > 1 else a for a in coeffs)
+            log_scale[lo + redo], top[:, redo], bottom[:, redo] = _fold(*_block_products(lane_coeffs, n, 0, 1))
         mats[part] = np.stack([top.T, bottom.T], axis=1)
     return log_scale, mats
 
@@ -392,7 +416,16 @@ def _fold(log_scale, top, bottom) -> tuple:
 
 def _times(later, earlier) -> tuple:
     """The product later @ earlier of two (log_scale, top, bottom)
-    products, renormalized to unit column-sum norm."""
+    products, renormalized to unit column-sum norm.
+
+    Both factors have unit norm, so their product's rounding is a few
+    ulps; a product whose norm is below _FOLD_FLOOR has lost more than
+    half its digits (near a real eigenvalue of the chain, two rank-1
+    factors of log-scale past about 18 can meet at right angles, and
+    their product is rounding or exactly 0).  Such a product collapses:
+    it keeps its unnormalized entries and takes log-scale -inf, which
+    every later fold keeps, and transfer_product_scaled reruns its lane
+    step by step."""
     log_later, (p00, p01), (p10, p11) = later
     log_earlier, m_top, m_bottom = earlier
     new_top = p00 * m_top + p01 * m_bottom
@@ -400,4 +433,11 @@ def _times(later, earlier) -> tuple:
     colsum = np.abs(new_top)
     colsum += np.abs(new_bottom)
     norm = np.maximum(colsum[0], colsum[1])
-    return log_earlier + (log_later + np.log(norm)), new_top / norm, new_bottom / norm
+    if norm.min() < _FOLD_FLOOR:
+        collapsed = norm < _FOLD_FLOOR
+        norm[collapsed] = 1.0
+        log_norm = np.log(norm)
+        log_norm[collapsed] = -np.inf
+    else:
+        log_norm = np.log(norm)
+    return log_earlier + (log_later + log_norm), new_top / norm, new_bottom / norm

@@ -1,9 +1,6 @@
 """Eigenvalue engines.
 
-Symmetric tridiagonal counting is hand-rolled (safeguarded Sturm
-sequences, vectorized over (realization x shift) lanes) because it is the
-backbone of the density-of-states estimator.  The dense nonsymmetric
-spectrum delegates to LAPACK's balancing + Hessenberg + implicitly
+The dense nonsymmetric spectrum delegates to LAPACK's balancing + Hessenberg + implicitly
 shifted QR, for eigenvalues only: every solve hands its freshly built
 matrix to the dgeev that numpy itself links, in place (``_lapack``), so
 it holds one n x n matrix where np.linalg.eigvals would hold two; where
@@ -23,42 +20,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import _lapack
-from ._kernels import sturm_counts
-from .errors import EigenSolveError, SingularResolventError, ValidationError
+from .errors import EigenSolveError, SingularResolventError
 from .operators import OperatorBundle, TransferState, boundary_residual
 
 __all__ = [
     "SpectrumResult",
     "ResolventCorners",
-    "symmetric_eigencounts",
     "spectrum",
     "empirical_integral",
     "resolvent_corners",
     "rank2_det",
 ]
-
-# -- symmetric tridiagonal --------------------------------------------------
-
-def symmetric_eigencounts(bundles: Sequence[OperatorBundle], lams: np.ndarray) -> np.ndarray:
-    """Reference eigenvalue counts in (-inf, lam) for each lam, one row per
-    bundle, from one Sturm pass over all (bundle, lam) lanes; the bundles
-    must share n."""
-    sizes = sorted({b.n for b in bundles})
-    if len(sizes) != 1:
-        raise ValidationError(f"bundles must share one n, got n in {sizes}")
-    lams = np.asarray(lams, dtype=float)
-    counts = sturm_counts(
-        np.stack([b.diag for b in bundles], axis=1),
-        np.stack([b.h_off for b in bundles], axis=1),
-        np.tile(lams, len(bundles)),
-    )
-    return counts.reshape(len(bundles), lams.shape[0])
-
 
 # -- dense nonsymmetric spectrum ---------------------------------------------
 
@@ -152,7 +128,7 @@ class ResolventCorners:
 
 def resolvent_corners(bundle: OperatorBundle, z, state: TransferState) -> ResolventCorners:
     """Corner resolvent entries of the symmetric reference and det(H - z),
-    from state = transfer_product(bundle, z), or, for an array of z, from
+    from state = transfer_products([bundle], [z])[0], or, for an array of z, from
     the stack of their lanes (say, a slice of transfer_products).
 
     Requires z off the reference spectrum (use Im z != 0, or a real z in a

@@ -44,7 +44,9 @@ __all__ = [
     "OperatorBundle",
     "TransferState",
     "build",
-    "transfer_product",
+    "couplings",
+    "reference_off",
+    "gershgorin",
     "transfer_products",
     "closed_product",
     "boundary_residual",
@@ -93,16 +95,12 @@ class OperatorBundle:
     def h_off(self) -> np.ndarray:
         """Off-diagonal of the symmetric reference: -c_1..-c_{n-1}."""
         self._need_log_coords("symmetric reference")
-        return -self.c[1 : self.n]
+        return reference_off(self.c)
 
     def gershgorin(self) -> tuple:
         """Enclosing interval for the symmetric reference spectrum."""
         self._need_log_coords("Gershgorin bounds")
-        r = np.zeros(self.n)
-        off = self.c[1 : self.n]
-        r[:-1] += off
-        r[1:] += off
-        return float(np.min(self.diag - r)), float(np.max(self.diag + r))
+        return gershgorin(self.diag, self.h_off)
 
     def dense(self) -> np.ndarray:
         """The full matrix, column-major for the eigensolver."""
@@ -114,6 +112,28 @@ class OperatorBundle:
         j[0, self.n - 1] += self.corner_top
         j[self.n - 1, 0] += self.corner_bottom
         return j
+
+
+def couplings(seq: CoefficientSequence) -> np.ndarray:
+    """The couplings c_0..c_n of a log-coordinate sequence,
+    c_k = exp((xi_k + eta_k) / 2)."""
+    return np.exp(0.5 * (seq.xi + seq.eta))
+
+
+def reference_off(c: np.ndarray) -> np.ndarray:
+    """Off-diagonal of the symmetric reference, -c_1..-c_{n-1}, from the
+    couplings c_0..c_n."""
+    return -c[1:-1]
+
+
+def gershgorin(diag: np.ndarray, off: np.ndarray) -> tuple:
+    """Enclosing interval (lo, hi) for the spectrum of the symmetric
+    tridiagonal matrix with diagonal diag and off-diagonal off."""
+    r = np.zeros(diag.shape[0])
+    radius = np.abs(off)
+    r[:-1] += radius
+    r[1:] += radius
+    return float(np.min(diag - r)), float(np.max(diag + r))
 
 
 def build(seq: CoefficientSequence) -> OperatorBundle:
@@ -136,7 +156,7 @@ def build(seq: CoefficientSequence) -> OperatorBundle:
     if seq.raw:
         return OperatorBundle(raw=True, **common)
     xi, eta = seq.xi, seq.eta
-    c = np.exp(0.5 * (xi + eta))
+    c = couplings(seq)
     log_w = np.zeros(n + 2)
     log_w[1:] = 0.5 * np.cumsum(xi - eta)
     log_abs_a = 0.5 * (xi[0] + eta[0]) + log_w[n]
@@ -179,18 +199,13 @@ class TransferState:
         return TransferState(self.matrix[lanes], self.log_scale[lanes])
 
 
-def transfer_product(bundle: OperatorBundle, z: complex) -> TransferState:
-    """Full product A_n ... A_1, renormalized per step within each block of
-    at most 16 steps and per product of the pairwise fold of the blocks:
-    one lane of ``_kernels.transfer_product_scaled``."""
-    return transfer_products([bundle], [z])[0]
-
-
 def transfer_products(bundles, zs) -> TransferState:
-    """The stack of transfer_product(bundle, z) over the pairs of bundles
-    and zs, in one kernel call with one lane per pair; the bundles must
-    share n.  A lane's result does not depend on the other lanes, so each
-    lane equals the one-pair call bit for bit.  When every lane has the
+    """The full products A_n ... A_1 of the pairs of bundles and zs,
+    renormalized per step within each block of at most 16 steps and per
+    product of the pairwise fold of the blocks, in one kernel call with
+    one lane per pair (``_kernels.transfer_product_scaled``); the bundles
+    must share n.  A lane's result does not depend on the other lanes, so
+    each lane equals the one-pair call bit for bit.  When every lane has the
     same bundle, the kernel shares its coefficient columns across the
     lanes rather than a stacked copy per lane."""
     for bundle in bundles:

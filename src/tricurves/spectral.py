@@ -38,9 +38,9 @@ import numpy as np
 
 from . import artifacts
 from .ensembles import EnsembleSpec, realization, spec_hash
+from ._kernels import sturm_counts, transfer_product_scaled
 from .errors import ValidationError
-from .operators import build, column_sum_norm, transfer_product
-from .eigensolvers import symmetric_eigencounts
+from .operators import column_sum_norm, couplings, gershgorin, reference_off
 
 __all__ = [
     "IdsEstimate",
@@ -102,19 +102,33 @@ class IdsEstimate:
 def estimate_ids(spec: EnsembleSpec, n: int, reps: int, grid_points: int = 2048) -> IdsEstimate:
     """Average of rescaled eigenvalue counts over realizations 0..reps-1,
     on a grid of grid_points nodes spanning the joint Gershgorin interval
-    of the realizations, padded by 5% of its width."""
+    of the realizations, padded by 5% of its width.
+
+    The realizations are drawn one at a time, and each leaves only the
+    two columns the Sturm count reads, its diagonal and its symmetric
+    off-diagonal, in (n, reps) stacks; its Gershgorin interval is taken
+    from those columns.  One sturm_counts call then counts every
+    (realization, node) lane, so the estimate holds O(n) per
+    realization."""
     if n < 100:
         raise ValidationError(f"density-of-states estimation needs n >= 100, got {n}")
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     spec.require_light_tails("estimate_ids")
-    bundles = [build(realization(spec, n, r)) for r in range(reps)]
-    bounds = [b.gershgorin() for b in bundles]
-    glo = min(lo for lo, _ in bounds)
-    ghi = max(hi for _, hi in bounds)
+    diag = np.empty((n, reps))
+    off = np.empty((n - 1, reps))
+    glo, ghi = math.inf, -math.inf
+    for r in range(reps):
+        seq = realization(spec, n, r)
+        diag[:, r] = seq.q[1:]
+        off[:, r] = reference_off(couplings(seq))
+        lo, hi = gershgorin(diag[:, r], off[:, r])
+        glo, ghi = min(glo, lo), max(ghi, hi)
+    del seq  # the count reads only the columns
     half = 0.5 * (ghi - glo) * _GRID_PAD
     grid = np.linspace(glo - half, ghi + half, grid_points)
-    values = symmetric_eigencounts(bundles, grid).sum(axis=0) / (reps * n)
+    counts = sturm_counts(diag, off, np.tile(grid, reps))
+    values = counts.reshape(reps, grid_points).sum(axis=0) / (reps * n)
     i_lo = int(np.argmax(values > 0.0))
     i_hi = int(values.shape[0] - 1 - np.argmax(values[::-1] < 1.0))
     support = (float(grid[max(i_lo - 1, 0)]), float(grid[min(i_hi + 1, grid.shape[0] - 1)]))
@@ -280,7 +294,8 @@ def lyapunov_transfer(spec: EnsembleSpec, n: int, reps: int, z):
     """Mean over realizations 0..reps-1 of (1/n) log ||transfer product||
     with the column-sum norm.  A scalar z gives one LyapunovEstimate, a
     sequence of points a list with one estimate per point; each
-    realization is drawn once for all points.
+    realization is drawn once for all points, and only its couplings c
+    and its diagonal q go to the kernel.
 
     At real z the pathwise limit need not match the averaged exponent;
     such estimates carry real_axis_caveat=True and the curve machinery
@@ -294,12 +309,13 @@ def lyapunov_transfer(spec: EnsembleSpec, n: int, reps: int, z):
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     gammas = np.empty((zs.shape[0], reps))
     for r in range(reps):
-        bundle = build(realization(spec, n, r))
+        seq = realization(spec, n, r)
+        c = couplings(seq)
         # One kernel call per product: the per-layer step counter of
         # perfbench reads len(c) - 1 per call as the number of steps.
         for i, zi in enumerate(zs):
-            state = transfer_product(bundle, zi)
-            gammas[i, r] = (state.log_scale + math.log(column_sum_norm(state.matrix))) / n
+            (log_scale,), (matrix,) = transfer_product_scaled(c, seq.q, zi)
+            gammas[i, r] = (log_scale + math.log(column_sum_norm(matrix))) / n
     estimates = [
         LyapunovEstimate(
             z=complex(zi),

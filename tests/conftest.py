@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tricurves import DistributionSpec, EnsembleSpec, _lapack, estimate_ids, resolvent_corners, transfer_product
-from tricurves.operators import column_sum_norm
+from tricurves import DistributionSpec, EnsembleSpec, _lapack, estimate_ids, resolvent_corners
+from tricurves.operators import column_sum_norm, transfer_products
 from tricurves.spectral import lyapunov_thouless, phi_dy_many, phi_many
 
 
@@ -44,6 +45,18 @@ def free_spec(seed=11):
     return EnsembleSpec(*[DistributionSpec("constant", (0.0,))] * 3, seed=seed)
 
 
+def traced_peak(call):
+    """(result, peak): call()'s result and the most bytes tracemalloc saw
+    allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 # -- oracles ----------------------------------------------------------------------
 
 def dense_reference(bundle):
@@ -71,6 +84,12 @@ def symmetric_spectrum(bundle):
     from scipy.linalg import eigvalsh_tridiagonal
 
     return eigvalsh_tridiagonal(bundle.diag, bundle.h_off)
+
+
+def transfer_product(bundle, z):
+    """The transfer product A_n ... A_1 of one bundle at one z: one lane
+    of transfer_products."""
+    return transfer_products([bundle], [z])[0]
 
 
 def corners(bundle, z):

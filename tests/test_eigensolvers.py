@@ -15,11 +15,10 @@ from tricurves import (
     resolvent_corners,
     sample,
     spectrum,
-    transfer_product,
 )
 from tricurves import _kernels
 from tricurves._kernels import sturm_counts
-from tricurves.eigensolvers import characteristic_residual, symmetric_eigencounts
+from tricurves.eigensolvers import characteristic_residual
 from tricurves.ensembles import realization
 
 from conftest import (
@@ -36,6 +35,7 @@ from conftest import (
     multiset_distance,
     symmetric_spectrum,
     trace_defect,
+    transfer_product,
 )
 
 
@@ -44,10 +44,22 @@ def log_det_reference(bundle, z) -> complex:
     return corners(bundle, z).log_det
 
 
+def eigencounts(bundles, lams) -> np.ndarray:
+    """Reference eigenvalue counts in (-inf, lam) for each lam, one row per
+    bundle, from one sturm_counts call over all (bundle, lam) lanes, as
+    estimate_ids counts them; the bundles share n."""
+    lams = np.asarray(lams, dtype=float)
+    counts = sturm_counts(
+        np.stack([b.diag for b in bundles], axis=1),
+        np.stack([b.h_off for b in bundles], axis=1),
+        np.tile(lams, len(bundles)),
+    )
+    return counts.reshape(len(bundles), lams.shape[0])
+
+
 def eigencount(bundle, lam) -> int:
-    """Reference eigenvalues in (-inf, lam), through the package's one
-    counting entry point."""
-    return int(symmetric_eigencounts([bundle], [lam])[0, 0])
+    """Reference eigenvalues in (-inf, lam)."""
+    return int(eigencounts([bundle], [lam])[0, 0])
 
 
 def _poly_mul(a, b):
@@ -113,7 +125,7 @@ def test_free_jacobi_three_sites():
     exact = [-math.sqrt(2), 0.0, math.sqrt(2)]
     assert np.allclose(np.linalg.eigvalsh(dense_reference(b)), exact, atol=1e-12)
     lams = [-1.5, -1.4, -0.1, 0.1, 1.4, 1.5]
-    assert list(symmetric_eigencounts([b], lams)[0]) == [0, 1, 1, 2, 2, 3]
+    assert list(eigencounts([b], lams)[0]) == [0, 1, 1, 2, 2, 3]
 
 
 def test_counts_at_gershgorin_bounds():
@@ -126,7 +138,7 @@ def test_counts_at_gershgorin_bounds():
 def test_counts_monotone_in_lambda():
     b = build(sample(fig1b_spec(seed=6), 60))
     lams = np.linspace(*b.gershgorin(), 300)
-    counts = symmetric_eigencounts([b], lams)[0]
+    counts = eigencounts([b], lams)[0]
     assert np.all(np.diff(counts) >= 0)
 
 
@@ -154,7 +166,7 @@ def test_batched_counts_equal_per_bundle_counts():
     )
     bundles = [build(sample(spec, n)) for spec in (free_spec(), fig1b_spec(seed=3), huge, fig1b_spec(seed=9))]
     lams = np.concatenate([np.linspace(-3.0, 3.0, 257), [-1e-5, -1e-7, -1e-9, 0.0, 1e-9, -1e150, 1e150]])
-    batched = symmetric_eigencounts(bundles, lams)
+    batched = eigencounts(bundles, lams)
     assert batched.shape == (len(bundles), lams.shape[0])
     for b, row in zip(bundles, batched):
         assert np.array_equal(row, sturm_counts(b.diag, b.h_off, lams))
@@ -210,7 +222,7 @@ def test_blocked_counts_match_stepwise_oracle(sturm_steps):
     n = 40000
     b = build(sample(fig1b_spec(seed=2024), n))
     lams = _padded_gershgorin_grid(b, 1024)
-    counts = symmetric_eigencounts([b], lams)[0]
+    counts = eigencounts([b], lams)[0]
     nblocks = max(blocks for blocks, _, _, _ in sturm_steps)
     assert nblocks > 1
     assert sum(steps for _, _, steps, _ in sturm_steps) <= n // 4
@@ -231,7 +243,7 @@ def test_default_ids_shape_runs_in_blocks(sturm_steps):
     lo, hi = bounds[:, 0].min(), bounds[:, 1].max()
     half = 0.025 * (hi - lo)
     lams = np.linspace(lo - half, hi + half, 1024)
-    counts = symmetric_eigencounts(bundles, lams)
+    counts = eigencounts(bundles, lams)
     assert max(blocks for blocks, _, _, _ in sturm_steps) > 1
     oracle = stepwise_counts(
         np.stack([b.diag for b in bundles], axis=1), np.stack([b.h_off for b in bundles], axis=1),
@@ -266,7 +278,7 @@ def test_blocked_counts_keep_each_pivot_floor(sturm_steps):
     )
     bundles = [build(realization(huge, n, r)) for r in range(2)]
     lams = np.concatenate([np.linspace(-3.0, 3.0, 505), [-1e-5, -1e-7, -1e-9, 0.0, 1e-9, -1e150, 1e150]])
-    counts = symmetric_eigencounts(bundles, lams)
+    counts = eigencounts(bundles, lams)
     assert max(blocks for blocks, _, _, _ in sturm_steps) > 1
     oracle = stepwise_counts(
         np.stack([b.diag for b in bundles], axis=1), np.stack([b.h_off for b in bundles], axis=1),
@@ -373,12 +385,6 @@ def test_degenerate_chains_decide_no_count_wrongly(name):
     assert np.array_equal(sturm_counts(pair_diag, pair_off, pair_lams), stepwise_counts(pair_diag, pair_off, pair_lams))
 
 
-def test_eigencounts_need_a_shared_n():
-    bundles = [build(sample(fig1b_spec(seed=3), n)) for n in (30, 31)]
-    with pytest.raises(ValidationError, match="share one n"):
-        symmetric_eigencounts(bundles, [0.0])
-
-
 def test_free_spectrum_closed_form():
     # counts at the midpoints between the closed-form eigenvalues
     # -2 cos(k pi / (n + 1)) of the free chain step by one
@@ -387,7 +393,7 @@ def test_free_spectrum_closed_form():
     k = np.arange(1, n + 1)
     exact = np.sort(-2.0 * np.cos(k * np.pi / (n + 1)))
     mids = np.concatenate([[exact[0] - 0.1], 0.5 * (exact[:-1] + exact[1:]), [exact[-1] + 0.1]])
-    assert np.array_equal(symmetric_eigencounts([b], mids)[0], np.arange(n + 1))
+    assert np.array_equal(eigencounts([b], mids)[0], np.arange(n + 1))
 
 
 def test_single_site_spectrum():
@@ -401,7 +407,7 @@ def test_bisection_matches_dense_qr():
     dense = np.sort(np.linalg.eigvalsh(dense_reference(b)))
     lams = np.concatenate([dense - 1e-9, dense + 1e-9])
     expect = np.concatenate([np.arange(40), np.arange(1, 41)])
-    assert np.array_equal(symmetric_eigencounts([b], lams)[0], expect)
+    assert np.array_equal(eigencounts([b], lams)[0], expect)
 
 
 def test_spectrum_consistent_with_counts():

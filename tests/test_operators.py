@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from tricurves.operators import (
     closed_product,
     column_sum_norm,
     eigenvector_slopes,
-    transfer_product,
     transfer_products,
 )
 from tricurves import _kernels
@@ -23,9 +21,12 @@ from conftest import (
     boundary_residual_one,
     dense_perturbed,
     eigenvector_slopes_one,
+    fig1a_spec,
     fig1b_mirror_spec,
     fig1b_spec,
     free_spec,
+    traced_peak,
+    transfer_product,
 )
 
 
@@ -211,6 +212,34 @@ def test_kernel_long_lane_equals_stepwise_product():
     assert np.max(np.abs(fast.matrix - slow.matrix)) <= 1e-13
 
 
+def test_collapsed_fold_reruns_its_lane_stepwise():
+    # fig-1a at n = 2000 and this real z: two subproducts of the fold with
+    # log-scales 109 and 119 (both rank 1 in double) meet at right angles,
+    # their product is exactly 0, and the lane read nan.  Near this
+    # eigenvalue of a chain segment the true log-scale moves by about 1 per
+    # ulp of z, so the long-double oracle's own spread over z +- 1 ulp is
+    # the tolerance
+    b = build(realization(fig1a_spec(), 2000, 0))
+    x = -0.19993323006442254
+
+    def oracle(z):
+        return float(np.log(column_sum_norm(longdouble_product(b, z))))
+
+    fast = transfer_product(b, complex(x))
+    assert np.isfinite(fast.log_scale) and np.isfinite(fast.matrix).all()
+    exact = oracle(x)
+    spread = max(abs(oracle(np.nextafter(x, side)) - exact) for side in (-1.0, 1.0))
+    assert abs(fast.log_scale - exact) < spread
+    assert np.isfinite(boundary_residual(b, [x])).all()
+    # the lane keeps its bits beside other lanes, and they keep theirs
+    zs = np.array([0.5j, x, 1.0 + 0.3j, 0.4])
+    mixed = transfer_products([b] * zs.size, zs)
+    for z, state in zip(zs, mixed):
+        alone = transfer_product(b, z)
+        assert state.log_scale == alone.log_scale
+        assert np.array_equal(state.matrix, alone.matrix)
+
+
 def test_kernel_lane_ignores_other_lanes():
     z = 0.7 + 0.9j
     # n = 50 runs in one pass; n = 5000 is past the 16-step block cap, and
@@ -256,12 +285,7 @@ def test_lanes_of_one_bundle_share_its_columns():
     rng = np.random.Generator(np.random.Philox(key=9))
     zs = rng.uniform(-1.0, 3.0, 1000) + 1j * rng.uniform(-1.0, 1.0, 1000)
     stacked = transfer_product_scaled(np.stack([b.c] * zs.size, axis=1), np.stack([b.seq.q] * zs.size, axis=1), zs)
-    tracemalloc.start()
-    try:
-        shared = transfer_products([b] * zs.size, zs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    shared, peak = traced_peak(lambda: transfer_products([b] * zs.size, zs))
     assert np.array_equal(shared.log_scale, stacked[0])
     assert np.array_equal(shared.matrix, stacked[1])
     assert peak < 12 * 2**20  # a stacked copy of c and q alone is 30.5 MiB

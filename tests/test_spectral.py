@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,10 +15,11 @@ from tricurves import (
     lyapunov_transfer,
     mean_log_coupling,
 )
-from tricurves import build, rank2_det, resolvent_corners, spectral
+from tricurves import _kernels, build, rank2_det, resolvent_corners, spectral
+from tricurves._kernels import sturm_counts
 from tricurves.eigensolvers import characteristic_residual
 from tricurves.ensembles import realization
-from tricurves.operators import TransferState, boundary_residual, transfer_products
+from tricurves.operators import TransferState, boundary_residual, column_sum_norm, transfer_products
 from tricurves.spectral import load_ids, phi_dy_many, phi_many, save_ids
 
 from conftest import (
@@ -30,6 +30,8 @@ from conftest import (
     stieltjes,
     stieltjes_per_cell,
     symmetric_spectrum,
+    traced_peak,
+    transfer_product,
 )
 
 
@@ -85,6 +87,22 @@ def test_ids_rejects_heavy_tailed_couplings():
         estimate_ids(bad, 200, 1)
 
 
+def test_predicted_side_rejects_raw_specs():
+    # the IDS and the transfer scan read xi and eta without a bundle, so
+    # the spec's own check is what turns a raw-entry ensemble away
+    raw = EnsembleSpec(
+        DistributionSpec("uniform", (-0.5, 0.5)),
+        DistributionSpec("uniform", (-0.5, 0.5)),
+        DistributionSpec("uniform", (0, 1)),
+        seed=4,
+        raw=True,
+    )
+    with pytest.raises(ValidationError, match="log-coordinate"):
+        estimate_ids(raw, 200, 1)
+    with pytest.raises(ValidationError, match="log-coordinate"):
+        lyapunov_transfer(raw, 200, 1, 1.0 + 1.0j)
+
+
 def test_ids_cauchy_diagonal_allowed():
     spec = EnsembleSpec(
         DistributionSpec("constant", (0.0,)),
@@ -94,6 +112,50 @@ def test_ids_cauchy_diagonal_allowed():
     )
     ids = estimate_ids(spec, 300, 1)
     assert ids.values[-1] == 1.0
+
+
+def bundle_stacking_ids(spec, n, reps, grid_points):
+    """Oracle: (grid, values) of the IDS from one bundle per realization,
+    their Gershgorin intervals, and one Sturm count over their stacked
+    diagonals and reference off-diagonals."""
+    bundles = [build(realization(spec, n, r)) for r in range(reps)]
+    bounds = [b.gershgorin() for b in bundles]
+    glo, ghi = min(lo for lo, _ in bounds), max(hi for _, hi in bounds)
+    half = 0.5 * (ghi - glo) * 0.05
+    grid = np.linspace(glo - half, ghi + half, grid_points)
+    counts = sturm_counts(
+        np.stack([b.diag for b in bundles], axis=1),
+        np.stack([b.h_off for b in bundles], axis=1),
+        np.tile(grid, reps),
+    )
+    return grid, counts.reshape(reps, grid_points).sum(axis=0) / (reps * n)
+
+
+@pytest.mark.parametrize("n, reps, grid_points, blocked", [(4000, 4, 1024, True), (1500, 3, 512, False)])
+def test_streamed_ids_equals_bundle_stacking(monkeypatch, n, reps, grid_points, blocked):
+    # the default IDS shape runs the Sturm count in blocks; n < 2048 runs
+    # it in one sequential pass
+    calls = []
+    blocked_counts = _kernels._blocked_counts
+
+    def spy(*args):
+        calls.append(args[-1])
+        return blocked_counts(*args)
+
+    monkeypatch.setattr(_kernels, "_blocked_counts", spy)
+    ids = estimate_ids(fig1b_spec(seed=83), n, reps, grid_points=grid_points)
+    assert bool(calls) == blocked
+    grid, values = bundle_stacking_ids(fig1b_spec(seed=83), n, reps, grid_points)
+    assert np.array_equal(ids.grid, grid)
+    assert np.array_equal(ids.values, values)
+
+
+def test_ids_holds_two_columns_per_realization():
+    # n = 2e4, 8 realizations: the (n, 8) diagonal and off-diagonal stacks
+    # and the kernel's squared off-diagonal are 1.2 MiB each; one bundle
+    # per realization alone held about 12 MiB (21.7 MiB peak in all)
+    _, peak = traced_peak(lambda: estimate_ids(fig1b_spec(seed=89), 20_000, 8))
+    assert peak < 8 * 2**20
 
 
 def test_ids_cache_round_trip(tmp_path, fig1b_ids):
@@ -308,12 +370,7 @@ def test_phi_dy_working_set_is_one_block(fig1b_ids):
     # temporary alone is 64 MiB
     rng = np.random.Generator(np.random.Philox(key=67))
     zs = rng.uniform(-3.0, 4.0, 4096) + 1j * rng.uniform(0.01, 2.5, 4096)
-    tracemalloc.start()
-    try:
-        phi_dy_many(fig1b_ids, zs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: phi_dy_many(fig1b_ids, zs))
     assert peak < 4 * 2**20
 
 
@@ -371,6 +428,20 @@ def test_transfer_sequence_equals_pointwise_calls():
     batch = lyapunov_transfer(spec, 3000, 3, zs)
     assert batch == [lyapunov_transfer(spec, 3000, 3, z) for z in zs]
     assert lyapunov_transfer(spec, 3000, 1, np.array(zs[:1])) == [lyapunov_transfer(spec, 3000, 1, zs[0])]
+
+
+@pytest.mark.parametrize("zs", [[1.2 + 0.8j, -0.5 - 0.3j], [0.4 + 0.0j, 2.0 + 0.0j]])
+def test_transfer_scan_equals_bundle_route(zs):
+    # the scan hands each realization's c and q to the kernel; the means
+    # and errors equal those of one bundle's transfer_product per
+    # (z, realization), bit for bit, at complex and at real z
+    spec, n, reps = fig1b_spec(seed=97), 3000, 3
+    bundles = [build(realization(spec, n, r)) for r in range(reps)]
+    for z, est in zip(zs, lyapunov_transfer(spec, n, reps, zs)):
+        states = [transfer_product(b, z) for b in bundles]
+        g = np.array([(s.log_scale + math.log(column_sum_norm(s.matrix))) / n for s in states])
+        assert est.gamma_hat == float(np.mean(g))
+        assert est.stderr == float(np.std(g, ddof=1) / math.sqrt(reps))
 
 
 def test_transfer_rejects_zero_reps():
